@@ -31,6 +31,7 @@ from reciteqa.prompting import (
 from helpers import (
     COT_EXEMPLAR,
     EIFFEL_EXEMPLAR,
+    GOLDEN_DIR,
     HINT_EXEMPLAR,
     LONDON_EXEMPLAR,
     MULTIHOP_EXEMPLAR,
@@ -526,6 +527,174 @@ def test_dedup_hints_idempotent_and_order_preserving():
     once = _dedup_hints(hints)
     assert once == ["A --- Paragraph #1", "B --- Paragraph #2"]
     assert _dedup_hints(once) == once
+
+
+# ---------------------------------------------------------------------------
+# golden records: every scheme's happy path and each of its failure causes
+
+
+def _qa(scheme, exemplars, question, recitations=None, recitations_per_hop=1):
+    return build_qa_prompt(
+        PromptSpec(
+            scheme=scheme,
+            exemplars=exemplars,
+            target_question=question.question,
+            target_recitations=recitations,
+            recitations_per_hop=recitations_per_hop,
+        )
+    )
+
+
+def _golden_direct_run():
+    cfg = scheme_config(Scheme.DIRECT)
+    backend = ScriptedBackend()
+    ok = make_question("direct-ok", "when was the london bridge replaced", ("1973",))
+    miss = make_question("direct-miss", "a direct question nobody scripted", ("x",))
+    bare = tuple(Exemplar(question=e.question, answer=e.answer) for e in EXEMPLARS)
+    backend.register(_qa(Scheme.DIRECT, bare, ok), [" 1973\n\nQuestion: junk"])
+    return dict(records=[ok, miss], cfg=cfg, exemplars=EXEMPLARS, backend=backend)
+
+
+def _golden_recite_run():
+    cfg = scheme_config(Scheme.RECITE_ANSWER, n_paths=3)
+    backend = ScriptedBackend()
+    ok = make_question("recite-ok", "which city hosted the event", ("rome",))
+    one_miss = make_question("recite-one-miss", "which city hosted the games", ("rome",))
+    all_miss = make_question("recite-all-miss", "a recite question nobody scripted", ("x",))
+    for question in (ok, one_miss):
+        recitations = [f"Fact sheet {question.id} number {i}." for i in range(3)]
+        script_recite_run(
+            backend, question, EXEMPLARS, cfg, recitations,
+            lambda r: " paris" if r.endswith("2.") else " rome",
+        )
+    # One answer prompt of recite-one-miss misses: that path alone fails.
+    del backend._entries[
+        prompt_key(
+            _qa(Scheme.RECITE_ANSWER, EXEMPLARS, one_miss,
+                ("Fact sheet recite-one-miss number 1.",))
+        )
+    ]
+    return dict(records=[ok, one_miss, all_miss], cfg=cfg, exemplars=EXEMPLARS, backend=backend)
+
+
+def _golden_multihop_run():
+    cfg = scheme_config(Scheme.MULTI_HOP_RECITE, n_paths=2, recitations_per_hop=2)
+    backend = ScriptedBackend()
+    questions = []
+    outputs_by_id = {
+        "multihop-ok": [
+            " The attacks hit the Taj Mahal Palace Hotel.\n\n"
+            "Recitation 2: The Taj is owned by The Indian Hotels Company.",
+            " The Taj hotel was attacked.\n\nRecitation 2: IHCL runs the Taj hotels.",
+        ],
+        "multihop-structure": [
+            " Good first.\n\nRecitation 2: Good second.",
+            " Missing the second cue entirely.",
+        ],
+    }
+    for qid, outputs in outputs_by_id.items():
+        question = make_question(
+            qid, f"which company owns the hotel in {qid}", ("The Indian Hotels Company",),
+            dataset=Dataset.HOTPOT_QA, hop_count=2,
+        )
+        questions.append(question)
+        spec = PromptSpec(
+            scheme=Scheme.MULTI_HOP_RECITE,
+            exemplars=(MULTIHOP_EXEMPLAR,),
+            target_question=question.question,
+            recitations_per_hop=2,
+        )
+        backend.register(build_multihop_prompt(spec), outputs)
+        for output in outputs:
+            recitations = split_numbered_recitations(output, 2)
+            if recitations is not None:
+                backend.register(
+                    _qa(Scheme.MULTI_HOP_RECITE, (MULTIHOP_EXEMPLAR,), question, recitations, 2),
+                    [" The Indian Hotels Company"],
+                )
+    return dict(records=questions, cfg=cfg, exemplars=(MULTIHOP_EXEMPLAR,), backend=backend)
+
+
+def _golden_cot_run():
+    cfg = scheme_config(Scheme.CHAIN_OF_THOUGHT, n_paths=3)
+    backend = ScriptedBackend()
+    ok = make_question("cot-ok", "what is the tenth decimal of pi", ("5",))
+    no_anchor = make_question("cot-no-anchor", "what is the ninth decimal of pi", ("3",))
+    for question, queue in (
+        (ok, [
+            " The first digits are 3.14159 26535. So the answer is 5.",
+            " Pi begins 3.1415926535. So the answer is 5.",
+            " I believe it is three. So the answer is 3.",
+        ]),
+        (no_anchor, [" Pi begins 3.141592653. So the answer is 3.", " rambling with no anchor"]),
+    ):
+        spec = PromptSpec(
+            scheme=Scheme.CHAIN_OF_THOUGHT,
+            exemplars=(COT_EXEMPLAR,),
+            target_question=question.question,
+        )
+        backend.register(build_cot_prompt(spec), queue)
+    return dict(records=[ok, no_anchor], cfg=cfg, exemplars=(COT_EXEMPLAR,), backend=backend)
+
+
+def _golden_diversified_run():
+    cfg = scheme_config(Scheme.DIVERSIFIED_RECITE, n_hints=3)
+    backend = ScriptedBackend()
+    passages = {
+        "France --- Geography --- Paragraph #1": "France is a country in Western Europe.",
+        "Paris --- Overview --- Paragraph #1": "Paris is the capital of France.",
+    }
+    hints = list(passages) + [" france  ---  Geography --- Paragraph #1\nextra line"]
+    # Passage prompts do not depend on the question, so the expansion
+    # failure needs hints of its own that no passage is scripted for.
+    unknown_hints = ["Atlantis --- Overview --- Paragraph #1", "Atlantis --- Paragraph #2"]
+    questions = [
+        make_question(qid, f"what is the capital of france ({qid})", ("Paris",))
+        for qid in ("div-ok", "div-answer-miss", "div-expansions-fail", "div-hints-fail")
+    ]
+    for question in questions[:3]:
+        hint_prompt, passage_template = build_hint_prompts(question.question, [HINT_EXEMPLAR])
+        if question.id == "div-expansions-fail":
+            backend.register(hint_prompt, unknown_hints)
+            continue
+        backend.register(hint_prompt, hints)
+        for hint, passage in passages.items():
+            backend.register(passage_template(hint), [f" {passage}\n\n\nHint: junk"])
+        if question.id == "div-ok":
+            backend.register(
+                _qa(Scheme.DIVERSIFIED_RECITE, EXEMPLARS, question, tuple(passages.values())),
+                [" Paris"],
+            )
+    corpus = build_corpus(
+        [Document(title="France", items=((("Geography",), "France borders Spain."),))]
+    )
+    return dict(
+        records=questions, cfg=cfg, exemplars=EXEMPLARS, backend=backend,
+        hint_exemplars=[HINT_EXEMPLAR], hint_corpus=corpus,
+    )
+
+
+GOLDEN_SCHEME_RUNS = (
+    _golden_direct_run,
+    _golden_recite_run,
+    _golden_multihop_run,
+    _golden_cot_run,
+    _golden_diversified_run,
+)
+
+
+def golden_scheme_records(tmp_path) -> bytes:
+    """records.jsonl bytes of one scripted run per scheme, concatenated."""
+    out = b""
+    for make_run in GOLDEN_SCHEME_RUNS:
+        run_dir = tmp_path / make_run.__name__
+        list(run_dataset(**make_run(), run_dir=run_dir, clock=ZERO_CLOCK))
+        out += (run_dir / "records.jsonl").read_bytes()
+    return out
+
+
+def test_golden_records_every_scheme(tmp_path):
+    assert golden_scheme_records(tmp_path) == (GOLDEN_DIR / "records_schemes.jsonl").read_bytes()
 
 
 def test_fingerprint_changes_with_config_and_exemplars():

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import requests
 
-from .core import SamplingParams, Strategy, canonical_json, validate
+from .core import SamplingParams, Strategy, canonical_json, truncate_torn_tail, validate
 
 __all__ = [
     "GenerationRequest",
@@ -352,8 +352,10 @@ class CachingBackend(Backend):
     """Transparent append-only disk cache around another backend.
 
     Entries are one JSON object per line keyed by cache_key; the first entry
-    for a key wins, so retries can never install divergent values. Corrupted
-    lines and cache I/O failures degrade to misses with a logged warning.
+    for a key wins, so retries can never install divergent values. A torn
+    last line left by a crash is cut off on load, so the next append starts
+    on a fresh line. Corrupted lines and cache I/O failures degrade to
+    misses with a logged warning.
     """
 
     def __init__(self, inner: Backend, path: str | Path):
@@ -368,6 +370,7 @@ class CachingBackend(Backend):
         if not self._path.exists():
             return
         try:
+            truncate_torn_tail(self._path)
             lines = self._path.read_text(encoding="utf-8").splitlines()
         except OSError as exc:
             logger.warning("cannot read cache %s: %s", self._path, exc)

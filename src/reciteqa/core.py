@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, TextIO
 
 __all__ = [
@@ -30,9 +33,12 @@ __all__ = [
     "deserialize",
     "read_records",
     "write_records",
+    "truncate_torn_tail",
     "canonical_json",
     "stable_hash",
 ]
+
+logger = logging.getLogger(__name__)
 
 MAX_SEED = 2**64 - 1
 
@@ -482,3 +488,30 @@ def read_records(handle: TextIO) -> Iterator[Any]:
         line = line.strip()
         if line:
             yield deserialize(line)
+
+
+def truncate_torn_tail(path: str | Path) -> None:
+    """Cut a line-delimited append log back to its last newline, logging a
+    warning when a torn tail is dropped; a missing file is left alone.
+
+    A crash mid-append leaves a partial last line; without this cut the
+    next append would be glued onto it and lost with it. Only the tail is
+    read, so the cost does not grow with the file.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = end = handle.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(end - 4096, 0)
+            handle.seek(start)
+            newline = handle.read(end - start).rfind(b"\n")
+            if newline != -1:
+                end = start + newline + 1
+                break
+            end = start
+        if end < size:
+            handle.truncate(end)
+            logger.warning("dropped a torn %d-byte tail from %s", size - end, path)

@@ -1,12 +1,28 @@
-"""End-to-end answering schemes: direct, recite-and-answer with
-self-consistency, multi-hop one-pass recitation, chain-of-thought, and
-diversified recitation via passage hints.
+"""One answering engine for every scheme, and dataset runs on top of it.
 
-Answer-stage outputs are stored as "Answer:" + completion (the cue line as
-it appears in the transcript), so every extracted answer is re-derivable
-from its raw text by extract_answer. Path i of a question derives its
-sampling seed as base_seed + i, which keeps independently sampled paths
-distinct and scripted runs reproducible.
+answer_question answers one question under any of the five schemes:
+direct, recite-and-answer with a K-path self-consistency vote, multi-hop
+one-pass recitation, chain-of-thought, and diversified recitation via
+passage hints. It is the only code that branches on the scheme, and every
+scheme is the same two stages:
+
+* sampling draws paths from one prompt, path i at seed base_seed + i, which
+  keeps independently sampled paths distinct and scripted runs
+  reproducible: recitations, one-pass numbered recitations, chain-of-thought
+  rationales (whose paths are final) or passage hints (whose unique hints
+  are then greedily expanded into passages);
+* answering greedily answers each path on its own recitations: direct is
+  one path with none, diversified one path over all its passages.
+
+A path whose sample, answer prompt or answer fails is recorded as failed,
+with its cause in backend_meta["error"], and is left out of the plurality
+vote; the question fails only when every path does. Answer-stage outputs
+are stored as "Answer:" + completion (the cue line as it appears in the
+transcript), so every extracted answer is re-derivable from its raw text by
+extract_answer.
+
+run_dataset answers a question list with bounded concurrency through one
+answer_question partial built per run, appending records.jsonl as it goes.
 """
 
 from __future__ import annotations
@@ -16,10 +32,11 @@ import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .backend import Backend, BackendError, GenerationRequest
+from .backend import Backend, BackendError, GenerationRequest, GenerationResult
 from .core import (
     MAX_SEED,
     Exemplar,
@@ -32,6 +49,7 @@ from .core import (
     deserialize,
     serialize,
     stable_hash,
+    truncate_torn_tail,
 )
 from .evalkit import DEFAULT_PROFILE, NormProfile, plurality_vote
 from .prompting import (
@@ -54,11 +72,7 @@ __all__ = [
     "default_answer_params",
     "config_fingerprint",
     "extract_answer",
-    "answer_direct",
-    "recite_and_answer",
-    "recite_and_answer_multihop",
-    "answer_chain_of_thought",
-    "diversified_recite_and_answer",
+    "answer_question",
     "run_dataset",
     "load_run_records",
 ]
@@ -210,18 +224,19 @@ def _derived_params(params: SamplingParams, index: int) -> SamplingParams:
     return replace(params, seed=(params.seed + index) % (MAX_SEED + 1))
 
 
-def _ok_path(
-    recitations: Sequence[str],
-    completion: str,
-    meta: dict,
-    scheme: Scheme,
-    cot_anchor: str,
+def _path(
+    recitations: Sequence[str], outcome: GenerationResult | BackendError, cfg: SchemeConfig
 ) -> RecitationPath:
-    raw = ANSWER_CUE + completion
-    answer, failed_extraction = _extract(raw, scheme, cot_anchor)
+    """The path for one outcome that carries an answer (a greedy answer or a
+    chain-of-thought rationale): failed on a backend error, otherwise the
+    answer extracted from "Answer:" + completion."""
+    if isinstance(outcome, BackendError):
+        return _failed_path(recitations, outcome)
+    raw = ANSWER_CUE + outcome.texts[0]
+    answer, failed_extraction = _extract(raw, cfg.scheme, cfg.cot_anchor)
     path_meta = {
-        "model": str(meta.get("model", "")),
-        "latency_ms": str(meta.get("latency_ms", "")),
+        "model": str(outcome.meta.get("model", "")),
+        "latency_ms": str(outcome.meta.get("latency_ms", "")),
     }
     if failed_extraction:
         path_meta["extraction_failed"] = "true"
@@ -243,202 +258,9 @@ def _failed_path(recitations: Sequence[str], error: Exception | str) -> Recitati
     )
 
 
-def _vote(
-    question: QuestionRecord, paths: Sequence[RecitationPath], profile: NormProfile
-) -> str:
-    answers = [p.extracted_answer for p in paths if not p.failed]
-    if not answers:
-        raise PipelineError(
-            question.id, f"all {len(paths)} paths failed", paths=paths
-        )
-    winner, _ = plurality_vote(answers, profile.for_dataset(question.dataset.value))
-    return winner
-
-
-def _finish(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    paths: Sequence[RecitationPath],
-    fingerprint: str,
-    profile: NormProfile,
-    started: float,
-    clock: Callable[[], float],
-) -> RunRecord:
-    voted = _vote(question, paths, profile)
-    return RunRecord(
-        question_id=question.id,
-        scheme=cfg.scheme,
-        paths=tuple(paths),
-        voted_answer=voted,
-        config_fingerprint=fingerprint,
-        wall_clock_ms=int((clock() - started) * 1000),
-    )
-
-
 def _bare_qa_exemplars(exemplars: Sequence[Exemplar]) -> tuple[Exemplar, ...]:
     # Direct prompting renders exemplars as plain question/answer pairs.
     return tuple(replace(e, recitations=(), rationale=None) for e in exemplars)
-
-
-@dataclass(frozen=True)
-class _Ctx:
-    """Per-run wiring shared by every question."""
-
-    backend: Backend
-    dialect: PromptDialect = DEFAULT_DIALECT
-    profile: NormProfile = DEFAULT_PROFILE
-    max_paths_in_flight: int = 4
-    fingerprint: str = ""
-    clock: Callable[[], float] = time.monotonic
-
-
-def answer_direct(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    exemplars: Sequence[Exemplar],
-    backend: Backend,
-    *,
-    dialect: PromptDialect = DEFAULT_DIALECT,
-    profile: NormProfile = DEFAULT_PROFILE,
-    fingerprint: str | None = None,
-    clock: Callable[[], float] = time.monotonic,
-) -> RunRecord:
-    """Standard prompting: one greedy path, no recitations."""
-    ctx = _Ctx(
-        backend=backend,
-        dialect=dialect,
-        profile=profile,
-        fingerprint=fingerprint or config_fingerprint(cfg, exemplars, dialect),
-        clock=clock,
-    )
-    return _answer_direct(question, cfg, tuple(exemplars), ctx)
-
-
-def _answer_direct(
-    question: QuestionRecord, cfg: SchemeConfig, exemplars: tuple[Exemplar, ...], ctx: _Ctx
-) -> RunRecord:
-    started = ctx.clock()
-    prompt = build_qa_prompt(
-        PromptSpec(
-            scheme=Scheme.DIRECT,
-            exemplars=_bare_qa_exemplars(exemplars),
-            target_question=question.question,
-            dialect=ctx.dialect,
-        )
-    )
-    try:
-        result = ctx.backend.generate(GenerationRequest(prompt, cfg.answer_params, 1))
-    except BackendError as exc:
-        raise PipelineError(question.id, str(exc), paths=[_failed_path((), exc)]) from exc
-    path = _ok_path((), result.texts[0], dict(result.meta), Scheme.DIRECT, cfg.cot_anchor)
-    return _finish(question, cfg, [path], ctx.fingerprint, ctx.profile, started, ctx.clock)
-
-
-def _qa_paths(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    exemplars: tuple[Exemplar, ...],
-    recitation_lists: Sequence[tuple[str, ...] | None],
-    failures: Sequence[BackendError | None],
-    ctx: _Ctx,
-) -> list[RecitationPath]:
-    """Greedy-decode one answer per surviving recitation list; positions
-    with a recitation failure become failed paths."""
-    requests_list = []
-    slots = []
-    for i, (recitations, failure) in enumerate(zip(recitation_lists, failures)):
-        if failure is not None or recitations is None:
-            continue
-        prompt = build_qa_prompt(
-            PromptSpec(
-                scheme=cfg.scheme,
-                exemplars=exemplars,
-                target_question=question.question,
-                target_recitations=recitations,
-                recitations_per_hop=cfg.recitations_per_hop,
-                dialect=ctx.dialect,
-            )
-        )
-        requests_list.append(GenerationRequest(prompt, cfg.answer_params, 1))
-        slots.append(i)
-    answers = ctx.backend.generate_batch(requests_list, ctx.max_paths_in_flight)
-    by_slot = dict(zip(slots, answers))
-    paths: list[RecitationPath] = []
-    for i, (recitations, failure) in enumerate(zip(recitation_lists, failures)):
-        if failure is not None:
-            paths.append(_failed_path((), failure))
-        elif recitations is None:
-            paths.append(_failed_path((), "structure: recitation cues missing"))
-        else:
-            outcome = by_slot[i]
-            if isinstance(outcome, BackendError):
-                paths.append(_failed_path(recitations, outcome))
-            else:
-                paths.append(
-                    _ok_path(
-                        recitations,
-                        outcome.texts[0],
-                        dict(outcome.meta),
-                        cfg.scheme,
-                        cfg.cot_anchor,
-                    )
-                )
-    return paths
-
-
-def recite_and_answer(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    exemplars: Sequence[Exemplar],
-    backend: Backend,
-    *,
-    dialect: PromptDialect = DEFAULT_DIALECT,
-    profile: NormProfile = DEFAULT_PROFILE,
-    fingerprint: str | None = None,
-    max_paths_in_flight: int = 4,
-    clock: Callable[[], float] = time.monotonic,
-) -> RunRecord:
-    """Sample one recitation per path, answer each path greedily on its own
-    recitation, and take the plurality vote over path answers."""
-    ctx = _Ctx(
-        backend=backend,
-        dialect=dialect,
-        profile=profile,
-        max_paths_in_flight=max_paths_in_flight,
-        fingerprint=fingerprint or config_fingerprint(cfg, exemplars, dialect),
-        clock=clock,
-    )
-    return _recite_and_answer(question, cfg, tuple(exemplars), ctx)
-
-
-def _recite_and_answer(
-    question: QuestionRecord, cfg: SchemeConfig, exemplars: tuple[Exemplar, ...], ctx: _Ctx
-) -> RunRecord:
-    started = ctx.clock()
-    prompt = build_recitation_prompt(
-        PromptSpec(
-            scheme=Scheme.RECITE_ANSWER,
-            exemplars=exemplars,
-            target_question=question.question,
-            dialect=ctx.dialect,
-        )
-    )
-    requests_list = [
-        GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
-        for i in range(cfg.n_paths)
-    ]
-    results = ctx.backend.generate_batch(requests_list, ctx.max_paths_in_flight)
-    recitation_lists: list[tuple[str, ...] | None] = []
-    failures: list[BackendError | None] = []
-    for outcome in results:
-        if isinstance(outcome, BackendError):
-            recitation_lists.append(None)
-            failures.append(outcome)
-        else:
-            recitation_lists.append((outcome.texts[0].strip(),))
-            failures.append(None)
-    paths = _qa_paths(question, cfg, exemplars, recitation_lists, failures, ctx)
-    return _finish(question, cfg, paths, ctx.fingerprint, ctx.profile, started, ctx.clock)
 
 
 def split_numbered_recitations(completion: str, expected: int) -> tuple[str, ...] | None:
@@ -461,119 +283,6 @@ def split_numbered_recitations(completion: str, expected: int) -> tuple[str, ...
     return tuple(segments)
 
 
-def recite_and_answer_multihop(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    exemplars: Sequence[Exemplar],
-    backend: Backend,
-    *,
-    dialect: PromptDialect = DEFAULT_DIALECT,
-    profile: NormProfile = DEFAULT_PROFILE,
-    fingerprint: str | None = None,
-    max_paths_in_flight: int = 4,
-    clock: Callable[[], float] = time.monotonic,
-) -> RunRecord:
-    """Per path, decode all numbered recitations in one sequential pass
-    (later recitations can build on earlier ones), then answer and vote as
-    in recite_and_answer."""
-    ctx = _Ctx(
-        backend=backend,
-        dialect=dialect,
-        profile=profile,
-        max_paths_in_flight=max_paths_in_flight,
-        fingerprint=fingerprint or config_fingerprint(cfg, exemplars, dialect),
-        clock=clock,
-    )
-    return _recite_and_answer_multihop(question, cfg, tuple(exemplars), ctx)
-
-
-def _recite_and_answer_multihop(
-    question: QuestionRecord, cfg: SchemeConfig, exemplars: tuple[Exemplar, ...], ctx: _Ctx
-) -> RunRecord:
-    started = ctx.clock()
-    prompt = build_multihop_prompt(
-        PromptSpec(
-            scheme=Scheme.MULTI_HOP_RECITE,
-            exemplars=exemplars,
-            target_question=question.question,
-            recitations_per_hop=cfg.recitations_per_hop,
-            dialect=ctx.dialect,
-        )
-    )
-    requests_list = [
-        GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
-        for i in range(cfg.n_paths)
-    ]
-    results = ctx.backend.generate_batch(requests_list, ctx.max_paths_in_flight)
-    recitation_lists: list[tuple[str, ...] | None] = []
-    failures: list[BackendError | None] = []
-    for outcome in results:
-        if isinstance(outcome, BackendError):
-            recitation_lists.append(None)
-            failures.append(outcome)
-        else:
-            recitation_lists.append(
-                split_numbered_recitations(outcome.texts[0], cfg.recitations_per_hop)
-            )
-            failures.append(None)
-    paths = _qa_paths(question, cfg, exemplars, recitation_lists, failures, ctx)
-    return _finish(question, cfg, paths, ctx.fingerprint, ctx.profile, started, ctx.clock)
-
-
-def answer_chain_of_thought(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    exemplars: Sequence[Exemplar],
-    backend: Backend,
-    *,
-    dialect: PromptDialect = DEFAULT_DIALECT,
-    profile: NormProfile = DEFAULT_PROFILE,
-    fingerprint: str | None = None,
-    max_paths_in_flight: int = 4,
-    clock: Callable[[], float] = time.monotonic,
-) -> RunRecord:
-    """Chain-of-thought baseline: sample K rationale paths and vote over the
-    answers extracted after the anchor phrase."""
-    ctx = _Ctx(
-        backend=backend,
-        dialect=dialect,
-        profile=profile,
-        max_paths_in_flight=max_paths_in_flight,
-        fingerprint=fingerprint or config_fingerprint(cfg, exemplars, dialect),
-        clock=clock,
-    )
-    return _answer_chain_of_thought(question, cfg, tuple(exemplars), ctx)
-
-
-def _answer_chain_of_thought(
-    question: QuestionRecord, cfg: SchemeConfig, exemplars: tuple[Exemplar, ...], ctx: _Ctx
-) -> RunRecord:
-    started = ctx.clock()
-    prompt = build_cot_prompt(
-        PromptSpec(
-            scheme=Scheme.CHAIN_OF_THOUGHT,
-            exemplars=exemplars,
-            target_question=question.question,
-            dialect=ctx.dialect,
-        ),
-        anchor=cfg.cot_anchor,
-    )
-    requests_list = [
-        GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
-        for i in range(cfg.n_paths)
-    ]
-    results = ctx.backend.generate_batch(requests_list, ctx.max_paths_in_flight)
-    paths = []
-    for outcome in results:
-        if isinstance(outcome, BackendError):
-            paths.append(_failed_path((), outcome))
-        else:
-            paths.append(
-                _ok_path((), outcome.texts[0], dict(outcome.meta), cfg.scheme, cfg.cot_anchor)
-            )
-    return _finish(question, cfg, paths, ctx.fingerprint, ctx.profile, started, ctx.clock)
-
-
 def _dedup_hints(hints: Sequence[str]) -> list[str]:
     """Case-insensitive exact dedup after trimming and collapsing internal
     whitespace; first occurrence keeps its raw form. Idempotent."""
@@ -587,13 +296,13 @@ def _dedup_hints(hints: Sequence[str]) -> list[str]:
     return unique
 
 
-def diversified_recite_and_answer(
+def answer_question(
     question: QuestionRecord,
     cfg: SchemeConfig,
     exemplars: Sequence[Exemplar],
-    hint_exemplars: Sequence,
     backend: Backend,
     *,
+    hint_exemplars: Sequence = (),
     hint_corpus=None,
     dialect: PromptDialect = DEFAULT_DIALECT,
     profile: NormProfile = DEFAULT_PROFILE,
@@ -601,109 +310,147 @@ def diversified_recite_and_answer(
     max_paths_in_flight: int = 4,
     clock: Callable[[], float] = time.monotonic,
 ) -> RunRecord:
-    """Sample passage hints, dedup them, greedily expand each unique hint
-    into a passage, then answer once from all passages as a single context.
+    """Answer one question under cfg.scheme and take the plurality vote over
+    its paths' answers.
 
-    The optional hint corpus is diagnostic only: sampled hints found in it
-    are counted in the path's backend_meta, but passages are always decoded
-    from the model so the run stays closed-book.
+    Raises PipelineError, carrying the paths, when every path failed, and
+    PromptError when the question's own prompt cannot be built. The hint
+    corpus is diagnostic only: sampled hints found in it are counted in the
+    diversified path's backend_meta, but passages are always decoded from
+    the model so the run stays closed-book.
     """
-    ctx = _Ctx(
-        backend=backend,
-        dialect=dialect,
-        profile=profile,
-        max_paths_in_flight=max_paths_in_flight,
-        fingerprint=fingerprint
-        or config_fingerprint(
+    started = clock()
+    exemplars = tuple(exemplars)
+    if fingerprint is None:
+        fingerprint = config_fingerprint(
             cfg, exemplars, dialect, tuple(tuple(t) for t in hint_exemplars)
-        ),
-        clock=clock,
-    )
-    started = ctx.clock()
-    hint_prompt, passage_template = build_hint_prompts(
-        question.question, hint_exemplars, ctx.dialect
-    )
-    hint_requests = [
-        GenerationRequest(hint_prompt, _derived_params(cfg.recitation_params, i), 1)
-        for i in range(cfg.n_hints)
-    ]
-    hint_results = ctx.backend.generate_batch(hint_requests, ctx.max_paths_in_flight)
-    sampled_hints = []
-    for outcome in hint_results:
-        if isinstance(outcome, BackendError):
-            continue
-        hint = outcome.texts[0].split("\n")[0].strip()
-        if hint:
-            sampled_hints.append(hint)
-    if not sampled_hints:
-        raise PipelineError(
-            question.id,
-            "all hint samples failed",
-            paths=[_failed_path((), "all hint samples failed")],
         )
-    unique_hints = _dedup_hints(sampled_hints)
+    scheme = cfg.scheme
+    spec_fields = dict(
+        scheme=scheme,
+        exemplars=_bare_qa_exemplars(exemplars) if scheme is Scheme.DIRECT else exemplars,
+        target_question=question.question,
+        recitations_per_hop=cfg.recitations_per_hop,
+        dialect=dialect,
+    )
+    spec = PromptSpec(**spec_fields)
 
-    greedy = replace(
-        cfg.recitation_params,
-        strategy=Strategy.GREEDY,
-        k=None,
-        temperature=None,
-    )
-    passage_requests = []
-    for hint in unique_hints:
-        try:
-            passage_requests.append(
-                GenerationRequest(passage_template(hint), greedy, 1)
-            )
-        except PromptError:
-            passage_requests.append(None)
-    outcomes = ctx.backend.generate_batch(
-        [r for r in passage_requests if r is not None], ctx.max_paths_in_flight
-    )
-    outcome_iter = iter(outcomes)
-    passages = []
-    for hint, request in zip(unique_hints, passage_requests):
-        if request is None:
-            continue
-        outcome = next(outcome_iter)
-        if isinstance(outcome, BackendError):
-            continue
-        passage = outcome.texts[0].strip()
-        if passage:
-            passages.append(passage)
-    if not passages:
-        raise PipelineError(
-            question.id,
-            f"all {len(unique_hints)} hint expansions failed",
-            paths=[_failed_path((), "all hint expansions failed")],
-        )
+    def _sample(prompt: str, n: int) -> list[GenerationResult | BackendError]:
+        requests_list = [
+            GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
+            for i in range(n)
+        ]
+        return backend.generate_batch(requests_list, max_paths_in_flight)
 
-    qa_prompt = build_qa_prompt(
-        PromptSpec(
-            scheme=Scheme.DIVERSIFIED_RECITE,
-            exemplars=tuple(exemplars),
-            target_question=question.question,
-            target_recitations=tuple(passages),
-            dialect=ctx.dialect,
+    def _answer_paths(
+        entries: Sequence[tuple[str, ...] | RecitationPath],
+    ) -> list[RecitationPath]:
+        # Greedily answer each entry on its recitations; an entry that is
+        # already a failed path passes through. Model text that breaks the
+        # prompt grammar fails its own path, never the question.
+        paths = list(entries)
+        requests_list = []
+        slots = []
+        for i, entry in enumerate(entries):
+            if isinstance(entry, RecitationPath):
+                continue
+            try:
+                prompt = build_qa_prompt(PromptSpec(**spec_fields, target_recitations=entry))
+            except PromptError as exc:
+                paths[i] = _failed_path(entry, exc)
+                continue
+            requests_list.append(GenerationRequest(prompt, cfg.answer_params, 1))
+            slots.append(i)
+        outcomes = backend.generate_batch(requests_list, max_paths_in_flight)
+        for i, outcome in zip(slots, outcomes):
+            paths[i] = _path(entries[i], outcome, cfg)
+        return paths
+
+    if scheme is Scheme.DIRECT:
+        paths = _answer_paths([()])
+    elif scheme is Scheme.CHAIN_OF_THOUGHT:
+        # Rationales are final: the answer follows the anchor phrase.
+        prompt = build_cot_prompt(spec, anchor=cfg.cot_anchor)
+        paths = [_path((), outcome, cfg) for outcome in _sample(prompt, cfg.n_paths)]
+    elif scheme is Scheme.DIVERSIFIED_RECITE:
+        # Sample hints, dedup them, greedily expand each unique hint into a
+        # passage, then answer once from all passages as a single context.
+        hint_prompt, passage_template = build_hint_prompts(
+            question.question, hint_exemplars, dialect
         )
+        sampled_hints = []
+        for outcome in _sample(hint_prompt, cfg.n_hints):
+            if isinstance(outcome, BackendError):
+                continue
+            hint = outcome.texts[0].split("\n")[0].strip()
+            if hint:
+                sampled_hints.append(hint)
+        unique_hints = _dedup_hints(sampled_hints)
+        greedy = replace(
+            cfg.recitation_params, strategy=Strategy.GREEDY, k=None, temperature=None
+        )
+        expansions = []
+        for hint in unique_hints:
+            try:
+                expansions.append(GenerationRequest(passage_template(hint), greedy, 1))
+            except PromptError:
+                continue
+        passages = []
+        for outcome in backend.generate_batch(expansions, max_paths_in_flight):
+            if isinstance(outcome, BackendError):
+                continue
+            passage = outcome.texts[0].strip()
+            if passage:
+                passages.append(passage)
+        if not sampled_hints:
+            entry = _failed_path((), "all hint samples failed")
+        elif not passages:
+            entry = _failed_path((), "all hint expansions failed")
+        else:
+            entry = tuple(passages)
+        paths = _answer_paths([entry])
+        if not paths[0].failed:
+            meta = dict(paths[0].backend_meta)
+            meta["n_hints_sampled"] = str(len(sampled_hints))
+            meta["n_unique_hints"] = str(len(unique_hints))
+            meta["n_passages"] = str(len(passages))
+            if hint_corpus is not None:
+                meta["n_known_hints"] = str(sum(1 for h in unique_hints if h in hint_corpus))
+            paths = [replace(paths[0], backend_meta=meta)]
+    else:
+        if scheme is Scheme.RECITE_ANSWER:
+            prompt = build_recitation_prompt(spec)
+        else:
+            # All numbered recitations of a path come from one sequential
+            # pass, so later ones can build on earlier ones.
+            prompt = build_multihop_prompt(spec)
+        entries = []
+        for outcome in _sample(prompt, cfg.n_paths):
+            if isinstance(outcome, BackendError):
+                entries.append(_failed_path((), outcome))
+            elif scheme is Scheme.RECITE_ANSWER:
+                entries.append((outcome.texts[0].strip(),))
+            else:
+                recitations = split_numbered_recitations(
+                    outcome.texts[0], cfg.recitations_per_hop
+                )
+                entries.append(
+                    recitations or _failed_path((), "structure: recitation cues missing")
+                )
+        paths = _answer_paths(entries)
+
+    answers = [p.extracted_answer for p in paths if not p.failed]
+    if not answers:
+        raise PipelineError(question.id, f"all {len(paths)} paths failed", paths=paths)
+    voted, _ = plurality_vote(answers, profile.for_dataset(question.dataset.value))
+    return RunRecord(
+        question_id=question.id,
+        scheme=scheme,
+        paths=tuple(paths),
+        voted_answer=voted,
+        config_fingerprint=fingerprint,
+        wall_clock_ms=int((clock() - started) * 1000),
     )
-    try:
-        result = ctx.backend.generate(GenerationRequest(qa_prompt, cfg.answer_params, 1))
-    except BackendError as exc:
-        raise PipelineError(
-            question.id, str(exc), paths=[_failed_path(tuple(passages), exc)]
-        ) from exc
-    path = _ok_path(
-        tuple(passages), result.texts[0], dict(result.meta), cfg.scheme, cfg.cot_anchor
-    )
-    meta = dict(path.backend_meta)
-    meta["n_hints_sampled"] = str(len(sampled_hints))
-    meta["n_unique_hints"] = str(len(unique_hints))
-    meta["n_passages"] = str(len(passages))
-    if hint_corpus is not None:
-        meta["n_known_hints"] = str(sum(1 for h in unique_hints if h in hint_corpus))
-    path = replace(path, backend_meta=meta)
-    return _finish(question, cfg, [path], ctx.fingerprint, ctx.profile, started, ctx.clock)
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +497,9 @@ def run_dataset(
     """Answer every question (optionally only the first `limit`) with
     bounded concurrency, emitting records in input order.
 
-    With resume, questions whose stored record carries the current config
-    fingerprint are skipped and their stored records re-emitted. Per-question
+    With resume, a torn last line of records.jsonl is cut off first; then
+    questions whose stored record carries the current config fingerprint
+    are skipped and their stored records re-emitted. Per-question
     failures become failed RunRecords and the run continues.
     """
     issues = cfg.validate()
@@ -770,16 +518,22 @@ def run_dataset(
         run_dir.mkdir(parents=True, exist_ok=True)
         records_path = run_dir / "records.jsonl"
         if resume:
+            truncate_torn_tail(records_path)
             existing = load_run_records(records_path)
         else:
             records_path.write_text("", encoding="utf-8")
 
-    ctx = _Ctx(
+    answer = partial(
+        answer_question,
+        cfg=cfg,
+        exemplars=exemplars,
         backend=backend,
+        hint_exemplars=hint_exemplars,
+        hint_corpus=hint_corpus,
         dialect=dialect,
         profile=profile,
-        max_paths_in_flight=max_paths_in_flight,
         fingerprint=fingerprint,
+        max_paths_in_flight=max_paths_in_flight,
         clock=clock,
     )
 
@@ -787,32 +541,9 @@ def run_dataset(
         cached = existing.get(question.id)
         if cached is not None and cached.config_fingerprint == fingerprint:
             return cached, False
-        started = ctx.clock()
+        started = clock()
         try:
-            if cfg.scheme is Scheme.DIRECT:
-                return _answer_direct(question, cfg, exemplars, ctx), True
-            if cfg.scheme is Scheme.RECITE_ANSWER:
-                return _recite_and_answer(question, cfg, exemplars, ctx), True
-            if cfg.scheme is Scheme.MULTI_HOP_RECITE:
-                return _recite_and_answer_multihop(question, cfg, exemplars, ctx), True
-            if cfg.scheme is Scheme.CHAIN_OF_THOUGHT:
-                return _answer_chain_of_thought(question, cfg, exemplars, ctx), True
-            return (
-                diversified_recite_and_answer(
-                    question,
-                    cfg,
-                    exemplars,
-                    hint_exemplars,
-                    backend,
-                    hint_corpus=hint_corpus,
-                    dialect=dialect,
-                    profile=profile,
-                    fingerprint=fingerprint,
-                    max_paths_in_flight=max_paths_in_flight,
-                    clock=clock,
-                ),
-                True,
-            )
+            return answer(question), True
         except (PipelineError, BackendError, PromptError) as exc:
             logger.warning("question %s failed: %s", question.id, exc)
             paths = getattr(exc, "paths", ()) or (_failed_path((), exc),)
@@ -822,7 +553,7 @@ def run_dataset(
                 paths=tuple(paths),
                 voted_answer="",
                 config_fingerprint=fingerprint,
-                wall_clock_ms=int((ctx.clock() - started) * 1000),
+                wall_clock_ms=int((clock() - started) * 1000),
             )
             return failed, True
 

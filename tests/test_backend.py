@@ -235,6 +235,21 @@ def test_cache_first_write_wins(tmp_path):
     assert cached.generate(request).texts == ("first",)
 
 
+def test_cache_torn_tail_does_not_swallow_next_entry(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    inner.register("P", ["A"])
+    inner.register("Q", ["B"])
+    CachingBackend(inner, path).generate(GenerationRequest("P", greedy()))
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write('{"key": "torn mid-wri')
+    CachingBackend(inner, path).generate(GenerationRequest("Q", greedy()))
+    revived = CachingBackend(ScriptedBackend(), path)
+    assert revived.generate(GenerationRequest("P", greedy())).texts == ("A",)
+    assert revived.generate(GenerationRequest("Q", greedy())).texts == ("B",)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+
 # ---------------------------------------------------------------------------
 # http backend (stub transport, no network)
 

@@ -3,20 +3,16 @@ from __future__ import annotations
 import pytest
 
 from reciteqa.backend import Backend, ScriptedBackend, prompt_key
-from reciteqa.core import Dataset, Exemplar, Scheme, validate
+from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, validate
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
     PipelineError,
     SchemeConfig,
-    answer_chain_of_thought,
-    answer_direct,
+    answer_question,
     config_fingerprint,
     default_answer_params,
     default_recitation_params,
-    diversified_recite_and_answer,
     extract_answer,
-    recite_and_answer,
-    recite_and_answer_multihop,
     run_dataset,
     split_numbered_recitations,
 )
@@ -26,6 +22,7 @@ from reciteqa.prompting import (
     build_hint_prompts,
     build_multihop_prompt,
     build_qa_prompt,
+    build_recitation_prompt,
 )
 
 from helpers import (
@@ -122,7 +119,7 @@ def test_answer_direct():
         )
     )
     backend.register(prompt, [" 1973\n\nQuestion: junk"])
-    record = answer_direct(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert record.voted_answer == "1973"
     assert len(record.paths) == 1
     assert record.paths[0].recitations == ()
@@ -150,14 +147,14 @@ def recite_fixture(n_paths: int, n_correct: int, correct="rome", wrong="paris"):
 
 def test_recite_and_answer_single_path():
     question, cfg, backend = recite_fixture(1, 1)
-    record = recite_and_answer(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert record.voted_answer == "rome"
     assert len(record.paths) == 1
 
 
 def test_recite_and_answer_majority_vote():
     question, cfg, backend = recite_fixture(20, 11)
-    record = recite_and_answer(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert record.voted_answer == "rome"
     assert len(record.paths) == 20
     answers = [p.extracted_answer for p in record.paths]
@@ -168,7 +165,7 @@ def test_recite_and_answer_majority_vote():
 
 def test_recite_paths_use_distinct_recitations():
     question, cfg, backend = recite_fixture(5, 5)
-    record = recite_and_answer(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     seen = {p.recitations[0] for p in record.paths}
     assert len(seen) == 5
 
@@ -185,7 +182,7 @@ def test_recite_failed_path_excluded_from_vote():
         )
     )
     del backend._entries[prompt_key(qa_prompt)]
-    record = recite_and_answer(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert sum(1 for p in record.paths if p.failed) == 1
     # remaining answers: rome (path 0), paris (path 1) -> tie, earliest wins
     assert record.voted_answer == "rome"
@@ -197,7 +194,7 @@ def test_recite_all_paths_failed_errors():
     cfg = scheme_config(Scheme.RECITE_ANSWER, n_paths=2)
     backend = ScriptedBackend()  # nothing registered: every request misses
     with pytest.raises(PipelineError):
-        recite_and_answer(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+        answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ def test_multihop_one_pass_split():
         "Recitation 2: The Indian Hotels Company runs the Taj hotels.",
     ]
     question, cfg, backend = multihop_fixture(outputs)
-    record = recite_and_answer_multihop(
+    record = answer_question(
         question, cfg, (MULTIHOP_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     assert record.voted_answer == "The Indian Hotels Company"
@@ -263,7 +260,7 @@ def test_multihop_structure_error_excluded():
         " Missing the second cue entirely.",
     ]
     question, cfg, backend = multihop_fixture(outputs)
-    record = recite_and_answer_multihop(
+    record = answer_question(
         question, cfg, (MULTIHOP_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     failed = [p for p in record.paths if p.failed]
@@ -294,7 +291,7 @@ def test_chain_of_thought_votes_over_anchored_answers():
             " I believe it is three. So the answer is 3.",
         ],
     )
-    record = answer_chain_of_thought(
+    record = answer_question(
         question, cfg, (COT_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     assert record.voted_answer == "5"
@@ -315,7 +312,7 @@ def test_chain_of_thought_missing_anchor_flagged():
         )
     )
     backend.register(prompt, [" rambling with no anchor"])
-    record = answer_chain_of_thought(
+    record = answer_question(
         question, cfg, (COT_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     assert record.paths[0].extracted_answer == ""
@@ -358,8 +355,8 @@ def test_diversified_dedups_hints_before_expansion():
         "Paris --- Overview --- Paragraph #1",
     ]
     question, cfg, backend = diversified_fixture(hints, n_hints=3)
-    record = diversified_recite_and_answer(
-        question, cfg, EXEMPLARS, [HINT_EXEMPLAR], backend, clock=ZERO_CLOCK
+    record = answer_question(
+        question, cfg, EXEMPLARS, backend, hint_exemplars=[HINT_EXEMPLAR], clock=ZERO_CLOCK
     )
     assert record.voted_answer == "Paris"
     assert len(record.paths) == 1
@@ -373,8 +370,8 @@ def test_diversified_dedups_hints_before_expansion():
 def test_diversified_single_hint_degenerates():
     hints = ["France --- Geography --- Paragraph #1"]
     question, cfg, backend = diversified_fixture(hints, n_hints=1)
-    record = diversified_recite_and_answer(
-        question, cfg, EXEMPLARS, [HINT_EXEMPLAR], backend, clock=ZERO_CLOCK
+    record = answer_question(
+        question, cfg, EXEMPLARS, backend, hint_exemplars=[HINT_EXEMPLAR], clock=ZERO_CLOCK
     )
     assert len(record.paths[0].recitations) == 1
     assert record.voted_answer == "Paris"
@@ -389,16 +386,86 @@ def test_diversified_counts_known_hints_against_corpus():
         "Paris --- Overview --- Paragraph #1",
     ]
     question, cfg, backend = diversified_fixture(hints, n_hints=2)
-    record = diversified_recite_and_answer(
+    record = answer_question(
         question,
         cfg,
         EXEMPLARS,
-        [HINT_EXEMPLAR],
         backend,
+        hint_exemplars=[HINT_EXEMPLAR],
         hint_corpus=corpus,
         clock=ZERO_CLOCK,
     )
     assert record.paths[0].backend_meta["n_known_hints"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# model text that breaks the answer prompt fails one path, not its question
+
+
+@pytest.mark.parametrize(
+    "scheme, bad_output, bad_recitations",
+    [
+        (Scheme.RECITE_ANSWER, "Para A.\n\nPara B.", ("Para A.\n\nPara B.",)),
+        (
+            Scheme.MULTI_HOP_RECITE,
+            " Para A.\n\nPara B.\n\nRecitation 2: Second hop.",
+            ("Para A.\n\nPara B.", "Second hop."),
+        ),
+    ],
+    ids=["recite", "multihop"],
+)
+def test_separator_in_recitation_fails_only_its_path(scheme, bad_output, bad_recitations):
+    question = make_question("q1", "which city hosted the event", ("rome",))
+    cfg = scheme_config(scheme, n_paths=5, recitations_per_hop=2)
+    exemplars = (MULTIHOP_EXEMPLAR,) if scheme is Scheme.MULTI_HOP_RECITE else EXEMPLARS
+    spec = PromptSpec(
+        scheme=scheme,
+        exemplars=exemplars,
+        target_question=question.question,
+        recitations_per_hop=2,
+    )
+    good = [f"Fact {i}." for i in range(4)]
+    if scheme is Scheme.MULTI_HOP_RECITE:
+        outputs = [f" {g}\n\nRecitation 2: Hop two." for g in good]
+        good_recitations = [(g, "Hop two.") for g in good]
+        sample_prompt = build_multihop_prompt(spec)
+    else:
+        outputs = good
+        good_recitations = [(g,) for g in good]
+        sample_prompt = build_recitation_prompt(spec)
+    outputs.insert(2, bad_output)
+    backend = ScriptedBackend()
+    backend.register(sample_prompt, outputs)
+    for i, recitations in enumerate(good_recitations):
+        backend.register(
+            _qa(scheme, exemplars, question, recitations, 2), [" paris" if i == 3 else " rome"]
+        )
+    [record] = run_dataset([question], cfg, exemplars, backend, clock=ZERO_CLOCK)
+    assert len(record.paths) == 5
+    failed = [p for p in record.paths if p.failed]
+    assert failed == [record.paths[2]]
+    assert failed[0].recitations == bad_recitations
+    assert failed[0].backend_meta["error"].startswith("PromptError: ")
+    assert [p.extracted_answer for p in record.paths] == ["rome", "rome", "", "rome", "paris"]
+    assert record.voted_answer == "rome"
+    assert validate(record) == []
+
+
+def test_separator_in_diversified_passage_keeps_passages():
+    hints = ["France --- Geography --- Paragraph #1", "Paris --- Overview --- Paragraph #1"]
+    question, cfg, backend = diversified_fixture(hints, n_hints=2)
+    _, passage_template = build_hint_prompts(question.question, [HINT_EXEMPLAR])
+    backend.register(passage_template(hints[1]), [" Paris is the capital.\n\nIt is big."])
+    [record] = run_dataset(
+        [question], cfg, EXEMPLARS, backend, hint_exemplars=[HINT_EXEMPLAR], clock=ZERO_CLOCK
+    )
+    assert record.voted_answer == ""
+    [path] = record.paths
+    assert path.recitations == (
+        "France is a country in Western Europe.",
+        "Paris is the capital.\n\nIt is big.",
+    )
+    assert path.backend_meta["error"].startswith("PromptError: ")
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +532,28 @@ def test_run_dataset_writes_and_resumes(tmp_path):
     assert len(stored) == 3
 
 
+def test_run_dataset_resume_cuts_torn_tail(tmp_path):
+    questions, cfg, backend = dataset_fixture(3)
+    run_dir = tmp_path / "run"
+    list(run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=run_dir, limit=2, clock=ZERO_CLOCK))
+    records_path = run_dir / "records.jsonl"
+    q1_line = records_path.read_text(encoding="utf-8").splitlines()[1]
+    # Interrupted while appending q1: only half of its line reached the disk.
+    records_path.write_text(
+        records_path.read_text(encoding="utf-8").splitlines()[0] + "\n" + q1_line[:40],
+        encoding="utf-8",
+    )
+    resumed = list(
+        run_dataset(
+            questions, cfg, EXEMPLARS, backend, run_dir=run_dir, resume=True, clock=ZERO_CLOCK
+        )
+    )
+    assert [r.question_id for r in resumed] == ["q0", "q1", "q2"]
+    lines = records_path.read_text(encoding="utf-8").splitlines()
+    assert [deserialize(line).question_id for line in lines] == ["q0", "q1", "q2"]
+    assert lines[1] == q1_line
+
+
 def test_run_dataset_config_change_invalidates_resume(tmp_path):
     questions, cfg, backend = dataset_fixture(3, n_paths=3)
     run_dir = tmp_path / "run"
@@ -518,6 +607,44 @@ def test_run_dataset_rejects_bad_config():
     bad = scheme_config(Scheme.RECITE_ANSWER, answer_params=default_recitation_params())
     with pytest.raises(ValueError):
         list(run_dataset(questions, bad, EXEMPLARS, backend))
+
+
+def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path):
+    # perfbench/workload.py traces a run by replacing these module
+    # attributes; a name captured at import time would bypass its wrapper.
+    from reciteqa import pipeline
+
+    calls = {}
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in (
+        "build_recitation_prompt", "build_qa_prompt", "plurality_vote", "serialize", "deserialize",
+    ):
+        count(pipeline, name)
+    count(Backend, "generate_batch")
+    questions, cfg, backend = dataset_fixture(1, n_paths=3)
+    run = dict(run_dir=tmp_path, max_questions_in_flight=1, max_paths_in_flight=2, clock=ZERO_CLOCK)
+    [record] = run_dataset(questions, cfg, EXEMPLARS, backend, **run)
+    assert record.voted_answer == "gold 0"
+    assert calls == {
+        "build_recitation_prompt": 1,
+        "build_qa_prompt": 3,
+        "plurality_vote": 1,
+        # One per exemplar for the config fingerprint, one for the record.
+        "serialize": len(EXEMPLARS) + 1,
+        "generate_batch": 2,
+    }
+    list(run_dataset(questions, cfg, EXEMPLARS, backend, resume=True, **run))
+    assert calls["deserialize"] == 1
+    assert calls["build_recitation_prompt"] == 1
 
 
 def test_dedup_hints_idempotent_and_order_preserving():

@@ -21,6 +21,7 @@ from reciteqa.backend import (
     truncate_at_stop,
 )
 from reciteqa.core import SamplingParams, Strategy
+from reciteqa.pipeline import default_recitation_params
 
 
 def greedy(max_tokens=32, stops=()) -> SamplingParams:
@@ -178,6 +179,16 @@ def test_batch_empty():
 def test_cache_key_stability():
     request = GenerationRequest("P", sampled(seed=1))
     assert cache_key("b", request) == cache_key("b", request)
+
+
+def test_cache_key_pinned():
+    # Keys index on-disk caches; a change here silently empties every cache.
+    request = GenerationRequest(
+        "Question: x\n\nRecitation:", default_recitation_params(seed=3), 1
+    )
+    assert cache_key("scripted", request) == (
+        "60aae033cbce19701713a5131c1ae6b7fad2592b7a6c05f1b4adc3c9bb8ead6c"
+    )
 
 
 def test_cache_key_sensitive_to_seed_and_backend():

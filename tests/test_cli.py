@@ -15,6 +15,8 @@ from helpers import EIFFEL_EXEMPLAR, LONDON_EXEMPLAR, dump_script, make_question
 
 POOL = (LONDON_EXEMPLAR, EIFFEL_EXEMPLAR)
 
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demo"
+
 QUESTIONS = [
     ("w1", "which city hosted the 1936 summer olympics", "Berlin"),
     ("w2", "which river flows through cairo", "the Nile"),
@@ -311,3 +313,17 @@ def test_seed_sweep_repeatable(workspace):
     first = (workspace / "runs" / "main" / "summary.json").read_bytes()
     assert main(["seed-sweep", "--config", config, "--seeds", "1", "2"]) == EXIT_OK
     assert (workspace / "runs" / "main" / "summary.json").read_bytes() == first
+
+
+def test_demo_run_reproduces_committed_outputs(tmp_path, capsys):
+    run_dir = tmp_path / "demo"
+    config = str(DEMO_DIR / "config.json")
+    assert main(["run", "--config", config, "--run-dir", str(run_dir)]) == EXIT_OK
+    expected = DEMO_DIR / "runs" / "demo"
+    for name in ("records.jsonl", "report.json"):
+        assert (run_dir / name).read_bytes() == (expected / name).read_bytes(), name
+    run_info = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    assert run_info["config_fingerprint"] == "13369aded4b0cd26"
+    assert main(["analyze", str(run_dir), "--paths", "1,2,4"]) == EXIT_OK
+    for name in ("category_table.txt", "quadrant_table.txt", "curve.csv"):
+        assert (run_dir / name).read_bytes() == (expected / name).read_bytes(), name

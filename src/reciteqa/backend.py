@@ -19,7 +19,9 @@ from typing import Callable, Mapping, Sequence
 
 import requests
 
-from .core import SamplingParams, Strategy, canonical_json, truncate_torn_tail, validate
+from .core import (
+    SamplingParams, Strategy, canonical_json, params_to_dict, truncate_torn_tail, validate
+)
 
 __all__ = [
     "GenerationRequest",
@@ -27,6 +29,7 @@ __all__ = [
     "BackendError",
     "Timeout",
     "RateLimited",
+    "Unavailable",
     "MalformedResponse",
     "ScriptMiss",
     "Backend",
@@ -53,6 +56,12 @@ class Timeout(BackendError):
 
 
 class RateLimited(BackendError):
+    retryable = True
+
+
+class Unavailable(BackendError):
+    """A 502, 503 or 504 reply, or a connection refused or dropped."""
+
     retryable = True
 
 
@@ -120,14 +129,7 @@ def cache_key(backend_id: str, request: GenerationRequest) -> str:
     payload = {
         "backend": backend_id,
         "prompt": request.prompt,
-        "params": {
-            "strategy": request.params.strategy.value,
-            "seed": request.params.seed,
-            "max_tokens": request.params.max_tokens,
-            "k": request.params.k,
-            "temperature": request.params.temperature,
-            "stop_sequences": list(request.params.stop_sequences),
-        },
+        "params": params_to_dict(request.params),
         "n_samples": request.n_samples,
     }
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
@@ -227,10 +229,10 @@ class HttpBackend(Backend):
     Sends {model, prompt, max_tokens, n, stop, [temperature, top_k, seed]}
     to <base_url>/completions and reads {"choices": [{"text": ...}, ...]}.
     The auth token comes from an environment variable, never configuration.
-    Timeouts and rate limits retry with exponential backoff plus jitter, up
-    to MAX_ATTEMPTS; other failures are fatal for the request. Sampling
-    seeds are forwarded best-effort; determinism is only guaranteed by the
-    scripted backend.
+    Timeouts, connection errors and statuses 429, 502, 503 and 504 retry
+    with exponential backoff plus jitter, up to MAX_ATTEMPTS; other failures
+    are fatal for the request. Sampling seeds are forwarded best-effort;
+    determinism is only guaranteed by the scripted backend.
     """
 
     def __init__(
@@ -260,6 +262,8 @@ class HttpBackend(Backend):
             response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
         except requests.exceptions.Timeout as exc:
             raise Timeout(f"request to {url} timed out after {timeout_s}s") from exc
+        except requests.exceptions.ConnectionError as exc:
+            raise Unavailable(f"cannot connect to {url}: {exc}") from exc
         except requests.exceptions.RequestException as exc:
             raise MalformedResponse(f"request to {url} failed: {exc}") from exc
         try:
@@ -305,6 +309,8 @@ class HttpBackend(Backend):
                 status, body = self._transport(url, payload, headers, self.timeout_s)
                 if status == 429:
                     raise RateLimited(f"rate limited by {url}")
+                if status in (502, 503, 504):
+                    raise Unavailable(f"{url} returned status {status}")
                 if status != 200:
                     raise MalformedResponse(f"{url} returned status {status}")
                 result = self._parse_body(request, body, started)

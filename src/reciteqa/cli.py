@@ -18,7 +18,9 @@ from typing import Sequence
 
 from . import hintcorpus, retrieval
 from .backend import Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend
-from .core import SamplingParams, Scheme, Strategy, canonical_json
+from .core import (
+    ParseError, SamplingParams, Scheme, Strategy, canonical_json, params_from_dict, params_to_dict
+)
 from .datasets import DataError, default_shots, load_questions
 from .evalkit import (
     DEFAULT_PROFILE,
@@ -61,49 +63,45 @@ class ConfigError(ValueError):
 # Run configuration
 
 
+# Config keys that become SchemeConfig fields of the same name.
+SCHEME_KEYS = ("n_paths", "shots", "exemplar_seed", "n_hints", "recitations_per_hop")
+
+
 @dataclass
 class RunConfig:
     dataset_path: Path
     adapter: str
-    scheme: Scheme
+    scheme_cfg: SchemeConfig
     prompt_set: Path
     backend: dict
     run_dir: Path
-    dialect_name: str = "default"
-    limit: int | None = None
-    n_paths: int = 20
-    shots: int | None = None
-    exemplar_seed: int = 0
-    n_hints: int = 4
-    recitations_per_hop: int = 2
-    recitation_sampling: dict | None = None
-    answer_sampling: dict | None = None
-    normalization: dict | None = None
-    max_questions_in_flight: int = 1
-    max_paths_in_flight: int = 4
-    cache: Path | None = None
-    resume: bool = False
+    dialect_name: str
+    limit: int | None
+    normalization: dict | None
+    max_questions_in_flight: int
+    max_paths_in_flight: int
+    cache: Path | None
+    resume: bool
 
 
-def _params_from_config(entry: dict | None, defaults: SamplingParams) -> SamplingParams:
-    if not entry:
-        return defaults
-    merged = {
-        "strategy": entry.get("strategy", defaults.strategy.value),
-        "seed": entry.get("seed", defaults.seed),
-        "max_tokens": entry.get("max_tokens", defaults.max_tokens),
-        "k": entry.get("k", defaults.k),
-        "temperature": entry.get("temperature", defaults.temperature),
-        "stop_sequences": tuple(entry.get("stop_sequences", defaults.stop_sequences)),
-    }
+def _params_from_config(entry, default: SamplingParams, name: str) -> SamplingParams:
+    """Parse a run config's sampling entry over the default's fields; a
+    greedy entry drops the inherited k and temperature."""
+    if entry is None:
+        return default
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{name} must be an object")
+    merged = params_to_dict(default)
+    unknown = sorted(set(entry) - set(merged))
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
+    merged.update(entry)
+    if merged["strategy"] == Strategy.GREEDY.value:
+        merged["k"] = merged["temperature"] = None
     try:
-        strategy = Strategy(merged.pop("strategy"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid sampling strategy: {exc}") from None
-    if strategy is Strategy.GREEDY:
-        merged["k"] = None
-        merged["temperature"] = None
-    return SamplingParams(strategy=strategy, **merged)
+        return params_from_dict(merged, kind=name)
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _profile_from_config(entry: dict | None) -> NormProfile:
@@ -126,6 +124,7 @@ def _profile_from_config(entry: dict | None) -> NormProfile:
 
 
 def load_run_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
+    """Read, override and validate a run config; every problem raises ConfigError."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
@@ -133,6 +132,8 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a run config must be a JSON object")
     base = path.parent
 
     def resolve(p: str) -> Path:
@@ -142,53 +143,71 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     for field_name in ("dataset", "scheme", "prompt_set", "backend", "run_dir"):
         if field_name not in raw:
             raise ConfigError(f"{path}: missing required field {field_name!r}")
-    dataset = raw["dataset"]
+    dataset = raw.pop("dataset")
     if not isinstance(dataset, dict) or "path" not in dataset or "adapter" not in dataset:
         raise ConfigError(f"{path}: dataset needs path and adapter fields")
+    scheme_name = raw.pop("scheme")
     try:
-        scheme = Scheme(raw["scheme"])
+        scheme = Scheme(scheme_name)
     except ValueError:
-        raise ConfigError(f"{path}: unknown scheme {raw['scheme']!r}") from None
+        raise ConfigError(f"{path}: unknown scheme {scheme_name!r}") from None
 
+    run_dir = resolve(raw.pop("run_dir"))
+    if overrides is not None:
+        flags = {"limit": "limit", "paths": "n_paths", "shots": "shots", "seed": "exemplar_seed"}
+        for flag, key in flags.items():
+            if getattr(overrides, flag, None) is not None:
+                raw[key] = getattr(overrides, flag)
+        if getattr(overrides, "scripted", None):
+            raw["backend"] = {"kind": "scripted", "script": overrides.scripted}
+        if getattr(overrides, "run_dir", None):
+            run_dir = Path(overrides.run_dir)
+        if getattr(overrides, "resume", False):
+            raw["resume"] = True
+    # Each key is popped as it is read, so the keys left over are unknown.
+    # An absent or null integer takes its default; SchemeConfig holds the
+    # defaults of its own fields.
+    int_keys = (*SCHEME_KEYS, "limit", "max_questions_in_flight", "max_paths_in_flight")
+    ints = {key: value for key in int_keys if (value := raw.pop(key, None)) is not None}
+    for key, value in ints.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
+    scheme_fields = {key: ints[key] for key in SCHEME_KEYS if key in ints}
+    scheme_fields.setdefault("shots", default_shots(dataset["adapter"]))
+    scheme_cfg = SchemeConfig(
+        scheme=scheme,
+        recitation_params=_params_from_config(
+            raw.pop("recitation_sampling", None),
+            default_recitation_params(),
+            f"{path}: recitation_sampling",
+        ),
+        answer_params=_params_from_config(
+            raw.pop("answer_sampling", None), default_answer_params(), f"{path}: answer_sampling"
+        ),
+        **scheme_fields,
+    )
     cfg = RunConfig(
         dataset_path=resolve(dataset["path"]),
         adapter=dataset["adapter"],
-        scheme=scheme,
-        prompt_set=resolve(raw["prompt_set"]),
-        backend=raw["backend"],
-        run_dir=resolve(raw["run_dir"]),
-        dialect_name=raw.get("dialect", "default"),
-        limit=raw.get("limit"),
-        n_paths=raw.get("n_paths", 20),
-        shots=raw.get("shots"),
-        exemplar_seed=raw.get("exemplar_seed", 0),
-        n_hints=raw.get("n_hints", 4),
-        recitations_per_hop=raw.get("recitations_per_hop", 2),
-        recitation_sampling=raw.get("recitation_sampling"),
-        answer_sampling=raw.get("answer_sampling"),
-        normalization=raw.get("normalization"),
-        max_questions_in_flight=raw.get("max_questions_in_flight", 1),
-        max_paths_in_flight=raw.get("max_paths_in_flight", 4),
-        cache=resolve(raw["cache"]) if raw.get("cache") else None,
-        resume=raw.get("resume", False),
+        scheme_cfg=scheme_cfg,
+        prompt_set=resolve(raw.pop("prompt_set")),
+        backend=raw.pop("backend"),
+        run_dir=run_dir,
+        dialect_name=raw.pop("dialect", "default"),
+        limit=ints.get("limit"),
+        normalization=raw.pop("normalization", None),
+        max_questions_in_flight=ints.get("max_questions_in_flight", 1),
+        max_paths_in_flight=ints.get("max_paths_in_flight", 4),
+        cache=resolve(cache) if (cache := raw.pop("cache", None)) else None,
+        resume=raw.pop("resume", False),
     )
-
-    if overrides is not None:
-        if getattr(overrides, "scripted", None):
-            cfg.backend = {"kind": "scripted", "script": overrides.scripted}
-        if getattr(overrides, "limit", None) is not None:
-            cfg.limit = overrides.limit
-        if getattr(overrides, "paths", None) is not None:
-            cfg.n_paths = overrides.paths
-        if getattr(overrides, "shots", None) is not None:
-            cfg.shots = overrides.shots
-        if getattr(overrides, "seed", None) is not None:
-            cfg.exemplar_seed = overrides.seed
-        if getattr(overrides, "run_dir", None):
-            cfg.run_dir = Path(overrides.run_dir)
-        if getattr(overrides, "resume", False):
-            cfg.resume = True
-
+    if raw:
+        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(raw))}")
+    issues = scheme_cfg.validate()
+    if issues:
+        raise ConfigError(f"{path}: invalid scheme configuration: {'; '.join(issues)}")
+    if cfg.max_questions_in_flight < 1 or cfg.max_paths_in_flight < 1:
+        raise ConfigError(f"{path}: in-flight limits must be >= 1")
     if cfg.dialect_name not in ("default", "ul2"):
         raise ConfigError(f"{path}: unknown dialect {cfg.dialect_name!r}")
     if not cfg.dataset_path.is_file():
@@ -232,27 +251,8 @@ def _build_backend(cfg: RunConfig) -> tuple[Backend, bool]:
     return backend, deterministic
 
 
-def _scheme_config(cfg: RunConfig) -> SchemeConfig:
-    shots = cfg.shots if cfg.shots is not None else default_shots(cfg.adapter)
-    scheme_cfg = SchemeConfig(
-        scheme=cfg.scheme,
-        recitation_params=_params_from_config(
-            cfg.recitation_sampling, default_recitation_params()
-        ),
-        answer_params=_params_from_config(cfg.answer_sampling, default_answer_params()),
-        n_paths=cfg.n_paths,
-        n_hints=cfg.n_hints,
-        exemplar_seed=cfg.exemplar_seed,
-        shots=shots,
-        recitations_per_hop=cfg.recitations_per_hop,
-    )
-    issues = scheme_cfg.validate()
-    if issues:
-        raise ConfigError(f"invalid scheme configuration: {'; '.join(issues)}")
-    return scheme_cfg
-
-
-def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, scheme: Scheme):
+def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig):
+    scheme = scheme_cfg.scheme
     pool = prompt_set.exemplars
     if scheme is Scheme.CHAIN_OF_THOUGHT:
         pool = tuple(e for e in pool if e.rationale is not None)
@@ -272,15 +272,13 @@ def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, scheme: Sch
 def _execute_run(cfg: RunConfig) -> dict:
     questions = load_questions(cfg.dataset_path, cfg.adapter)
     prompt_set = load_prompt_set(cfg.prompt_set)
-    scheme_cfg = _scheme_config(cfg)
-    if scheme_cfg.cot_anchor != prompt_set.cot_anchor:
-        scheme_cfg = replace(scheme_cfg, cot_anchor=prompt_set.cot_anchor)
-    if cfg.scheme is Scheme.DIVERSIFIED_RECITE and not prompt_set.hint_exemplars:
+    scheme_cfg = replace(cfg.scheme_cfg, cot_anchor=prompt_set.cot_anchor)
+    if scheme_cfg.scheme is Scheme.DIVERSIFIED_RECITE and not prompt_set.hint_exemplars:
         raise ConfigError(
             f"prompt set {cfg.prompt_set} has no hint_exemplars; the "
             "diversified_recite scheme needs them"
         )
-    exemplars = _pick_exemplars(prompt_set, scheme_cfg, cfg.scheme)
+    exemplars = _pick_exemplars(prompt_set, scheme_cfg)
     backend, deterministic = _build_backend(cfg)
     dialect = UL2_DIALECT if cfg.dialect_name == "ul2" else DEFAULT_DIALECT
     profile = _profile_from_config(cfg.normalization)
@@ -317,15 +315,11 @@ def _execute_run(cfg: RunConfig) -> dict:
     )
     run_info = {
         "dataset": {"path": str(cfg.dataset_path), "adapter": cfg.adapter},
-        "scheme": cfg.scheme.value,
+        "scheme": scheme_cfg.scheme.value,
         "prompt_set": str(cfg.prompt_set),
         "dialect": cfg.dialect_name,
         "limit": cfg.limit,
-        "n_paths": scheme_cfg.n_paths,
-        "shots": scheme_cfg.shots,
-        "exemplar_seed": scheme_cfg.exemplar_seed,
-        "n_hints": scheme_cfg.n_hints,
-        "recitations_per_hop": scheme_cfg.recitations_per_hop,
+        **{key: getattr(scheme_cfg, key) for key in SCHEME_KEYS},
         "normalization": cfg.normalization,
         "backend": cfg.backend,
         "config_fingerprint": fingerprint,
@@ -487,9 +481,11 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
     base_cfg = load_run_config(args.config, None)
     results = []
     for seed in seeds:
-        cfg = load_run_config(args.config, None)
-        cfg.exemplar_seed = seed
-        cfg.run_dir = base_cfg.run_dir / f"seed-{seed}"
+        cfg = replace(
+            base_cfg,
+            scheme_cfg=replace(base_cfg.scheme_cfg, exemplar_seed=seed),
+            run_dir=base_cfg.run_dir / f"seed-{seed}",
+        )
         summary = _execute_run(cfg)
         results.append({"seed": seed, "em": summary["em"], "f1": summary["f1"]})
         print(f"seed {seed}: EM={summary['em']:.4f} F1={summary['f1']:.4f}")

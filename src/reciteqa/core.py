@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Mapping
 
 __all__ = [
     "Dataset",
@@ -31,8 +31,8 @@ __all__ = [
     "validate",
     "serialize",
     "deserialize",
-    "read_records",
-    "write_records",
+    "params_to_dict",
+    "params_from_dict",
     "truncate_torn_tail",
     "canonical_json",
     "stable_hash",
@@ -208,7 +208,9 @@ def _validate_params(rec: SamplingParams) -> list[str]:
     return issues
 
 
-def _validate_path(rec: RecitationPath, scheme: Scheme, prefix: str) -> list[str]:
+def _validate_path(
+    rec: RecitationPath, scheme: Scheme, prefix: str, cot_anchor: str | None
+) -> list[str]:
     issues = []
     if scheme in (Scheme.DIRECT, Scheme.CHAIN_OF_THOUGHT) and rec.recitations:
         issues.append(f"{prefix}: {scheme.value} paths must have empty recitations")
@@ -216,8 +218,11 @@ def _validate_path(rec: RecitationPath, scheme: Scheme, prefix: str) -> list[str
         # Local import: the extraction rule lives in pipeline, which imports
         # this module.
         from .pipeline import extract_answer
+        from .prompting import COT_ANSWER_ANCHOR
 
-        rederived = extract_answer(rec.raw_answer_text, scheme)
+        if cot_anchor is None:
+            cot_anchor = COT_ANSWER_ANCHOR
+        rederived = extract_answer(rec.raw_answer_text, scheme, cot_anchor)
         if rederived != rec.extracted_answer:
             issues.append(
                 f"{prefix}: extracted_answer {rec.extracted_answer!r} is not "
@@ -226,7 +231,7 @@ def _validate_path(rec: RecitationPath, scheme: Scheme, prefix: str) -> list[str
     return issues
 
 
-def _validate_run(rec: RunRecord) -> list[str]:
+def _validate_run(rec: RunRecord, profile, cot_anchor: str | None) -> list[str]:
     issues = []
     if not rec.question_id:
         issues.append("question_id empty")
@@ -237,14 +242,13 @@ def _validate_run(rec: RunRecord) -> list[str]:
     if rec.wall_clock_ms < 0:
         issues.append("wall_clock_ms negative")
     for i, path in enumerate(rec.paths):
-        issues.extend(_validate_path(path, rec.scheme, f"paths[{i}]"))
+        issues.extend(_validate_path(path, rec.scheme, f"paths[{i}]", cot_anchor))
     votable = [p.extracted_answer for p in rec.paths if not p.failed]
     if votable:
-        # Re-check against the default normalization profile; local import
-        # because evalkit builds on these types.
-        from .evalkit import plurality_vote
+        # Local import: evalkit builds on these types.
+        from .evalkit import DEFAULT_PROFILE, plurality_vote
 
-        winner, _ = plurality_vote(votable)
+        winner, _ = plurality_vote(votable, DEFAULT_PROFILE if profile is None else profile)
         if winner != rec.voted_answer:
             issues.append(
                 f"voted_answer {rec.voted_answer!r} does not match the "
@@ -253,8 +257,13 @@ def _validate_run(rec: RunRecord) -> list[str]:
     return issues
 
 
-def validate(record: Any) -> list[str]:
+def validate(record: Any, *, profile=None, cot_anchor: str | None = None) -> list[str]:
     """Return every invariant violation for a record; empty means valid.
+
+    A RunRecord is re-voted under `profile` (the normalization profile its
+    question's dataset was voted under) and its chain-of-thought answers are
+    re-extracted after `cot_anchor` (the prompt set's anchor); None means
+    evalkit's DEFAULT_PROFILE and prompting's COT_ANSWER_ANCHOR.
 
     Total: never raises on a structurally well-typed record.
     """
@@ -265,7 +274,7 @@ def validate(record: Any) -> list[str]:
     if isinstance(record, SamplingParams):
         return _validate_params(record)
     if isinstance(record, RunRecord):
-        return _validate_run(record)
+        return _validate_run(record, profile, cot_anchor)
     return [f"unsupported record type {type(record).__name__}"]
 
 
@@ -299,7 +308,10 @@ def stable_hash(obj: Any, length: int = 16) -> str:
     return digest[:length]
 
 
-def _params_to_dict(p: SamplingParams) -> dict:
+def params_to_dict(p: SamplingParams) -> dict:
+    """The one JSON mapping of SamplingParams, shared by serialized records,
+    config fingerprints, cache keys and run configs; params_from_dict is its
+    inverse."""
     return {
         "strategy": p.strategy.value,
         "seed": p.seed,
@@ -339,7 +351,7 @@ def _to_dict(record: Any) -> dict:
             "rationale": record.rationale,
         }
     if isinstance(record, SamplingParams):
-        return {"kind": "sampling_params", **_params_to_dict(record)}
+        return {"kind": "sampling_params", **params_to_dict(record)}
     if isinstance(record, RunRecord):
         return {
             "kind": "run",
@@ -393,7 +405,9 @@ def _enum_value(obj: Mapping, key: str, enum_cls, kind: str):
         ) from None
 
 
-def _params_from_dict(obj: Mapping, kind: str = "sampling_params") -> SamplingParams:
+def params_from_dict(obj: Mapping, kind: str = "sampling_params") -> SamplingParams:
+    """Parse params_to_dict's mapping, raising ParseError (prefixed with
+    `kind`) on a missing field or a wrongly typed value."""
     temperature = obj.get("temperature")
     if temperature is not None and not isinstance(temperature, (int, float)):
         raise ParseError(f"{kind} temperature must be a number or null", field_name="temperature")
@@ -405,7 +419,7 @@ def _params_from_dict(obj: Mapping, kind: str = "sampling_params") -> SamplingPa
         seed=_require(obj, "seed", int, kind),
         max_tokens=_require(obj, "max_tokens", int, kind),
         k=k,
-        temperature=float(temperature) if temperature is not None else None,
+        temperature=temperature,
         stop_sequences=_str_list(obj, "stop_sequences", kind),
     )
 
@@ -447,7 +461,7 @@ def _from_dict(obj: Mapping) -> Any:
             rationale=_optional_str(obj, "rationale", kind),
         )
     if kind == "sampling_params":
-        return _params_from_dict(obj)
+        return params_from_dict(obj)
     if kind == "run":
         raw_paths = _require(obj, "paths", list, kind)
         paths = tuple(
@@ -473,21 +487,6 @@ def deserialize(line: str) -> Any:
     if not isinstance(obj, dict):
         raise ParseError("record line must hold a JSON object")
     return _from_dict(obj)
-
-
-def write_records(records: Iterable[Any], handle: TextIO) -> int:
-    n = 0
-    for record in records:
-        handle.write(serialize(record) + "\n")
-        n += 1
-    return n
-
-
-def read_records(handle: TextIO) -> Iterator[Any]:
-    for line in handle:
-        line = line.strip()
-        if line:
-            yield deserialize(line)
 
 
 def truncate_torn_tail(path: str | Path) -> None:

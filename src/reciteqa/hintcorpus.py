@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import SamplingParams, Strategy, canonical_json
+from .core import SamplingParams, canonical_json
+from .pipeline import default_recitation_params
 from .prompting import build_question_generation_prompt
 
 __all__ = [
@@ -380,17 +381,6 @@ def read_heading_dump(path: str | Path) -> Iterator[Document]:
 SYNTHETIC_EXEMPLAR_COUNT = 5
 
 
-def _default_question_params(seed: int) -> SamplingParams:
-    return SamplingParams(
-        strategy=Strategy.TOP_K,
-        k=40,
-        temperature=0.7,
-        seed=seed,
-        max_tokens=64,
-        stop_sequences=("\n\n",),
-    )
-
-
 def generate_synthetic_triples(
     corpus: Corpus,
     n: int,
@@ -413,11 +403,12 @@ def generate_synthetic_triples(
             f"exemplar pairs, got {len(exemplars)}"
         )
     picked = corpus.sample(n, seed)
-    base = params if params is not None else _default_question_params(seed)
+    if params is None:
+        params = default_recitation_params(seed, max_tokens=64, stop_sequences=("\n\n",))
     requests_list = [
         GenerationRequest(
             prompt=build_question_generation_prompt(passage.text, exemplars),
-            params=replace(base, seed=(base.seed + i) % 2**64),
+            params=replace(params, seed=(params.seed + i) % 2**64),
             n_samples=1,
         )
         for i, passage in enumerate(picked)

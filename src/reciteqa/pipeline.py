@@ -47,9 +47,11 @@ from .core import (
     Scheme,
     Strategy,
     deserialize,
+    params_to_dict,
     serialize,
     stable_hash,
     truncate_torn_tail,
+    validate,
 )
 from .evalkit import DEFAULT_PROFILE, NormProfile, plurality_vote
 from .prompting import (
@@ -146,18 +148,9 @@ class SchemeConfig:
             issues.append(f"shots must be >= 1, got {self.shots}")
         if self.scheme is Scheme.MULTI_HOP_RECITE and self.recitations_per_hop < 2:
             issues.append("multi-hop runs need recitations_per_hop >= 2")
+        for name in ("recitation_params", "answer_params"):
+            issues.extend(f"{name}: {issue}" for issue in validate(getattr(self, name)))
         return issues
-
-
-def _params_dict(params: SamplingParams) -> dict:
-    return {
-        "strategy": params.strategy.value,
-        "seed": params.seed,
-        "max_tokens": params.max_tokens,
-        "k": params.k,
-        "temperature": params.temperature,
-        "stop_sequences": list(params.stop_sequences),
-    }
 
 
 def config_fingerprint(
@@ -176,8 +169,8 @@ def config_fingerprint(
         "shots": cfg.shots,
         "recitations_per_hop": cfg.recitations_per_hop,
         "cot_anchor": cfg.cot_anchor,
-        "recitation_params": _params_dict(cfg.recitation_params),
-        "answer_params": _params_dict(cfg.answer_params),
+        "recitation_params": params_to_dict(cfg.recitation_params),
+        "answer_params": params_to_dict(cfg.answer_params),
         "dialect": dialect.name.value,
         "exemplars": [stable_hash(serialize(e)) for e in exemplars],
         "hint_exemplars": [stable_hash(list(t)) for t in hint_exemplars],
@@ -499,8 +492,10 @@ def run_dataset(
 
     With resume, a torn last line of records.jsonl is cut off first; then
     questions whose stored record carries the current config fingerprint
-    are skipped and their stored records re-emitted. Per-question
-    failures become failed RunRecords and the run continues.
+    are skipped and their stored records re-emitted, unless every path of
+    that record failed: such a question is answered again and its new
+    record appended. Per-question failures become failed RunRecords and
+    the run continues.
     """
     issues = cfg.validate()
     if issues:
@@ -539,7 +534,11 @@ def run_dataset(
 
     def process(question: QuestionRecord) -> tuple[RunRecord, bool]:
         cached = existing.get(question.id)
-        if cached is not None and cached.config_fingerprint == fingerprint:
+        if (
+            cached is not None
+            and cached.config_fingerprint == fingerprint
+            and not all(p.failed for p in cached.paths)
+        ):
             return cached, False
         started = clock()
         try:

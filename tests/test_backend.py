@@ -16,6 +16,7 @@ from reciteqa.backend import (
     ScriptMiss,
     ScriptedBackend,
     Timeout,
+    Unavailable,
     cache_key,
     prompt_key,
     truncate_at_stop,
@@ -322,6 +323,49 @@ def test_http_timeout_is_retryable():
     )
     assert backend.generate(GenerationRequest("P", greedy())).texts == ("ok",)
     assert calls["n"] == 2
+
+
+@pytest.mark.parametrize("status", [502, 503, 504])
+def test_http_unavailable_is_retryable(status):
+    sleeps = []
+    backend, calls = make_http(
+        [(status, {}), (200, {"choices": [{"text": "ok"}]})], sleeps
+    )
+    assert backend.generate(GenerationRequest("P", greedy())).texts == ("ok",)
+    assert calls["n"] == 2
+    assert len(sleeps) == 1
+
+
+def test_http_connection_error_is_retryable(monkeypatch):
+    import requests
+
+    class Reply:
+        status_code = 200
+
+        def json(self):
+            return {"choices": [{"text": "ok"}]}
+
+    outcomes = [requests.exceptions.ConnectionError("connection reset"), Reply()]
+
+    def post(url, json, headers, timeout):
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr("reciteqa.backend.requests.post", post)
+    sleeps = []
+    backend = HttpBackend(base_url="http://fake.test/v1", model="m1", sleep=sleeps.append)
+    assert backend.generate(GenerationRequest("P", greedy())).texts == ("ok",)
+    assert len(sleeps) == 1
+    assert not outcomes
+
+
+def test_http_gives_up_when_unavailable():
+    backend, calls = make_http([(503, {})], [])
+    with pytest.raises(Unavailable):
+        backend.generate(GenerationRequest("P", greedy()))
+    assert calls["n"] == 5
 
 
 def test_http_malformed_is_fatal():

@@ -151,6 +151,37 @@ def test_run_bad_scheme_exits_1(workspace):
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"recitation_sampling": {"strategy": "top_k", "k": 40, "temperature": 0.0}},
+        {"recitation_sampling": {"strategy": "top_k", "seed": "3"}},
+        {"recitation_sampling": {"strategy": "top_k", "topk": 40}},
+        {"n_path": 4},
+        {"n_paths": "4"},
+        {"max_paths_in_flight": 0},
+    ],
+    ids=[
+        "zero-temperature", "string-seed", "unknown-sampling-key", "unknown-key",
+        "string-paths", "zero-in-flight",
+    ],
+)
+def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides):
+    bad = write_config(workspace / "bad.json", workspace, **overrides)
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (workspace / "runs").exists()
+
+
+def test_run_greedy_sampling_entry_drops_inherited_top_k(workspace):
+    config = write_config(
+        workspace / "greedy.json", workspace, recitation_sampling={"strategy": "greedy"}
+    )
+    assert main(["run", "--config", str(config), "--paths", "1"]) == EXIT_OK
+    run_info = json.loads((workspace / "runs" / "main" / "run.json").read_text())
+    assert run_info["n_paths"] == 1
+
+
 def test_run_corrupt_dataset_exits_3(workspace):
     (workspace / "questions.jsonl").write_text("not json\n", encoding="utf-8")
     assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_DATA

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,9 @@ from reciteqa.core import (
     serialize,
     validate,
 )
+
+import reciteqa
+from reciteqa.evalkit import NormProfile
 
 from helpers import GOLDEN_DIR
 
@@ -119,6 +125,37 @@ def test_validate_run_record_vote_consistency():
     assert any("plurality" in issue for issue in validate(bad))
 
 
+def test_validate_revotes_under_the_given_profile():
+    # The pipeline voted case-sensitively, so "Paris" beats "paris" 2 to 1.
+    record = RunRecord(
+        question_id="q1",
+        scheme=Scheme.RECITE_ANSWER,
+        paths=(make_path("paris"), make_path("Paris"), make_path("Paris")),
+        voted_answer="Paris",
+        config_fingerprint="f" * 16,
+    )
+    assert validate(record, profile=NormProfile(lowercase=False)) == []
+    assert any("plurality" in issue for issue in validate(record))
+
+
+def test_validate_reextracts_after_the_given_cot_anchor():
+    path = RecitationPath(
+        recitations=(),
+        raw_answer_text="Answer: blah Thus X.",
+        extracted_answer="X",
+        backend_meta={},
+    )
+    record = RunRecord(
+        question_id="q1",
+        scheme=Scheme.CHAIN_OF_THOUGHT,
+        paths=(path,),
+        voted_answer="X",
+        config_fingerprint="f" * 16,
+    )
+    assert validate(record, cot_anchor="Thus") == []
+    assert any("re-derivable" in issue for issue in validate(record))
+
+
 def test_validate_direct_scheme_requires_empty_recitations():
     record = RunRecord(
         question_id="q1",
@@ -156,6 +193,13 @@ def test_validate_all_failed_run_skips_vote_check():
         config_fingerprint="f" * 16,
     )
     assert validate(record) == []
+
+
+def test_every_module_export_resolves():
+    for info in pkgutil.iter_modules(reciteqa.__path__):
+        module = importlib.import_module(f"reciteqa.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"reciteqa.{info.name}.__all__ names missing {name}"
 
 
 def test_validate_is_total_on_unknown_types():
@@ -210,6 +254,16 @@ def test_deserialize_wrong_type():
     with pytest.raises(ParseError) as err:
         deserialize(line)
     assert err.value.field == "id"
+
+
+def test_params_keep_an_integer_temperature():
+    # Run configs parse their sampling entries through this mapping, and the
+    # result is hashed into fingerprints and cache keys: 1 must not become 1.0.
+    line = (
+        '{"k":40,"kind":"sampling_params","max_tokens":64,"seed":0,'
+        '"stop_sequences":[],"strategy":"top_k","temperature":1}'
+    )
+    assert serialize(deserialize(line)) == line
 
 
 def test_deserialize_unknown_kind():

@@ -13,6 +13,7 @@ from reciteqa.pipeline import (
     default_answer_params,
     default_recitation_params,
     extract_answer,
+    load_run_records,
     run_dataset,
     split_numbered_recitations,
 )
@@ -552,6 +553,31 @@ def test_run_dataset_resume_cuts_torn_tail(tmp_path):
     lines = records_path.read_text(encoding="utf-8").splitlines()
     assert [deserialize(line).question_id for line in lines] == ["q0", "q1", "q2"]
     assert lines[1] == q1_line
+
+
+def test_run_dataset_resume_retries_all_failed_question(tmp_path):
+    questions, cfg, backend = dataset_fixture(1)
+    # A script that serves the recitations but misses every answer prompt.
+    recitation_prompt = build_recitation_prompt(
+        PromptSpec(
+            scheme=Scheme.RECITE_ANSWER, exemplars=EXEMPLARS,
+            target_question=questions[0].question,
+        )
+    )
+    missing = ScriptedBackend()
+    missing.register(recitation_prompt, [f"Passage 0.{j}" for j in range(3)])
+    run_dir = tmp_path / "run"
+    first = list(run_dataset(questions, cfg, EXEMPLARS, missing, run_dir=run_dir, clock=ZERO_CLOCK))
+    assert all(p.failed for p in first[0].paths)
+    resumed = list(
+        run_dataset(
+            questions, cfg, EXEMPLARS, backend, run_dir=run_dir, resume=True, clock=ZERO_CLOCK
+        )
+    )
+    assert resumed[0].voted_answer == "gold 0"
+    assert not any(p.failed for p in resumed[0].paths)
+    assert load_run_records(run_dir / "records.jsonl")["q0"] == resumed[0]
+    assert len((run_dir / "records.jsonl").read_text(encoding="utf-8").splitlines()) == 2
 
 
 def test_run_dataset_config_change_invalidates_resume(tmp_path):

@@ -9,15 +9,16 @@ import json
 import logging
 import os
 import random
+import ssl
 import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .core import (
     SamplingParams, Strategy, canonical_json, params_to_dict, truncate_torn_tail, validate
@@ -36,6 +37,7 @@ __all__ = [
     "ScriptedBackend",
     "HttpBackend",
     "CachingBackend",
+    "check_base_url",
     "prompt_key",
     "cache_key",
     "truncate_at_stop",
@@ -223,6 +225,107 @@ class ScriptedBackend(Backend):
         )
 
 
+def check_base_url(base_url: str) -> None:
+    """Raise ValueError unless base_url is an http or https URL with a host
+    and, if given, a numeric port."""
+    try:
+        parts = urlsplit(base_url)
+        parts.port
+    except ValueError as exc:
+        raise ValueError(f"invalid base_url {base_url!r}: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"base_url must be an http or https URL with a host, got {base_url!r}")
+
+
+class _ConnectionPool:
+    """HttpBackend's default transport: POSTs a JSON payload over kept-alive
+    HTTP/1.1 connections and returns (status, body); HttpBackend describes
+    the pooling and re-send rules.
+
+    Idle connections wait on a lock-guarded list per origin, and a request
+    takes the most recently used one. A socket timeout raises Timeout; other
+    socket and HTTP protocol errors raise Unavailable. A body that is not a
+    JSON object reads as {}.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[tuple, list[HTTPConnection]] = {}
+        self._ssl_context: ssl.SSLContext | None = None
+
+    def __call__(
+        self, url: str, payload: dict, headers: dict, timeout_s: float
+    ) -> tuple[int, dict]:
+        parts = urlsplit(url)
+        origin = (parts.scheme, parts.hostname, parts.port)
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        data = json.dumps(payload).encode("utf-8")
+        conn, reused = self._take(origin, timeout_s)
+        try:
+            try:
+                response = self._send(conn, target, data, headers)
+            except ConnectionError:
+                # The server closed the idle connection before this request.
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._connect(origin, timeout_s)
+                response = self._send(conn, target, data, headers)
+            raw = response.read()
+        except TimeoutError as exc:
+            conn.close()
+            raise Timeout(f"request to {url} timed out after {timeout_s}s") from exc
+        except (OSError, HTTPException) as exc:
+            conn.close()
+            raise Unavailable(f"cannot reach {url}: {exc!r}") from exc
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(origin, []).append(conn)
+        try:
+            body = json.loads(raw)
+        except ValueError:
+            body = None
+        return response.status, body if isinstance(body, dict) else {}
+
+    @staticmethod
+    def _send(conn: HTTPConnection, target: str, data: bytes, headers: dict) -> HTTPResponse:
+        conn.request("POST", target, body=data, headers=headers)
+        return conn.getresponse()
+
+    def _take(self, origin: tuple, timeout_s: float) -> tuple[HTTPConnection, bool]:
+        """An idle connection to the origin (reused=True) or a new one."""
+        with self._lock:
+            idle = self._idle.get(origin)
+            conn = idle.pop() if idle else None
+        if conn is None:
+            return self._connect(origin, timeout_s), False
+        if conn.timeout != timeout_s:
+            conn.timeout = timeout_s
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout_s)
+        return conn, True
+
+    def _connect(self, origin: tuple, timeout_s: float) -> HTTPConnection:
+        scheme, host, port = origin
+        if scheme == "https":
+            if self._ssl_context is None:
+                self._ssl_context = ssl.create_default_context()
+            return HTTPSConnection(host, port, timeout=timeout_s, context=self._ssl_context)
+        return HTTPConnection(host, port, timeout=timeout_s)
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+    __del__ = close
+
+
 class HttpBackend(Backend):
     """Client for an HTTP JSON completions-style endpoint.
 
@@ -233,6 +336,18 @@ class HttpBackend(Backend):
     with exponential backoff plus jitter, up to MAX_ATTEMPTS; other failures
     are fatal for the request. Sampling seeds are forwarded best-effort;
     determinism is only guaranteed by the scripted backend.
+
+    The default transport (stdlib `http.client`) keeps connections alive.
+    Each backend owns a pool of idle connections that grows only to the
+    number of requests in flight. A connection returns to the pool after a
+    complete response unless the server marks it `Connection: close`, and
+    is closed on any error. A request that meets a connection error on a
+    reused idle connection before any response arrives is sent once more,
+    at once, on a fresh connection; that re-send is not an attempt and is
+    not backed off. Dropping the backend closes its idle sockets. Proxy
+    environment variables are not read, and HTTPS verifies against the
+    system CA store. `transport(url, payload, headers, timeout_s) ->
+    (status, body)` replaces the default transport, e.g. in tests.
     """
 
     def __init__(
@@ -245,32 +360,19 @@ class HttpBackend(Backend):
         transport: Callable[[str, dict, dict, float], tuple[int, dict]] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        check_base_url(base_url)
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.auth_env = auth_env
         self.timeout_s = timeout_s
         self.max_attempts = max_attempts
-        self._transport = transport or self._requests_transport
+        # A separate object, not a bound method: a method stored on self
+        # would make a reference cycle and keep idle sockets open until the
+        # cyclic garbage collector runs.
+        self._transport = transport or _ConnectionPool()
         self._sleep = sleep
         self._jitter = random.Random()
         self.backend_id = f"http:{self.base_url}:{model}"
-
-    def _requests_transport(
-        self, url: str, payload: dict, headers: dict, timeout_s: float
-    ) -> tuple[int, dict]:
-        try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
-        except requests.exceptions.Timeout as exc:
-            raise Timeout(f"request to {url} timed out after {timeout_s}s") from exc
-        except requests.exceptions.ConnectionError as exc:
-            raise Unavailable(f"cannot connect to {url}: {exc}") from exc
-        except requests.exceptions.RequestException as exc:
-            raise MalformedResponse(f"request to {url} failed: {exc}") from exc
-        try:
-            body = response.json()
-        except ValueError:
-            body = {}
-        return response.status_code, body
 
     def _payload(self, request: GenerationRequest) -> dict:
         params = request.params

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -17,7 +18,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import hintcorpus, retrieval
-from .backend import Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend
+from .backend import (
+    Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend, check_base_url
+)
 from .core import (
     ParseError, SamplingParams, Scheme, Strategy, canonical_json, params_from_dict, params_to_dict
 )
@@ -65,6 +68,8 @@ class ConfigError(ValueError):
 
 # Config keys that become SchemeConfig fields of the same name.
 SCHEME_KEYS = ("n_paths", "shots", "exemplar_seed", "n_hints", "recitations_per_hop")
+# Config keys that become NormProfile flags of the same name.
+NORM_KEYS = ("lowercase", "strip_articles", "strip_punct", "collapse_whitespace")
 
 
 @dataclass
@@ -78,10 +83,17 @@ class RunConfig:
     dialect_name: str
     limit: int | None
     normalization: dict | None
+    profile: NormProfile
     max_questions_in_flight: int
     max_paths_in_flight: int
     cache: Path | None
     resume: bool
+
+
+def _check_keys(entry: dict, allowed, name: str) -> None:
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
 
 
 def _params_from_config(entry, default: SamplingParams, name: str) -> SamplingParams:
@@ -92,9 +104,7 @@ def _params_from_config(entry, default: SamplingParams, name: str) -> SamplingPa
     if not isinstance(entry, dict):
         raise ConfigError(f"{name} must be an object")
     merged = params_to_dict(default)
-    unknown = sorted(set(entry) - set(merged))
-    if unknown:
-        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
+    _check_keys(entry, merged, name)
     merged.update(entry)
     if merged["strategy"] == Strategy.GREEDY.value:
         merged["k"] = merged["temperature"] = None
@@ -104,23 +114,69 @@ def _params_from_config(entry, default: SamplingParams, name: str) -> SamplingPa
         raise ConfigError(str(exc)) from None
 
 
-def _profile_from_config(entry: dict | None) -> NormProfile:
+def _profile_from_config(entry, name: str) -> NormProfile:
+    """Build the profile of a normalization entry: the NORM_KEYS flags
+    (each defaulting to true) and per-dataset `overrides` of those flags."""
     if not entry:
         return DEFAULT_PROFILE
 
-    def build(obj: dict, overrides) -> NormProfile:
-        return NormProfile(
-            lowercase=obj.get("lowercase", True),
-            strip_articles=obj.get("strip_articles", True),
-            strip_punct=obj.get("strip_punct", True),
-            collapse_whitespace=obj.get("collapse_whitespace", True),
-            overrides=overrides,
-        )
+    def build(obj, name: str, allowed, overrides) -> NormProfile:
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{name} must be an object")
+        _check_keys(obj, allowed, name)
+        flags = {key: obj.get(key, True) for key in NORM_KEYS}
+        for key, value in flags.items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name}: {key} must be true or false, got {value!r}")
+        return NormProfile(**flags, overrides=overrides)
 
-    overrides = {
-        dataset: build(sub, {}) for dataset, sub in entry.get("overrides", {}).items()
-    }
-    return build(entry, overrides)
+    overrides = entry.get("overrides", {}) if isinstance(entry, dict) else {}
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{name}: overrides must be an object")
+    return build(
+        entry,
+        name,
+        (*NORM_KEYS, "overrides"),
+        {
+            dataset: build(sub, f"{name}: overrides[{dataset!r}]", NORM_KEYS, {})
+            for dataset, sub in overrides.items()
+        },
+    )
+
+
+def _backend_from_config(entry, resolve, name: str) -> dict:
+    """Check a backend entry; returns it with a script path resolved."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if kind == "scripted":
+        _check_keys(entry, ("kind", "script"), name)
+        script = entry.get("script")
+        if not script or not isinstance(script, str):
+            raise ConfigError(f"{name}: scripted backend needs a script field")
+        script_path = resolve(script)
+        if not script_path.is_file():
+            raise ConfigError(f"{name}: script file {script_path} does not exist")
+        return {"kind": "scripted", "script": str(script_path)}
+    if kind == "http":
+        _check_keys(entry, ("kind", "base_url", "model", "auth_env", "timeout_s"), name)
+        for key in ("base_url", "model"):
+            if key not in entry:
+                raise ConfigError(f"{name}: http backend needs a {key!r} field")
+        for key in ("base_url", "model", "auth_env"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ConfigError(f"{name}: {key} must be a string, got {entry[key]!r}")
+        timeout_s = entry.get("timeout_s", 60.0)
+        if (
+            isinstance(timeout_s, bool)
+            or not isinstance(timeout_s, (int, float))
+            or not 0 < timeout_s < math.inf
+        ):
+            raise ConfigError(f"{name}: timeout_s must be a positive number, got {timeout_s!r}")
+        try:
+            check_base_url(entry["base_url"])
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+        return entry
+    raise ConfigError(f"{name}: kind must be scripted or http, got {kind!r}")
 
 
 def load_run_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
@@ -144,8 +200,11 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         if field_name not in raw:
             raise ConfigError(f"{path}: missing required field {field_name!r}")
     dataset = raw.pop("dataset")
-    if not isinstance(dataset, dict) or "path" not in dataset or "adapter" not in dataset:
-        raise ConfigError(f"{path}: dataset needs path and adapter fields")
+    if not isinstance(dataset, dict) or not all(
+        isinstance(dataset.get(key), str) for key in ("path", "adapter")
+    ):
+        raise ConfigError(f"{path}: dataset needs string path and adapter fields")
+    _check_keys(dataset, ("path", "adapter"), f"{path}: dataset")
     scheme_name = raw.pop("scheme")
     try:
         scheme = Scheme(scheme_name)
@@ -186,16 +245,18 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         ),
         **scheme_fields,
     )
+    normalization = raw.pop("normalization", None)
     cfg = RunConfig(
         dataset_path=resolve(dataset["path"]),
         adapter=dataset["adapter"],
         scheme_cfg=scheme_cfg,
         prompt_set=resolve(raw.pop("prompt_set")),
-        backend=raw.pop("backend"),
+        backend=_backend_from_config(raw.pop("backend"), resolve, f"{path}: backend"),
         run_dir=run_dir,
         dialect_name=raw.pop("dialect", "default"),
         limit=ints.get("limit"),
-        normalization=raw.pop("normalization", None),
+        normalization=normalization,
+        profile=_profile_from_config(normalization, f"{path}: normalization"),
         max_questions_in_flight=ints.get("max_questions_in_flight", 1),
         max_paths_in_flight=ints.get("max_paths_in_flight", 4),
         cache=resolve(cache) if (cache := raw.pop("cache", None)) else None,
@@ -208,27 +269,14 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raise ConfigError(f"{path}: invalid scheme configuration: {'; '.join(issues)}")
     if cfg.max_questions_in_flight < 1 or cfg.max_paths_in_flight < 1:
         raise ConfigError(f"{path}: in-flight limits must be >= 1")
+    if cfg.limit is not None and cfg.limit < 1:
+        raise ConfigError(f"{path}: limit must be >= 1, got {cfg.limit}")
     if cfg.dialect_name not in ("default", "ul2"):
         raise ConfigError(f"{path}: unknown dialect {cfg.dialect_name!r}")
     if not cfg.dataset_path.is_file():
         raise ConfigError(f"{path}: dataset file {cfg.dataset_path} does not exist")
     if not cfg.prompt_set.is_dir():
         raise ConfigError(f"{path}: prompt set {cfg.prompt_set} does not exist")
-    kind = cfg.backend.get("kind") if isinstance(cfg.backend, dict) else None
-    if kind == "scripted":
-        script = cfg.backend.get("script")
-        if not script:
-            raise ConfigError(f"{path}: scripted backend needs a script field")
-        script_path = resolve(str(script))
-        if not script_path.is_file():
-            raise ConfigError(f"{path}: script file {script_path} does not exist")
-        cfg.backend = {"kind": "scripted", "script": str(script_path)}
-    elif kind == "http":
-        for needed in ("base_url", "model"):
-            if needed not in cfg.backend:
-                raise ConfigError(f"{path}: http backend needs a {needed!r} field")
-    else:
-        raise ConfigError(f"{path}: backend kind must be scripted or http, got {kind!r}")
     return cfg
 
 
@@ -281,7 +329,6 @@ def _execute_run(cfg: RunConfig) -> dict:
     exemplars = _pick_exemplars(prompt_set, scheme_cfg)
     backend, deterministic = _build_backend(cfg)
     dialect = UL2_DIALECT if cfg.dialect_name == "ul2" else DEFAULT_DIALECT
-    profile = _profile_from_config(cfg.normalization)
     clock = (lambda: 0.0) if deterministic else time.monotonic
 
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
@@ -297,7 +344,7 @@ def _execute_run(cfg: RunConfig) -> dict:
             backend,
             hint_exemplars=prompt_set.hint_exemplars,
             dialect=dialect,
-            profile=profile,
+            profile=cfg.profile,
             resume=cfg.resume,
             run_dir=cfg.run_dir,
             limit=cfg.limit,
@@ -308,7 +355,7 @@ def _execute_run(cfg: RunConfig) -> dict:
     )
     finished = time.time()
 
-    report = aggregate_report(records, questions, profile)
+    report = aggregate_report(records, questions, cfg.profile)
     (cfg.run_dir / "report.json").write_text(
         json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -372,7 +419,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     questions = load_questions(
         run_info["dataset"]["path"], run_info["dataset"]["adapter"]
     )
-    profile = _profile_from_config(run_info.get("normalization"))
+    profile = _profile_from_config(
+        run_info.get("normalization"), f"{run_info_path}: normalization"
+    )
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -374,7 +374,8 @@ def _require(obj: Mapping, key: str, types, kind: str):
     if key not in obj:
         raise ParseError(f"{kind} record missing required field", field_name=key)
     value = obj[key]
-    if not isinstance(value, types):
+    # JSON true/false parse as bool, which Python counts as an int.
+    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
         raise ParseError(
             f"{kind} record field has wrong type {type(value).__name__}", field_name=key
         )
@@ -409,10 +410,12 @@ def params_from_dict(obj: Mapping, kind: str = "sampling_params") -> SamplingPar
     """Parse params_to_dict's mapping, raising ParseError (prefixed with
     `kind`) on a missing field or a wrongly typed value."""
     temperature = obj.get("temperature")
-    if temperature is not None and not isinstance(temperature, (int, float)):
+    if temperature is not None and (
+        isinstance(temperature, bool) or not isinstance(temperature, (int, float))
+    ):
         raise ParseError(f"{kind} temperature must be a number or null", field_name="temperature")
     k = obj.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
         raise ParseError(f"{kind} k must be an integer or null", field_name="k")
     return SamplingParams(
         strategy=_enum_value(obj, "strategy", Strategy, kind),

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
+import socket
+import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -336,29 +340,13 @@ def test_http_unavailable_is_retryable(status):
     assert len(sleeps) == 1
 
 
-def test_http_connection_error_is_retryable(monkeypatch):
-    import requests
-
-    class Reply:
-        status_code = 200
-
-        def json(self):
-            return {"choices": [{"text": "ok"}]}
-
-    outcomes = [requests.exceptions.ConnectionError("connection reset"), Reply()]
-
-    def post(url, json, headers, timeout):
-        outcome = outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr("reciteqa.backend.requests.post", post)
+def test_http_connection_error_is_retryable(local_server):
+    server, base_url = local_server("drop", "reply")
     sleeps = []
-    backend = HttpBackend(base_url="http://fake.test/v1", model="m1", sleep=sleeps.append)
+    backend = HttpBackend(base_url=base_url, model="m1", sleep=sleeps.append)
     assert backend.generate(GenerationRequest("P", greedy())).texts == ("ok",)
     assert len(sleeps) == 1
-    assert not outcomes
+    assert server.requests == 2
 
 
 def test_http_gives_up_when_unavailable():
@@ -414,3 +402,185 @@ def test_http_payload_shape():
     assert seen["payload"]["seed"] == 3
     assert seen["payload"]["n"] == 2
     assert seen["payload"]["stop"] == ["\n"]
+
+
+# ---------------------------------------------------------------------------
+# http backend over its default transport, against a localhost server
+
+
+class LocalServer(ThreadingHTTPServer):
+    """A localhost HTTP/1.1 server that answers POSTs with one "ok" choice.
+
+    `actions[i]` says what to do with request i (the last one repeats):
+    "reply"; "drop" (close without replying); "close-after" (reply, then
+    close the socket without a Connection: close header); "connection-close"
+    (reply with Connection: close); "silent" (reply nothing until released,
+    then close).
+    """
+
+    daemon_threads = True
+
+    def __init__(self, actions):
+        self.actions = actions
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = 0
+        self.finished = threading.Semaphore(0)
+        self.release = threading.Event()
+        super().__init__(("127.0.0.1", 0), _LocalHandler)
+
+
+class _LocalHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def finish(self):
+        super().finish()
+        self.server.finished.release()
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            action = server.actions[min(server.requests, len(server.actions) - 1)]
+            server.requests += 1
+        if action in ("drop", "silent"):
+            if action == "silent":
+                server.release.wait(10)
+            self.close_connection = True
+            return
+        data = json.dumps({"choices": [{"text": "ok"}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if action == "connection-close":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+        if action == "close-after":
+            self.close_connection = True
+
+
+@pytest.fixture
+def local_server():
+    started = []
+
+    def start(*actions):
+        server = LocalServer(actions)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+        thread.start()
+        started.append((server, thread))
+        return server, f"http://127.0.0.1:{server.server_address[1]}/v1"
+
+    yield start
+    for server, thread in started:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def ask(backend, n):
+    return [backend.generate(GenerationRequest(f"P{i}", greedy())).texts for i in range(n)]
+
+
+def test_http_keeps_one_connection_alive_for_sequential_requests(local_server):
+    server, base_url = local_server("reply")
+    sleeps = []
+    backend = HttpBackend(base_url=base_url, model="m1", sleep=sleeps.append)
+    assert ask(backend, 5) == [("ok",)] * 5
+    assert (server.requests, server.connections, sleeps) == (5, 1, [])
+
+
+def test_http_pool_under_concurrent_batches_loses_no_connection(local_server):
+    server, base_url = local_server("reply")
+    sleeps = []
+    backend = HttpBackend(base_url=base_url, model="m1", sleep=sleeps.append)
+    requests = [GenerationRequest(f"P{i}", greedy()) for i in range(60)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = backend.generate_batch(requests, max_in_flight=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.texts for r in results] == [("ok",)] * 60
+    # Every connection opened is back in the pool, and none beyond the cap.
+    idle = [conn for conns in backend._transport._idle.values() for conn in conns]
+    assert (server.requests, len(idle), sleeps) == (60, server.connections, [])
+    assert 1 <= server.connections <= 8
+
+
+def test_http_resends_once_when_a_reused_connection_was_closed(local_server):
+    server, base_url = local_server("close-after")
+    sleeps = []
+    backend = HttpBackend(base_url=base_url, model="m1", sleep=sleeps.append)
+    assert ask(backend, 5) == [("ok",)] * 5
+    # Each request after the first meets the closed idle connection, then is
+    # sent once on a fresh one: no backoff, and the server sees no duplicate.
+    assert (server.requests, server.connections, sleeps) == (5, 5, [])
+
+
+def test_http_does_not_pool_a_connection_close_reply(local_server):
+    server, base_url = local_server("connection-close")
+    sleeps = []
+    backend = HttpBackend(base_url=base_url, model="m1", sleep=sleeps.append)
+    assert ask(backend, 3) == [("ok",)] * 3
+    assert (server.requests, server.connections, sleeps) == (3, 3, [])
+    assert not any(backend._transport._idle.values())
+
+
+def test_http_silent_server_times_out_and_retries(local_server):
+    server, base_url = local_server("silent", "reply")
+    sleeps = []
+    backend = HttpBackend(base_url=base_url, model="m1", timeout_s=0.2, sleep=sleeps.append)
+    assert ask(backend, 1) == [("ok",)]
+    assert len(sleeps) == 1
+    assert (server.requests, server.connections) == (2, 2)
+
+
+def test_http_timeout_after_max_attempts_raises_timeout(local_server):
+    server, base_url = local_server("silent")
+    backend = HttpBackend(
+        base_url=base_url, model="m1", timeout_s=0.1, max_attempts=2, sleep=lambda s: None
+    )
+    with pytest.raises(Timeout):
+        backend.generate(GenerationRequest("P", greedy()))
+    assert server.requests == 2
+
+
+def test_http_refused_connection_is_unavailable():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    # Nothing listens on the port once the probe socket is closed.
+    backend = HttpBackend(base_url=f"http://127.0.0.1:{port}", model="m1", max_attempts=1)
+    with pytest.raises(Unavailable):
+        backend.generate(GenerationRequest("P", greedy()))
+
+
+def test_http_dropping_the_backend_closes_its_idle_connections(local_server):
+    server, base_url = local_server("reply")
+    backend = HttpBackend(base_url=base_url, model="m1")
+    ask(backend, 2)
+    gc.disable()
+    try:
+        del backend
+        # Without a reference cycle the socket closes now, not at the next
+        # collection, and the server's handler sees end of stream.
+        assert server.finished.acquire(timeout=5)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("base_url", ["ftp://h/v1", "localhost:8000", "http://", "http://h:x"])
+def test_http_rejects_a_base_url_that_is_not_http(base_url):
+    with pytest.raises(ValueError):
+        HttpBackend(base_url=base_url, model="m1")

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from reciteqa.backend import ScriptedBackend
-from reciteqa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from reciteqa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_run_config, main
 from reciteqa.core import Scheme
+from reciteqa.evalkit import NormProfile
 from reciteqa.pipeline import SchemeConfig, default_answer_params, default_recitation_params
 from reciteqa.prompting import build_question_generation_prompt, sample_exemplars
 
@@ -22,6 +23,8 @@ QUESTIONS = [
     ("w2", "which river flows through cairo", "the Nile"),
     ("w3", "who painted the mona lisa", "Leonardo da Vinci"),
 ]
+
+HTTP_BACKEND = {"kind": "http", "base_url": "http://127.0.0.1:9/v1", "model": "m"}
 
 QGEN_PAIRS = [(f"evidence number {i}", f"question number {i}") for i in range(5)]
 
@@ -160,10 +163,27 @@ def test_run_bad_scheme_exits_1(workspace):
         {"n_path": 4},
         {"n_paths": "4"},
         {"max_paths_in_flight": 0},
+        {"recitation_sampling": {"strategy": "top_k", "seed": True}},
+        {"limit": -1},
+        {"limit": 0},
+        {"backend": {**HTTP_BACKEND, "timeout_s": "abc"}},
+        {"backend": {**HTTP_BACKEND, "timeout_s": True}},
+        {"backend": {**HTTP_BACKEND, "timeout_s": 0}},
+        {"backend": {**HTTP_BACKEND, "base_url": "ftp://127.0.0.1/v1"}},
+        {"backend": {**HTTP_BACKEND, "model": 7}},
+        {"backend": {**HTTP_BACKEND, "timeout": 5}},
+        {"backend": {"kind": "scripted", "script": "script.json", "model": "m"}},
+        {"dataset": {"path": "questions.jsonl", "adapter": "nq", "split": "dev"}},
+        {"normalization": {"lowercas": False}},
+        {"normalization": {"overrides": {"nq": {"lowercas": False}}}},
+        {"normalization": {"lowercase": "no"}},
     ],
     ids=[
         "zero-temperature", "string-seed", "unknown-sampling-key", "unknown-key",
-        "string-paths", "zero-in-flight",
+        "string-paths", "zero-in-flight", "bool-seed", "negative-limit", "zero-limit",
+        "string-timeout", "bool-timeout", "zero-timeout", "ftp-base-url", "integer-model",
+        "unknown-http-key", "unknown-scripted-key", "unknown-dataset-key",
+        "unknown-normalization-key", "unknown-override-key", "string-normalization-flag",
     ],
 )
 def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides):
@@ -171,6 +191,24 @@ def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides)
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (workspace / "runs").exists()
+
+
+def test_run_negative_limit_flag_exits_1_before_writing(workspace, capsys):
+    config = str(workspace / "config.json")
+    assert main(["run", "--config", config, "--limit", "-1"]) == EXIT_CONFIG
+    assert "limit must be >= 1" in capsys.readouterr().err
+    assert not (workspace / "runs").exists()
+
+
+def test_run_normalization_entry_sets_the_profile(workspace):
+    config = write_config(
+        workspace / "cased.json", workspace,
+        normalization={"lowercase": False, "overrides": {"nq": {"strip_articles": False}}},
+    )
+    cfg = load_run_config(config)
+    assert cfg.profile == NormProfile(
+        lowercase=False, overrides={"nq": NormProfile(strip_articles=False)}
+    )
 
 
 def test_run_greedy_sampling_entry_drops_inherited_top_k(workspace):

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +207,25 @@ def test_every_module_export_resolves():
             assert hasattr(module, name), f"reciteqa.{info.name}.__all__ names missing {name}"
 
 
+def test_importing_the_package_loads_no_third_party_http_client():
+    # Importing requests and urllib3 costs far more than the stdlib client
+    # the package uses; a stray import would tax every command's start-up.
+    names = [info.name for info in pkgutil.iter_modules(reciteqa.__path__)]
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module('reciteqa.' + name)\n"
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+    )
+    src = str(Path(reciteqa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_validate_is_total_on_unknown_types():
     assert validate(object()) == ["unsupported record type object"]
 
@@ -264,6 +288,20 @@ def test_params_keep_an_integer_temperature():
         '"stop_sequences":[],"strategy":"top_k","temperature":1}'
     )
     assert serialize(deserialize(line)) == line
+
+
+@pytest.mark.parametrize("field", ["seed", "max_tokens", "k", "temperature"])
+def test_params_reject_a_json_boolean_number(field):
+    # bool is an int subclass; `true` would be hashed into fingerprints and
+    # cache keys as `true` while running as 1.
+    params = {
+        "k": 40, "kind": "sampling_params", "max_tokens": 64, "seed": 0,
+        "stop_sequences": [], "strategy": "top_k", "temperature": 0.7,
+    }
+    params[field] = True
+    with pytest.raises(ParseError) as err:
+        deserialize(json.dumps(params))
+    assert err.value.field == field
 
 
 def test_deserialize_unknown_kind():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -37,6 +38,7 @@ from .evalkit import (
 )
 from .pipeline import (
     SchemeConfig,
+    check_exemplar_prompts,
     config_fingerprint,
     default_answer_params,
     default_recitation_params,
@@ -46,6 +48,7 @@ from .pipeline import (
 from .prompting import (
     DEFAULT_DIALECT,
     UL2_DIALECT,
+    PromptDialect,
     PromptError,
     PromptSet,
     load_prompt_set,
@@ -299,7 +302,9 @@ def _build_backend(cfg: RunConfig) -> tuple[Backend, bool]:
     return backend, deterministic
 
 
-def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig):
+def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, dialect: PromptDialect):
+    """Sample the run's exemplars and render the scheme's few-shot prompts
+    once; an exemplar that breaks the prompt grammar is a config error."""
     scheme = scheme_cfg.scheme
     pool = prompt_set.exemplars
     if scheme is Scheme.CHAIN_OF_THOUGHT:
@@ -312,9 +317,13 @@ def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig):
             f"{scheme.value}, need {scheme_cfg.shots}"
         )
     try:
-        return sample_exemplars(pool, scheme_cfg.shots, scheme_cfg.exemplar_seed)
+        exemplars = sample_exemplars(pool, scheme_cfg.shots, scheme_cfg.exemplar_seed)
+        check_exemplar_prompts(
+            scheme_cfg, exemplars, hint_exemplars=prompt_set.hint_exemplars, dialect=dialect
+        )
     except PromptError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"the sampled exemplars do not render: {exc}") from None
+    return exemplars
 
 
 def _execute_run(cfg: RunConfig) -> dict:
@@ -326,9 +335,9 @@ def _execute_run(cfg: RunConfig) -> dict:
             f"prompt set {cfg.prompt_set} has no hint_exemplars; the "
             "diversified_recite scheme needs them"
         )
-    exemplars = _pick_exemplars(prompt_set, scheme_cfg)
-    backend, deterministic = _build_backend(cfg)
     dialect = UL2_DIALECT if cfg.dialect_name == "ul2" else DEFAULT_DIALECT
+    exemplars = _pick_exemplars(prompt_set, scheme_cfg, dialect)
+    backend, deterministic = _build_backend(cfg)
     clock = (lambda: 0.0) if deterministic else time.monotonic
 
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
@@ -360,15 +369,24 @@ def _execute_run(cfg: RunConfig) -> dict:
         json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+
+    def recorded(path: Path) -> str:
+        # run.json names files relative to the run directory, so a run
+        # directory moved together with its inputs still analyzes.
+        return os.path.relpath(Path(path).resolve(), cfg.run_dir.resolve())
+
+    backend_info = dict(cfg.backend)
+    if "script" in backend_info:
+        backend_info["script"] = recorded(backend_info["script"])
     run_info = {
-        "dataset": {"path": str(cfg.dataset_path), "adapter": cfg.adapter},
+        "dataset": {"path": recorded(cfg.dataset_path), "adapter": cfg.adapter},
         "scheme": scheme_cfg.scheme.value,
-        "prompt_set": str(cfg.prompt_set),
+        "prompt_set": recorded(cfg.prompt_set),
         "dialect": cfg.dialect_name,
         "limit": cfg.limit,
         **{key: getattr(scheme_cfg, key) for key in SCHEME_KEYS},
         "normalization": cfg.normalization,
-        "backend": cfg.backend,
+        "backend": backend_info,
         "config_fingerprint": fingerprint,
     }
     (cfg.run_dir / "run.json").write_text(
@@ -406,7 +424,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _curve_counts(args: argparse.Namespace) -> list[int]:
+    """The subsample path counts of `analyze`, after checking --paths and
+    --trials."""
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if not args.paths:
+        return [1, 5, 10, 20]
+    try:
+        counts = [int(c) for c in args.paths.split(",")]
+    except ValueError:
+        counts = [0]
+    if min(counts) < 1:
+        raise ConfigError(f"--paths must list positive integers, got {args.paths!r}")
+    return counts
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    counts = _curve_counts(args)
     run_dir = Path(args.run_dir)
     run_info_path = run_dir / "run.json"
     records_path = run_dir / "records.jsonl"
@@ -416,8 +451,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records = list(load_run_records(records_path).values())
     if not records:
         raise DataError(f"{records_path} holds no records")
+    # A relative dataset path is relative to the run directory.
     questions = load_questions(
-        run_info["dataset"]["path"], run_info["dataset"]["adapter"]
+        run_dir / run_info["dataset"]["path"], run_info["dataset"]["adapter"]
     )
     profile = _profile_from_config(
         run_info.get("normalization"), f"{run_info_path}: normalization"
@@ -438,7 +474,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(category_table)
     print(quadrant_table)
 
-    counts = [int(c) for c in args.paths.split(",")] if args.paths else [1, 5, 10, 20]
     try:
         curve = path_subsample_curve(
             records, questions, counts, trials=args.trials, seed=args.curve_seed,

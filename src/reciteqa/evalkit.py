@@ -1,6 +1,16 @@
 """Answer normalization, EM/F1 scoring, plurality voting, per-question and
 per-path error classification, report aggregation, and the path-count
-subsampling analysis."""
+subsampling analysis.
+
+`aggregate_report` and `path_subsample_curve` normalize each text once per
+record: a `_ScoredRecord` holds the record's gold aliases and path answers
+in normalized form, under the profile of the question's dataset, and the
+report normalizes each recitation at most once. The curve re-votes every
+subset by counting those normalized answers and scores each distinct
+answer once per record, from a raw answer of its group, so a trial costs no
+normalization at all. Every normalization goes through the module attribute
+`normalize`, looked up at call time, so one replacement of it sees them all.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +21,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .core import QuestionRecord, RecitationPath, RunRecord
 
@@ -37,7 +47,8 @@ __all__ = [
 ]
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b", re.IGNORECASE)
-_PUNCT = set(string.punctuation)
+# string.punctuation is ASCII, so non-ASCII punctuation is kept.
+_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 class EvalError(ValueError):
@@ -98,15 +109,20 @@ _QUADRANT_LABELS = {
     PathQuadrant.RECIT_MISS_ANSWER_HIT: ("no", "yes"),
     PathQuadrant.RECIT_MISS_ANSWER_MISS: ("no", "no"),
 }
+# (recitation hit, answer hit) -> quadrant
+_QUADRANT_OF = {
+    (recit == "yes", answer == "yes"): quadrant
+    for quadrant, (recit, answer) in _QUADRANT_LABELS.items()
+}
 
 
 def normalize(text: str, profile: NormProfile = DEFAULT_PROFILE) -> str:
-    """Lowercase, remove punctuation and standalone articles, and collapse
-    whitespace, in that order; idempotent."""
+    """Lowercase, remove ASCII punctuation and standalone articles, and
+    collapse whitespace, in that order; idempotent."""
     if profile.lowercase:
         text = text.lower()
     if profile.strip_punct:
-        text = "".join(ch for ch in text if ch not in _PUNCT)
+        text = text.translate(_PUNCT_TABLE)
     if profile.strip_articles:
         text = _ARTICLE_RE.sub(" ", text)
     if profile.collapse_whitespace:
@@ -120,8 +136,7 @@ def exact_match(
     """True iff the normalized prediction equals any normalized gold alias."""
     if not golds:
         raise EvalError("exact_match requires at least one gold answer")
-    norm_pred = normalize(pred, profile)
-    return any(norm_pred == normalize(g, profile) for g in golds)
+    return normalize(pred, profile) in [normalize(g, profile) for g in golds]
 
 
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
@@ -138,6 +153,11 @@ def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _f1(norm_pred: str, norm_golds: Sequence[str]) -> float:
+    pred_tokens = norm_pred.split()
+    return max(_f1_single(pred_tokens, g.split()) for g in norm_golds)
+
+
 def token_f1(
     pred: str, golds: Sequence[str], profile: NormProfile = DEFAULT_PROFILE
 ) -> float:
@@ -145,10 +165,18 @@ def token_f1(
     returns the max over aliases."""
     if not golds:
         raise EvalError("token_f1 requires at least one gold answer")
-    pred_tokens = normalize(pred, profile).split()
-    return max(
-        _f1_single(pred_tokens, normalize(g, profile).split()) for g in golds
-    )
+    return _f1(normalize(pred, profile), [normalize(g, profile) for g in golds])
+
+
+def _plurality(keys: Iterable[Hashable]) -> tuple[Hashable, dict]:
+    """The most frequent key and the count of each key; a tie goes to the
+    key that occurs first."""
+    counts: dict = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    # dicts preserve first-occurrence order, so max() lands ties on the
+    # earliest key.
+    return max(counts, key=counts.get), counts
 
 
 def plurality_vote(
@@ -162,28 +190,35 @@ def plurality_vote(
     """
     if not answers:
         raise EvalError("plurality_vote requires at least one answer")
-    counts: dict[str, int] = {}
-    first_raw: dict[str, str] = {}
-    for answer in answers:
-        key = normalize(answer, profile)
-        if key not in counts:
-            counts[key] = 0
-            first_raw[key] = answer
-        counts[key] += 1
-    # dicts preserve first-occurrence order, so max() lands ties on the
-    # earliest group.
-    winner_key = max(counts, key=counts.get)
-    return first_raw[winner_key], counts
+    keys = [normalize(answer, profile) for answer in answers]
+    winner, counts = _plurality(keys)
+    return answers[keys.index(winner)], counts
 
 
-def _gold_in_recitations(
-    norm_golds: Sequence[str], path: RecitationPath, profile: NormProfile
-) -> bool:
+def _path_hits(
+    norm_golds: Sequence[str], path: RecitationPath, answer_key: str, profile: NormProfile
+) -> tuple[bool, bool]:
+    """Whether a gold alias occurs, normalized, as a substring of one of the
+    path's recitations, and whether the path's normalized answer
+    `answer_key` is a gold alias. Recitations are normalized only up to the
+    first hit."""
+    recit_hit = False
     for recitation in path.recitations:
         norm_recitation = normalize(recitation, profile)
         if any(g and g in norm_recitation for g in norm_golds):
-            return True
-    return False
+            recit_hit = True
+            break
+    return recit_hit, answer_key in norm_golds
+
+
+def _category(voted_hit: bool, path_hits: Sequence[tuple[bool, bool]]) -> ErrorCategory:
+    if voted_hit:
+        return ErrorCategory.HITS_AT_MAJORITY
+    if any(answer_hit for _, answer_hit in path_hits):
+        return ErrorCategory.HITS_AT_20_PATH
+    if any(recit_hit for recit_hit, _ in path_hits):
+        return ErrorCategory.HITS_AT_20_RECIT
+    return ErrorCategory.NOT_RECIT
 
 
 def classify_question(
@@ -202,13 +237,11 @@ def classify_question(
     if not paths:
         raise EvalError("classify_question requires at least one path")
     norm_golds = [normalize(g, profile) for g in golds]
-    if normalize(voted, profile) in norm_golds:
-        return ErrorCategory.HITS_AT_MAJORITY
-    if any(normalize(p.extracted_answer, profile) in norm_golds for p in paths):
-        return ErrorCategory.HITS_AT_20_PATH
-    if any(_gold_in_recitations(norm_golds, p, profile) for p in paths):
-        return ErrorCategory.HITS_AT_20_RECIT
-    return ErrorCategory.NOT_RECIT
+    hits = [
+        _path_hits(norm_golds, p, normalize(p.extracted_answer, profile), profile)
+        for p in paths
+    ]
+    return _category(normalize(voted, profile) in norm_golds, hits)
 
 
 def per_path_quadrant(
@@ -217,20 +250,71 @@ def per_path_quadrant(
     profile: NormProfile = DEFAULT_PROFILE,
 ) -> PathQuadrant:
     """Place one path in the recitation-hit x answer-correct quadrant."""
+    if not golds:
+        raise EvalError("per_path_quadrant requires at least one gold answer")
     norm_golds = [normalize(g, profile) for g in golds]
-    recit_hit = _gold_in_recitations(norm_golds, path, profile)
-    answer_hit = exact_match(path.extracted_answer, golds, profile)
-    if recit_hit:
-        return (
-            PathQuadrant.RECIT_HIT_ANSWER_HIT
-            if answer_hit
-            else PathQuadrant.RECIT_HIT_ANSWER_MISS
-        )
-    return (
-        PathQuadrant.RECIT_MISS_ANSWER_HIT
-        if answer_hit
-        else PathQuadrant.RECIT_MISS_ANSWER_MISS
+    answer_key = normalize(path.extracted_answer, profile)
+    return _QUADRANT_OF[_path_hits(norm_golds, path, answer_key, profile)]
+
+
+class _ScoredRecord:
+    """One run record with its question's gold aliases and its paths'
+    answers normalized once, under the profile of the question's dataset.
+
+    `vote_score` re-votes on a subset of the paths by counting normalized
+    answers; each distinct answer is scored once, from its first raw form,
+    when it first wins.
+    """
+
+    __slots__ = (
+        "record", "profile", "norm_golds", "answer_keys", "_vote_keys", "_first", "_scores"
     )
+
+    def __init__(
+        self, record: RunRecord, by_id: Mapping[str, QuestionRecord], profile: NormProfile
+    ):
+        question = by_id.get(record.question_id)
+        if question is None:
+            raise EvalError(f"run record references unknown question {record.question_id!r}")
+        self.record = record
+        self.profile = profile.for_dataset(question.dataset.value)
+        self.norm_golds = [normalize(g, self.profile) for g in question.gold_answers]
+        # Equal keys share one string, which keeps the curve's views small.
+        distinct: dict[str, str] = {}
+        self.answer_keys = [
+            distinct.setdefault(key, key)
+            for key in (normalize(p.extracted_answer, self.profile) for p in record.paths)
+        ]
+        # Failed paths do not vote.
+        self._vote_keys = [
+            None if path.failed else key for path, key in zip(record.paths, self.answer_keys)
+        ]
+        self._first: dict[str, str] = {}
+        for path, key in zip(record.paths, self._vote_keys):
+            if key is not None:
+                self._first.setdefault(key, path.extracted_answer)
+        self._scores: dict[str, tuple[bool, float]] = {}
+
+    def score(self, answer: str) -> tuple[bool, float]:
+        """EM and token F1 of one raw answer."""
+        if not self.norm_golds:
+            raise EvalError(
+                f"question {self.record.question_id!r} has no gold answer to score against"
+            )
+        norm_answer = normalize(answer, self.profile)
+        return norm_answer in self.norm_golds, _f1(norm_answer, self.norm_golds)
+
+    def vote_score(self, chosen: Iterable[int]) -> tuple[bool, float] | None:
+        """EM and F1 of the plurality vote over the chosen paths, in the
+        given order; None when every chosen path failed."""
+        keys = [key for i in chosen if (key := self._vote_keys[i]) is not None]
+        if not keys:
+            return None
+        winner, _ = _plurality(keys)
+        score = self._scores.get(winner)
+        if score is None:
+            score = self._scores[winner] = self.score(self._first[winner])
+        return score
 
 
 @dataclass(frozen=True)
@@ -270,17 +354,19 @@ def aggregate_report(
     n_failed = 0
     path_counts = set()
     for record in run_records:
-        question = by_id.get(record.question_id)
-        if question is None:
-            raise EvalError(f"run record references unknown question {record.question_id!r}")
-        prof = profile.for_dataset(question.dataset.value)
-        golds = question.gold_answers
-        em_hits += int(exact_match(record.voted_answer, golds, prof))
-        f1_total += token_f1(record.voted_answer, golds, prof)
-        category = classify_question(golds, record.paths, record.voted_answer, prof)
-        category_counts[category] += 1
-        for path in record.paths:
-            quadrant_counts[per_path_quadrant(golds, path, prof)] += 1
+        view = _ScoredRecord(record, by_id, profile)
+        em, f1 = view.score(record.voted_answer)
+        em_hits += int(em)
+        f1_total += f1
+        if not record.paths:
+            raise EvalError(f"run record {record.question_id!r} has no paths")
+        hits = [
+            _path_hits(view.norm_golds, path, key, view.profile)
+            for path, key in zip(record.paths, view.answer_keys)
+        ]
+        category_counts[_category(em, hits)] += 1
+        for hit in hits:
+            quadrant_counts[_QUADRANT_OF[hit]] += 1
         if all(p.failed for p in record.paths):
             n_failed += 1
         path_counts.add(len(record.paths))
@@ -325,35 +411,30 @@ def path_subsample_curve(
     by_id = {q.id: q for q in questions}
     if not run_records:
         raise EvalError("path_subsample_curve requires at least one run record")
+    if trials < 1:
+        raise EvalError(f"path_subsample_curve requires at least one trial, got {trials}")
     stored_k = min(len(r.paths) for r in run_records)
-    points = []
     for count in path_counts:
         if count < 1 or count > stored_k:
             raise EvalError(
                 f"path_count {count} outside the stored range 1..{stored_k}"
             )
+    if not path_counts:
+        return []
+    views = [_ScoredRecord(record, by_id, profile) for record in run_records]
+    points = []
+    for count in path_counts:
         em_means, f1_means = [], []
         for trial in range(trials):
             rng = random.Random(f"{seed}:{count}:{trial}")
             em_hits = 0
             f1_total = 0.0
-            for record in run_records:
-                question = by_id.get(record.question_id)
-                if question is None:
-                    raise EvalError(
-                        f"run record references unknown question {record.question_id!r}"
-                    )
-                prof = profile.for_dataset(question.dataset.value)
-                chosen = sorted(rng.sample(range(len(record.paths)), count))
-                answers = [
-                    record.paths[i].extracted_answer
-                    for i in chosen
-                    if not record.paths[i].failed
-                ]
-                if answers:
-                    voted, _ = plurality_vote(answers, prof)
-                    em_hits += int(exact_match(voted, question.gold_answers, prof))
-                    f1_total += token_f1(voted, question.gold_answers, prof)
+            for view in views:
+                chosen = sorted(rng.sample(range(len(view.answer_keys)), count))
+                score = view.vote_score(chosen)
+                if score is not None:
+                    em_hits += int(score[0])
+                    f1_total += score[1]
             em_means.append(em_hits / len(run_records))
             f1_means.append(f1_total / len(run_records))
         points.append(

@@ -75,6 +75,7 @@ __all__ = [
     "config_fingerprint",
     "extract_answer",
     "answer_question",
+    "check_exemplar_prompts",
     "run_dataset",
     "load_run_records",
 ]
@@ -251,9 +252,20 @@ def _failed_path(recitations: Sequence[str], error: Exception | str) -> Recitati
     )
 
 
-def _bare_qa_exemplars(exemplars: Sequence[Exemplar]) -> tuple[Exemplar, ...]:
-    # Direct prompting renders exemplars as plain question/answer pairs.
-    return tuple(replace(e, recitations=(), rationale=None) for e in exemplars)
+def _spec_fields(
+    cfg: SchemeConfig, exemplars: Sequence[Exemplar], question: str, dialect: PromptDialect
+) -> dict:
+    """The PromptSpec fields shared by every prompt of one question."""
+    if cfg.scheme is Scheme.DIRECT:
+        # Direct prompting renders exemplars as plain question/answer pairs.
+        exemplars = tuple(replace(e, recitations=(), rationale=None) for e in exemplars)
+    return dict(
+        scheme=cfg.scheme,
+        exemplars=tuple(exemplars),
+        target_question=question,
+        recitations_per_hop=cfg.recitations_per_hop,
+        dialect=dialect,
+    )
 
 
 def split_numbered_recitations(completion: str, expected: int) -> tuple[str, ...] | None:
@@ -319,13 +331,7 @@ def answer_question(
             cfg, exemplars, dialect, tuple(tuple(t) for t in hint_exemplars)
         )
     scheme = cfg.scheme
-    spec_fields = dict(
-        scheme=scheme,
-        exemplars=_bare_qa_exemplars(exemplars) if scheme is Scheme.DIRECT else exemplars,
-        target_question=question.question,
-        recitations_per_hop=cfg.recitations_per_hop,
-        dialect=dialect,
-    )
+    spec_fields = _spec_fields(cfg, exemplars, question.question, dialect)
     spec = PromptSpec(**spec_fields)
 
     def _sample(prompt: str, n: int) -> list[GenerationResult | BackendError]:
@@ -444,6 +450,36 @@ def answer_question(
         config_fingerprint=fingerprint,
         wall_clock_ms=int((clock() - started) * 1000),
     )
+
+
+def check_exemplar_prompts(
+    cfg: SchemeConfig,
+    exemplars: Sequence[Exemplar],
+    *,
+    hint_exemplars: Sequence = (),
+    dialect: PromptDialect = DEFAULT_DIALECT,
+) -> None:
+    """Render the few-shot prompts `answer_question` builds under cfg.scheme
+    for a placeholder question and recitation.
+
+    Raises PromptError when an exemplar breaks the prompt grammar, which
+    would otherwise fail every question of a run the same way.
+    """
+    placeholder = "placeholder"
+    spec_fields = _spec_fields(cfg, exemplars, placeholder, dialect)
+    spec = PromptSpec(**spec_fields)
+    scheme = cfg.scheme
+    if scheme is Scheme.CHAIN_OF_THOUGHT:
+        build_cot_prompt(spec, anchor=cfg.cot_anchor)
+        return
+    if scheme is Scheme.RECITE_ANSWER:
+        build_recitation_prompt(spec)
+    elif scheme is Scheme.MULTI_HOP_RECITE:
+        build_multihop_prompt(spec)
+    elif scheme is Scheme.DIVERSIFIED_RECITE:
+        build_hint_prompts(placeholder, hint_exemplars, dialect)
+    target = () if scheme is Scheme.DIRECT else (placeholder,)
+    build_qa_prompt(PromptSpec(**spec_fields, target_recitations=target))
 
 
 # ---------------------------------------------------------------------------

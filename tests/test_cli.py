@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,20 @@ def test_run_normalization_entry_sets_the_profile(workspace):
     )
 
 
+@pytest.mark.parametrize("scheme", ["recite_answer", "direct"])
+def test_run_exemplar_that_breaks_the_prompt_exits_1_before_writing(workspace, capsys, scheme):
+    manifest_path = workspace / "prompts" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["exemplars"][0]["recitations"] = ["First paragraph.\n\nSecond paragraph."]
+    manifest["exemplars"][1]["answer"] = "Paris\n\nFrance"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    config = write_config(workspace / "bad.json", workspace, scheme=scheme)
+    assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the sampled exemplars do not render: exemplar")
+    assert not (workspace / "runs").exists()
+
+
 def test_run_greedy_sampling_entry_drops_inherited_top_k(workspace):
     config = write_config(
         workspace / "greedy.json", workspace, recitation_sampling={"strategy": "greedy"}
@@ -241,6 +256,77 @@ def test_analyze(workspace, capsys):
 
 def test_analyze_empty_dir_exits_3(tmp_path):
     assert main(["analyze", str(tmp_path)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--trials", "0"],
+        ["--trials", "-1"],
+        ["--paths", "a,b"],
+        ["--paths", "1,,2"],
+        ["--paths", "0,2"],
+    ],
+    ids=["zero-trials", "negative-trials", "non-integer-paths", "empty-path-count", "zero-paths"],
+)
+def test_analyze_bad_arguments_exit_1_before_writing(workspace, capsys, flags):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_dir = workspace / "runs" / "main"
+    capsys.readouterr()
+    assert main(["analyze", str(run_dir), "--out", str(workspace / "out"), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --") and err.count("\n") == 1
+    assert not (workspace / "out").exists()
+
+
+def test_analyze_a_run_directory_moved_with_its_dataset(workspace, tmp_path_factory, monkeypatch):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_info = json.loads((workspace / "runs" / "main" / "run.json").read_text())
+    assert run_info["dataset"]["path"] == "../../questions.jsonl"
+    moved = tmp_path_factory.mktemp("moved")
+    shutil.copytree(workspace / "runs", moved / "runs")
+    shutil.copy(workspace / "questions.jsonl", moved / "questions.jsonl")
+    (workspace / "questions.jsonl").unlink()
+    monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+    assert main(["analyze", str(moved / "runs" / "main"), "--paths", "1,2,4"]) == EXIT_OK
+    report = json.loads((moved / "runs" / "main" / "report.json").read_text())
+    assert report["em"] == 1.0
+    # A relative run directory argument combines with the relative path.
+    monkeypatch.chdir(moved / "runs")
+    assert main(["analyze", "main", "--paths", "4"]) == EXIT_OK
+
+
+def test_analyze_reads_an_absolute_dataset_path(workspace):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_json = workspace / "runs" / "main" / "run.json"
+    run_info = json.loads(run_json.read_text())
+    run_info["dataset"]["path"] = str(workspace / "questions.jsonl")
+    run_json.write_text(json.dumps(run_info), encoding="utf-8")
+    assert main(["analyze", str(workspace / "runs" / "main"), "--paths", "4"]) == EXIT_OK
+
+
+def test_analyze_calls_hooks_through_module_attributes(workspace, monkeypatch):
+    # perfbench/workload.py traces analyze by replacing these module
+    # attributes; a name captured at import time would bypass its wrapper.
+    from reciteqa import cli
+
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    calls = {}
+
+    def count(name):
+        inner = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    names = ("load_run_records", "load_questions", "aggregate_report", "path_subsample_curve")
+    for name in names:
+        count(name)
+    assert main(["analyze", str(workspace / "runs" / "main"), "--paths", "1,4"]) == EXIT_OK
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_build_corpus_index_query_pipeline(tmp_path, capsys):

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import string
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reciteqa.core import RecitationPath, RunRecord, Scheme
+from reciteqa import evalkit
 from reciteqa.evalkit import (
     ErrorCategory,
     EvalError,
@@ -26,6 +29,7 @@ from reciteqa.evalkit import (
 )
 
 from helpers import DATA_DIR, make_question
+from oracles.normalize_oracle import oracle_normalize
 
 
 def make_path(answer: str, recitations=(), failed=False) -> RecitationPath:
@@ -63,6 +67,36 @@ def test_profile_dataset_override():
     profile = NormProfile(overrides={"triviaqa": NormProfile(strip_articles=False)})
     assert profile.for_dataset("triviaqa").strip_articles is False
     assert profile.for_dataset("nq").strip_articles is True
+
+
+# Every combination of the four NormProfile flags.
+FLAG_SETTINGS = [
+    dict(zip(("lowercase", "strip_articles", "strip_punct", "collapse_whitespace"), values))
+    for values in product((True, False), repeat=4)
+]
+
+# Arbitrary text, weighted towards ASCII and non-ASCII punctuation,
+# articles, case and whitespace.
+PUNCTUATED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(),
+        st.sampled_from(string.punctuation + "“”‘’«»…—–¿¡、。・‼‽"),
+        st.sampled_from(" \t\n\u00a0AaNnTtHhEeİßΣ"),
+    ),
+    max_size=60,
+)
+
+
+@given(PUNCTUATED_TEXT)
+@settings(max_examples=300)
+def test_normalize_matches_the_per_character_oracle(text):
+    for flags in FLAG_SETTINGS:
+        assert normalize(text, NormProfile(**flags)) == oracle_normalize(text, **flags), flags
+
+
+def test_normalize_keeps_non_ascii_punctuation():
+    assert normalize("“Berlin”…") == "“berlin”…"
+    assert normalize("¿Qué?") == "¿qué"
 
 
 @given(st.text(max_size=80))
@@ -309,6 +343,68 @@ def test_subsample_deterministic():
     first = path_subsample_curve(runs, questions, [1, 4, 8], trials=5, seed=42)
     second = path_subsample_curve(runs, questions, [1, 4, 8], trials=5, seed=42)
     assert first == second
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_subsample_rejects_fewer_than_one_trial(trials):
+    questions, runs = subsample_fixture()
+    with pytest.raises(EvalError):
+        path_subsample_curve(runs, questions, [1], trials=trials)
+
+
+def test_subsample_unknown_question_id():
+    _, runs = subsample_fixture()
+    with pytest.raises(EvalError):
+        path_subsample_curve(runs, [], [1])
+
+
+def test_report_and_subsample_reject_a_question_without_golds():
+    questions = [make_question("q0", "q", ())]
+    runs = [make_run("q0", ["alpha", "beta"])]
+    with pytest.raises(EvalError):
+        aggregate_report(runs, questions)
+    with pytest.raises(EvalError):
+        path_subsample_curve(runs, questions, [1])
+
+
+def test_subsample_scores_each_distinct_answer_once(monkeypatch):
+    questions, runs = subsample_fixture(n_questions=5, k=8)
+    calls = []
+    real = evalkit.normalize
+
+    def counted(text, profile=evalkit.DEFAULT_PROFILE):
+        calls.append(text)
+        return real(text, profile)
+
+    monkeypatch.setattr(evalkit, "normalize", counted)
+    path_subsample_curve(runs, questions, [1, 2, 4, 8], trials=5, seed=0)
+    # Per record: one gold, eight answers, and one scoring per distinct
+    # answer ("gold i" and "wrong" at most), however many trials vote.
+    assert len(calls) <= 5 * (1 + 8 + 2)
+
+
+def test_report_and_curve_normalize_through_the_module_attribute(monkeypatch):
+    # perfbench/workload.py counts normalize calls by replacing this module
+    # attribute; a local alias or an inlined copy would bypass its counter.
+    questions = [make_question(f"q{i}", "q", ("paris",)) for i in range(3)]
+    runs = [make_run(f"q{i}", ["rome", "rome", "oslo"], ("Nothing relevant.",)) for i in range(3)]
+    assert aggregate_report(runs, questions).em == 0.0
+    seen = set()
+
+    def constant(text, profile=evalkit.DEFAULT_PROFILE):
+        seen.add(text)
+        return "same"
+
+    monkeypatch.setattr(evalkit, "normalize", constant)
+    report = aggregate_report(runs, questions)
+    assert report.em == report.f1 == 1.0
+    assert report.category_counts[ErrorCategory.HITS_AT_MAJORITY] == 3
+    assert report.quadrant_counts[PathQuadrant.RECIT_HIT_ANSWER_HIT] == 9
+    assert seen == {"paris", "rome", "oslo", "Nothing relevant."}
+    seen.clear()
+    [point] = path_subsample_curve(runs, questions, [1], trials=3)
+    assert point.mean_em == point.mean_f1 == 1.0
+    assert seen <= {"paris", "rome", "oslo"} and "paris" in seen
 
 
 def test_subsample_rejects_excessive_count():

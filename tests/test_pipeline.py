@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from reciteqa.backend import Backend, ScriptedBackend, prompt_key
@@ -9,6 +11,7 @@ from reciteqa.pipeline import (
     PipelineError,
     SchemeConfig,
     answer_question,
+    check_exemplar_prompts,
     config_fingerprint,
     default_answer_params,
     default_recitation_params,
@@ -18,6 +21,9 @@ from reciteqa.pipeline import (
     split_numbered_recitations,
 )
 from reciteqa.prompting import (
+    DEFAULT_DIALECT,
+    UL2_DIALECT,
+    PromptError,
     PromptSpec,
     build_cot_prompt,
     build_hint_prompts,
@@ -671,6 +677,40 @@ def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path
     list(run_dataset(questions, cfg, EXEMPLARS, backend, resume=True, **run))
     assert calls["deserialize"] == 1
     assert calls["build_recitation_prompt"] == 1
+
+
+SCHEME_EXEMPLARS = {
+    Scheme.DIRECT: EXEMPLARS,
+    Scheme.RECITE_ANSWER: EXEMPLARS,
+    Scheme.MULTI_HOP_RECITE: (MULTIHOP_EXEMPLAR,),
+    Scheme.DIVERSIFIED_RECITE: EXEMPLARS,
+    Scheme.CHAIN_OF_THOUGHT: (COT_EXEMPLAR,),
+}
+
+
+@pytest.mark.parametrize("dialect", [DEFAULT_DIALECT, UL2_DIALECT], ids=["default", "ul2"])
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_check_exemplar_prompts_accepts_each_scheme_exemplars(scheme, dialect):
+    check_exemplar_prompts(
+        scheme_config(scheme), SCHEME_EXEMPLARS[scheme], hint_exemplars=[HINT_EXEMPLAR],
+        dialect=dialect,
+    )
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_check_exemplar_prompts_rejects_an_exemplar_that_breaks_the_grammar(scheme):
+    first, *rest = SCHEME_EXEMPLARS[scheme]
+    broken = (replace(first, question="who opened it\n\nin 1973"), *rest)
+    with pytest.raises(PromptError, match="exemplar 0 question"):
+        check_exemplar_prompts(scheme_config(scheme), broken, hint_exemplars=[HINT_EXEMPLAR])
+
+
+def test_check_exemplar_prompts_rejects_a_bad_hint_exemplar():
+    bad_hint = (HINT_EXEMPLAR[0], "not a canonical hint", HINT_EXEMPLAR[2])
+    with pytest.raises(PromptError, match="hint"):
+        check_exemplar_prompts(
+            scheme_config(Scheme.DIVERSIFIED_RECITE), EXEMPLARS, hint_exemplars=[bad_hint]
+        )
 
 
 def test_dedup_hints_idempotent_and_order_preserving():

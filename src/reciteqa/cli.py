@@ -23,7 +23,8 @@ from .backend import (
     Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend, check_base_url
 )
 from .core import (
-    ParseError, SamplingParams, Scheme, Strategy, canonical_json, params_from_dict, params_to_dict
+    ParseError, SamplingParams, Scheme, Strategy, canonical_json, json_object, params_from_dict,
+    params_to_dict,
 )
 from .datasets import DataError, default_shots, load_questions
 from .evalkit import (
@@ -48,6 +49,7 @@ from .pipeline import (
 from .prompting import (
     DEFAULT_DIALECT,
     UL2_DIALECT,
+    HintError,
     PromptDialect,
     PromptError,
     PromptSet,
@@ -187,12 +189,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: a run config must be a JSON object")
+    raw = json_object(path.read_text(encoding="utf-8"), str(path), ConfigError)
     base = path.parent
 
     def resolve(p: str) -> Path:
@@ -447,14 +444,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     records_path = run_dir / "records.jsonl"
     if not run_info_path.is_file() or not records_path.is_file():
         raise DataError(f"{run_dir} is not a run directory (need run.json and records.jsonl)")
-    run_info = json.loads(run_info_path.read_text(encoding="utf-8"))
+    run_info = json_object(
+        run_info_path.read_text(encoding="utf-8"), str(run_info_path), DataError, {"dataset": dict}
+    )
+    dataset = run_info["dataset"]
+    if not all(isinstance(dataset.get(key), str) for key in ("path", "adapter")):
+        raise DataError(f"{run_info_path}: dataset needs string path and adapter fields")
     records = list(load_run_records(records_path).values())
     if not records:
         raise DataError(f"{records_path} holds no records")
     # A relative dataset path is relative to the run directory.
-    questions = load_questions(
-        run_dir / run_info["dataset"]["path"], run_info["dataset"]["adapter"]
-    )
+    questions = load_questions(run_dir / dataset["path"], dataset["adapter"])
     profile = _profile_from_config(
         run_info.get("normalization"), f"{run_info_path}: normalization"
     )
@@ -501,10 +501,7 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
     reader = (
         hintcorpus.read_heading_dump if args.format == "headings" else hintcorpus.read_dump
     )
-    try:
-        corpus = hintcorpus.build_corpus(reader(dump))
-    except hintcorpus.CorpusError as exc:
-        raise DataError(str(exc)) from None
+    corpus = hintcorpus.build_corpus(reader(dump))
     corpus.save(args.out)
     print(f"{len(corpus)} passages -> {args.out}")
     return EXIT_OK
@@ -512,10 +509,7 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 
 def cmd_gen_questions(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, None)
-    try:
-        corpus = hintcorpus.Corpus.load(args.corpus)
-    except hintcorpus.CorpusError as exc:
-        raise DataError(str(exc)) from None
+    corpus = hintcorpus.Corpus.load(args.corpus)
     prompt_set = load_prompt_set(cfg.prompt_set)
     backend, _ = _build_backend(cfg)
     try:
@@ -535,10 +529,7 @@ def cmd_gen_questions(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
-    try:
-        corpus = hintcorpus.Corpus.load(args.corpus)
-    except hintcorpus.CorpusError as exc:
-        raise DataError(str(exc)) from None
+    corpus = hintcorpus.Corpus.load(args.corpus)
     passages = [(p.hint, p.text) for p in corpus]
     index = retrieval.build_index(
         passages, retrieval.Bm25Params(k1=args.k1, b=args.b)
@@ -673,7 +664,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataError, EvalError) as exc:
+    except (DataError, EvalError, hintcorpus.CorpusError, HintError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -35,6 +35,7 @@ __all__ = [
     "params_from_dict",
     "truncate_torn_tail",
     "canonical_json",
+    "json_object",
     "stable_hash",
 ]
 
@@ -215,10 +216,9 @@ def _validate_path(
     if scheme in (Scheme.DIRECT, Scheme.CHAIN_OF_THOUGHT) and rec.recitations:
         issues.append(f"{prefix}: {scheme.value} paths must have empty recitations")
     if not rec.failed:
-        # Local import: the extraction rule lives in pipeline, which imports
+        # Local import: the extraction rule lives in prompting, which imports
         # this module.
-        from .pipeline import extract_answer
-        from .prompting import COT_ANSWER_ANCHOR
+        from .prompting import COT_ANSWER_ANCHOR, extract_answer
 
         if cot_anchor is None:
             cot_anchor = COT_ANSWER_ANCHOR
@@ -306,6 +306,24 @@ def stable_hash(obj: Any, length: int = 16) -> str:
     """Platform-stable content hash of a JSON-serializable object."""
     digest = hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
     return digest[:length]
+
+
+def json_object(
+    text: str, where: str, error: type[Exception], fields: Mapping[str, Any] | None = None
+) -> dict:
+    """Parse outside input that must be one JSON object holding each of
+    `fields` as an instance of its type (or tuple of types); anything else
+    raises `error` with a message led by `where`."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    for name, kind in (fields or {}).items():
+        if not isinstance(obj.get(name), kind):
+            raise error(f"{where}: {name!r} is missing or mistyped: {obj.get(name)!r}")
+    return obj
 
 
 def params_to_dict(p: SamplingParams) -> dict:

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from .core import Dataset, ParseError, QuestionRecord, deserialize, validate
+from .core import Dataset, ParseError, QuestionRecord, deserialize, json_object, validate
 
 __all__ = ["DataError", "ADAPTERS", "load_questions", "default_shots"]
 
@@ -38,15 +38,14 @@ def read_nq(path: Path) -> list[QuestionRecord]:
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: invalid JSON: {exc.msg}") from None
+        obj = json_object(line, where, DataError)
         if "question" not in obj or "answer" not in obj:
             raise DataError(f"{where}: record needs question and answer fields")
         answers = obj["answer"]
         if isinstance(answers, str):
             answers = [answers]
+        if not isinstance(answers, list):
+            raise DataError(f"{where}: answer must be a string or a list, got {answers!r}")
         records.append(
             _check(
                 QuestionRecord(
@@ -64,17 +63,16 @@ def read_nq(path: Path) -> list[QuestionRecord]:
 
 
 def read_triviaqa(path: Path) -> list[QuestionRecord]:
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc.msg}") from None
+    data = json_object(path.read_text(encoding="utf-8"), str(path), DataError)
     items = data.get("Data")
     if not isinstance(items, list):
         raise DataError(f"{path}: expected a top-level Data array")
     records = []
     for i, item in enumerate(items):
         where = f"{path}: Data[{i}]"
-        answer = item.get("Answer", {})
+        answer = item.get("Answer", {}) if isinstance(item, dict) else None
+        if not isinstance(answer, dict) or not isinstance(answer.get("Aliases", []), list):
+            raise DataError(f"{where}: an item and its Answer must be objects, Aliases a list")
         aliases = [answer.get("Value", "")] + list(answer.get("Aliases", []))
         aliases = [a for a in dict.fromkeys(aliases) if a]
         records.append(
@@ -103,6 +101,8 @@ def read_hotpotqa(path: Path) -> list[QuestionRecord]:
     records = []
     for i, item in enumerate(data):
         where = f"{path}: [{i}]"
+        if not isinstance(item, dict):
+            raise DataError(f"{where}: an item must be a JSON object")
         records.append(
             _check(
                 QuestionRecord(

@@ -1,8 +1,8 @@
 """Passage-hint corpus construction and synthetic question generation.
 
-A hint is the canonical identifier of a corpus paragraph: the page title,
-the section-title path, and the 1-based in-section paragraph number, joined
-by " --- ", e.g.
+Every corpus paragraph is stored under its canonical hint, which names the
+page title, the section-title path, and the 1-based in-section paragraph
+number in the grammar of prompting.make_hint, e.g.
 
     Child support --- Compliance and enforcement issues --- Enforcement --- Paragraph #2
 
@@ -14,26 +14,21 @@ whitespace-normalized, so passages never contain prompt separators.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import SamplingParams, canonical_json
-from .pipeline import default_recitation_params
-from .prompting import build_question_generation_prompt
+from .core import SamplingParams, canonical_json, json_object
+from .pipeline import _derived_params, default_recitation_params
+from .prompting import build_question_generation_prompt, first_line, make_hint
 
 __all__ = [
-    "HINT_DELIMITER",
-    "HintError",
     "HintedPassage",
     "SyntheticTriple",
     "Document",
     "Corpus",
-    "make_hint",
-    "parse_hint",
     "build_corpus",
     "read_dump",
     "read_heading_dump",
@@ -42,63 +37,8 @@ __all__ = [
     "load_triples",
 ]
 
-HINT_DELIMITER = " --- "
-_PARAGRAPH_PREFIX = "Paragraph #"
-
-
-class HintError(ValueError):
-    pass
-
-
 class CorpusError(ValueError):
     pass
-
-
-def make_hint(page_title: str, section_path: Sequence[str], para_index: int) -> str:
-    """Join title, section path, and "Paragraph #<index>" with the canonical
-    delimiter; components containing the delimiter are rejected."""
-    if not page_title:
-        raise HintError("page title must be nonempty")
-    if para_index < 1:
-        raise HintError(f"paragraph index must be >= 1, got {para_index}")
-    components = [page_title, *section_path]
-    for component in components:
-        if not component:
-            raise HintError("hint components must be nonempty")
-        if HINT_DELIMITER in component:
-            raise HintError(
-                f"hint component contains the delimiter {HINT_DELIMITER!r}: {component!r}"
-            )
-    components.append(f"{_PARAGRAPH_PREFIX}{para_index}")
-    return HINT_DELIMITER.join(components)
-
-
-def parse_hint(hint: str) -> tuple[str, tuple[str, ...], int]:
-    """Inverse of make_hint; raises HintError naming the offending position
-    on grammar violations."""
-    components = hint.split(HINT_DELIMITER)
-    if len(components) < 2:
-        raise HintError(
-            f"hint must have at least a title and a paragraph component "
-            f"(position 0): {hint!r}"
-        )
-    offset = 0
-    for component in components[:-1]:
-        if not component or component != component.strip():
-            raise HintError(f"malformed hint component at position {offset}: {component!r}")
-        offset += len(component) + len(HINT_DELIMITER)
-    tail = components[-1]
-    if not tail.startswith(_PARAGRAPH_PREFIX):
-        raise HintError(
-            f"hint must end with {_PARAGRAPH_PREFIX!r}<index> (position {offset}): {tail!r}"
-        )
-    digits = tail[len(_PARAGRAPH_PREFIX):]
-    if not digits.isdigit() or int(digits) < 1:
-        raise HintError(
-            f"paragraph index must be a positive integer "
-            f"(position {offset + len(_PARAGRAPH_PREFIX)}): {digits!r}"
-        )
-    return components[0], tuple(components[1:-1]), int(digits)
 
 
 @dataclass(frozen=True)
@@ -199,21 +139,29 @@ class Corpus:
         passages = []
         offsets: dict[str, int] = {}
         with passages_path.open("r", encoding="utf-8") as handle:
+            lineno = 0
             while True:
                 offset = handle.tell()
                 line = handle.readline()
                 if not line:
                     break
+                lineno += 1
                 if not line.strip():
                     continue
-                passage = _passage_from_line(line)
+                try:
+                    passage = _passage_from_line(line)
+                except CorpusError as exc:
+                    raise CorpusError(f"{passages_path}:{lineno}: {exc}") from None
                 passages.append(passage)
                 offsets[passage.hint] = offset
         if index_path.is_file():
-            for line in index_path.read_text(encoding="utf-8").splitlines():
+            lines = index_path.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
-                row = json.loads(line)
+                row = json_object(
+                    line, f"{index_path}:{lineno}", CorpusError, {"hint": str, "offset": int}
+                )
                 if offsets.get(row["hint"]) != row["offset"]:
                     raise CorpusError(
                         f"index offset mismatch for hint {row['hint']!r}"
@@ -234,8 +182,15 @@ def _passage_to_line(passage: HintedPassage) -> str:
     )
 
 
+_PASSAGE_FIELDS = {
+    "page_title": str, "section_path": list, "para_index": int, "text": str, "hint": str
+}
+
+
 def _passage_from_line(line: str) -> HintedPassage:
-    obj = json.loads(line)
+    obj = json_object(line, "passage row", CorpusError, _PASSAGE_FIELDS)
+    if not all(isinstance(title, str) for title in obj["section_path"]):
+        raise CorpusError("passage row: section_path must hold strings")
     return HintedPassage(
         page_title=obj["page_title"],
         section_path=tuple(obj["section_path"]),
@@ -286,12 +241,7 @@ def read_dump(path: str | Path) -> Iterator[Document]:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: record must be an object")
+            record = json_object(line, f"{path}:{lineno}", CorpusError)
             if "page" in record:
                 if title is not None:
                     yield Document(title=title, items=tuple(items))
@@ -408,7 +358,7 @@ def generate_synthetic_triples(
     requests_list = [
         GenerationRequest(
             prompt=build_question_generation_prompt(passage.text, exemplars),
-            params=replace(params, seed=(params.seed + i) % 2**64),
+            params=_derived_params(params, i),
             n_samples=1,
         )
         for i, passage in enumerate(picked)
@@ -420,7 +370,7 @@ def generate_synthetic_triples(
         if isinstance(result, BackendError):
             dropped += 1
             continue
-        question = result.texts[0].split("\n")[0].strip()
+        question = first_line(result.texts[0])
         if not question:
             dropped += 1
             continue
@@ -453,10 +403,12 @@ def export_triples(triples: Iterable[SyntheticTriple], path: str | Path) -> int:
 def load_triples(path: str | Path) -> list[SyntheticTriple]:
     path = Path(path)
     triples = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        obj = json_object(
+            line, f"{path}:{lineno}", CorpusError, {"question": str, "hint": str, "passage": str}
+        )
         triples.append(
             SyntheticTriple(
                 question=obj["question"], hint=obj["hint"], passage=obj["passage"]

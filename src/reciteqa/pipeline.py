@@ -3,8 +3,10 @@
 answer_question answers one question under any of the five schemes:
 direct, recite-and-answer with a K-path self-consistency vote, multi-hop
 one-pass recitation, chain-of-thought, and diversified recitation via
-passage hints. It is the only code that branches on the scheme, and every
-scheme is the same two stages:
+passage hints. The prompt grammar belongs to prompting; this module decides
+only which prompts each scheme renders (_question_prompts, shared with
+check_exemplar_prompts) and how paths flow through them. Every scheme is
+the same two stages:
 
 * sampling draws paths from one prompt, path i at seed base_seed + i, which
   keeps independently sampled paths distinct and scripted runs
@@ -17,9 +19,9 @@ scheme is the same two stages:
 A path whose sample, answer prompt or answer fails is recorded as failed,
 with its cause in backend_meta["error"], and is left out of the plurality
 vote; the question fails only when every path does. Answer-stage outputs
-are stored as "Answer:" + completion (the cue line as it appears in the
-transcript), so every extracted answer is re-derivable from its raw text by
-extract_answer.
+are stored as the transcript prompting.read_answer gives (the answer cue
+line plus the completion), so every extracted answer is re-derivable from
+its raw text by prompting.extract_answer.
 
 run_dataset answers a question list with bounded concurrency through one
 answer_question partial built per run, appending records.jsonl as it goes.
@@ -28,7 +30,6 @@ answer_question partial built per run, appending records.jsonl as it goes.
 from __future__ import annotations
 
 import logging
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,6 +66,9 @@ from .prompting import (
     build_multihop_prompt,
     build_qa_prompt,
     build_recitation_prompt,
+    first_line,
+    read_answer,
+    split_numbered_recitations,
 )
 
 __all__ = [
@@ -73,7 +77,6 @@ __all__ = [
     "default_recitation_params",
     "default_answer_params",
     "config_fingerprint",
-    "extract_answer",
     "answer_question",
     "check_exemplar_prompts",
     "run_dataset",
@@ -83,9 +86,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE_VERSION = 1
-
-ANSWER_CUE = "Answer:"
-_RECITATION_CUE_RE = re.compile(r"Recitation (\d+):")
 
 
 class PipelineError(Exception):
@@ -179,41 +179,6 @@ def config_fingerprint(
     return stable_hash(payload)
 
 
-# ---------------------------------------------------------------------------
-# Answer extraction
-
-
-def _extract(raw: str, scheme: Scheme, cot_anchor: str) -> tuple[str, bool]:
-    if scheme is Scheme.CHAIN_OF_THOUGHT:
-        idx = raw.rfind(cot_anchor)
-        if idx == -1:
-            return "", True
-        tail = raw[idx + len(cot_anchor):]
-        tail = tail.split("\n\n")[0].strip()
-        if tail.endswith("."):
-            tail = tail[:-1]
-        return tail.strip(), False
-    idx = raw.rfind(ANSWER_CUE)
-    if idx == -1:
-        return "", True
-    tail = raw[idx + len(ANSWER_CUE):]
-    return tail.split("\n\n")[0].strip(), False
-
-
-def extract_answer(
-    raw: str, scheme: Scheme, cot_anchor: str = COT_ANSWER_ANCHOR
-) -> str:
-    """Pull the answer out of raw answer-stage text.
-
-    Chain-of-thought: text after the last anchor phrase, trailing period
-    stripped. All other schemes: text after the final "Answer:" cue, cut at
-    the first block separator. Missing cue yields an empty answer (the
-    pipeline flags it as extraction_failed in the path's backend_meta).
-    """
-    answer, _ = _extract(raw, scheme, cot_anchor)
-    return answer
-
-
 def _derived_params(params: SamplingParams, index: int) -> SamplingParams:
     return replace(params, seed=(params.seed + index) % (MAX_SEED + 1))
 
@@ -223,11 +188,10 @@ def _path(
 ) -> RecitationPath:
     """The path for one outcome that carries an answer (a greedy answer or a
     chain-of-thought rationale): failed on a backend error, otherwise the
-    answer extracted from "Answer:" + completion."""
+    answer read from its completion."""
     if isinstance(outcome, BackendError):
         return _failed_path(recitations, outcome)
-    raw = ANSWER_CUE + outcome.texts[0]
-    answer, failed_extraction = _extract(raw, cfg.scheme, cfg.cot_anchor)
+    raw, answer, failed_extraction = read_answer(outcome.texts[0], cfg.scheme, cfg.cot_anchor)
     path_meta = {
         "model": str(outcome.meta.get("model", "")),
         "latency_ms": str(outcome.meta.get("latency_ms", "")),
@@ -252,40 +216,45 @@ def _failed_path(recitations: Sequence[str], error: Exception | str) -> Recitati
     )
 
 
-def _spec_fields(
-    cfg: SchemeConfig, exemplars: Sequence[Exemplar], question: str, dialect: PromptDialect
-) -> dict:
-    """The PromptSpec fields shared by every prompt of one question."""
-    if cfg.scheme is Scheme.DIRECT:
+def _question_prompts(
+    cfg: SchemeConfig,
+    exemplars: Sequence[Exemplar],
+    question: str,
+    hint_exemplars: Sequence,
+    dialect: PromptDialect,
+) -> tuple[str | None, Callable[[str], str] | None, Callable[[tuple[str, ...]], str] | None]:
+    """The prompts cfg.scheme asks on one question: the rendered prompt its
+    paths are sampled from (None for direct), the template expanding a hint
+    into a passage (diversified only), and the answer-prompt builder for a
+    path's recitations (None for chain-of-thought, whose rationales end in
+    their answers)."""
+    scheme = cfg.scheme
+    if scheme is Scheme.DIRECT:
         # Direct prompting renders exemplars as plain question/answer pairs.
         exemplars = tuple(replace(e, recitations=(), rationale=None) for e in exemplars)
-    return dict(
-        scheme=cfg.scheme,
+    fields = dict(
+        scheme=scheme,
         exemplars=tuple(exemplars),
         target_question=question,
         recitations_per_hop=cfg.recitations_per_hop,
         dialect=dialect,
     )
 
+    def answer_prompt(recitations: tuple[str, ...]) -> str:
+        return build_qa_prompt(PromptSpec(**fields, target_recitations=recitations))
 
-def split_numbered_recitations(completion: str, expected: int) -> tuple[str, ...] | None:
-    """Split a one-pass continuation of "Recitation 1:" into its numbered
-    segments; None when the cue structure is missing or out of order.
-    Content after any cue beyond the expected count is dropped."""
-    text = "Recitation 1:" + completion
-    matches = list(_RECITATION_CUE_RE.finditer(text))
-    segments: list[str] = []
-    for position, match in enumerate(matches):
-        number = int(match.group(1))
-        if len(segments) == expected:
-            break
-        if number != len(segments) + 1:
-            return None
-        end = matches[position + 1].start() if position + 1 < len(matches) else len(text)
-        segments.append(text[match.end():end].strip())
-    if len(segments) != expected:
-        return None
-    return tuple(segments)
+    spec = PromptSpec(**fields)
+    if scheme is Scheme.CHAIN_OF_THOUGHT:
+        return build_cot_prompt(spec, anchor=cfg.cot_anchor), None, None
+    if scheme is Scheme.DIVERSIFIED_RECITE:
+        return (*build_hint_prompts(question, hint_exemplars, dialect), answer_prompt)
+    if scheme is Scheme.RECITE_ANSWER:
+        return build_recitation_prompt(spec), None, answer_prompt
+    if scheme is Scheme.MULTI_HOP_RECITE:
+        # All numbered recitations of a path come from one sequential pass,
+        # so later ones can build on earlier ones.
+        return build_multihop_prompt(spec), None, answer_prompt
+    return None, None, answer_prompt
 
 
 def _dedup_hints(hints: Sequence[str]) -> list[str]:
@@ -331,8 +300,9 @@ def answer_question(
             cfg, exemplars, dialect, tuple(tuple(t) for t in hint_exemplars)
         )
     scheme = cfg.scheme
-    spec_fields = _spec_fields(cfg, exemplars, question.question, dialect)
-    spec = PromptSpec(**spec_fields)
+    sample_prompt, passage_template, answer_prompt = _question_prompts(
+        cfg, exemplars, question.question, hint_exemplars, dialect
+    )
 
     def _sample(prompt: str, n: int) -> list[GenerationResult | BackendError]:
         requests_list = [
@@ -354,7 +324,7 @@ def answer_question(
             if isinstance(entry, RecitationPath):
                 continue
             try:
-                prompt = build_qa_prompt(PromptSpec(**spec_fields, target_recitations=entry))
+                prompt = answer_prompt(entry)
             except PromptError as exc:
                 paths[i] = _failed_path(entry, exc)
                 continue
@@ -369,19 +339,15 @@ def answer_question(
         paths = _answer_paths([()])
     elif scheme is Scheme.CHAIN_OF_THOUGHT:
         # Rationales are final: the answer follows the anchor phrase.
-        prompt = build_cot_prompt(spec, anchor=cfg.cot_anchor)
-        paths = [_path((), outcome, cfg) for outcome in _sample(prompt, cfg.n_paths)]
+        paths = [_path((), outcome, cfg) for outcome in _sample(sample_prompt, cfg.n_paths)]
     elif scheme is Scheme.DIVERSIFIED_RECITE:
         # Sample hints, dedup them, greedily expand each unique hint into a
         # passage, then answer once from all passages as a single context.
-        hint_prompt, passage_template = build_hint_prompts(
-            question.question, hint_exemplars, dialect
-        )
         sampled_hints = []
-        for outcome in _sample(hint_prompt, cfg.n_hints):
+        for outcome in _sample(sample_prompt, cfg.n_hints):
             if isinstance(outcome, BackendError):
                 continue
-            hint = outcome.texts[0].split("\n")[0].strip()
+            hint = first_line(outcome.texts[0])
             if hint:
                 sampled_hints.append(hint)
         unique_hints = _dedup_hints(sampled_hints)
@@ -417,14 +383,8 @@ def answer_question(
                 meta["n_known_hints"] = str(sum(1 for h in unique_hints if h in hint_corpus))
             paths = [replace(paths[0], backend_meta=meta)]
     else:
-        if scheme is Scheme.RECITE_ANSWER:
-            prompt = build_recitation_prompt(spec)
-        else:
-            # All numbered recitations of a path come from one sequential
-            # pass, so later ones can build on earlier ones.
-            prompt = build_multihop_prompt(spec)
         entries = []
-        for outcome in _sample(prompt, cfg.n_paths):
+        for outcome in _sample(sample_prompt, cfg.n_paths):
             if isinstance(outcome, BackendError):
                 entries.append(_failed_path((), outcome))
             elif scheme is Scheme.RECITE_ANSWER:
@@ -466,20 +426,12 @@ def check_exemplar_prompts(
     would otherwise fail every question of a run the same way.
     """
     placeholder = "placeholder"
-    spec_fields = _spec_fields(cfg, exemplars, placeholder, dialect)
-    spec = PromptSpec(**spec_fields)
-    scheme = cfg.scheme
-    if scheme is Scheme.CHAIN_OF_THOUGHT:
-        build_cot_prompt(spec, anchor=cfg.cot_anchor)
-        return
-    if scheme is Scheme.RECITE_ANSWER:
-        build_recitation_prompt(spec)
-    elif scheme is Scheme.MULTI_HOP_RECITE:
-        build_multihop_prompt(spec)
-    elif scheme is Scheme.DIVERSIFIED_RECITE:
-        build_hint_prompts(placeholder, hint_exemplars, dialect)
-    target = () if scheme is Scheme.DIRECT else (placeholder,)
-    build_qa_prompt(PromptSpec(**spec_fields, target_recitations=target))
+    sample_prompt, _, answer_prompt = _question_prompts(
+        cfg, exemplars, placeholder, hint_exemplars, dialect
+    )
+    if answer_prompt is not None:
+        # A sampled path carries recitations; the direct path carries none.
+        answer_prompt(() if sample_prompt is None else (placeholder,))
 
 
 # ---------------------------------------------------------------------------

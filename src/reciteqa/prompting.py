@@ -1,32 +1,40 @@
-"""Byte-exact prompt assembly for every prompting scheme.
+"""The prompt grammar: every prompt is rendered here, and every model
+continuation the pipeline parses is read back here.
 
-Rendering contract (frozen by the golden files under tests/golden/):
+Every builder feeds its component lists to one renderer, `_render` (frozen
+by the golden files under tests/golden/):
 
-* a prompt is a sequence of blocks joined by the dialect's inter-separator
-  (default "\\n\\n\\n"), one block per exemplar plus one target block;
-* a block is a sequence of components joined by the intra-separator
-  (default "\\n\\n");
-* components are cue lines: "Question: ...", "Recitation: ...",
-  "Recitation <i>: ..." (numbered when a block holds several),
-  "Answer: ...", "Hint: ...", "Passage: ...", "Evidence: ...";
-* the target block ends with a bare cue ("Recitation:", "Answer:", ...)
-  for the model to continue;
-* the dialect rewrite is applied last to the fully assembled text.
+* a prompt is one block per exemplar plus one target block, joined by the
+  dialect's inter-separator (default "\\n\\n\\n"); a block's components are
+  joined by the intra-separator (default "\\n\\n");
+* a component is a cue line "Cue: text" with the cue Question, Recitation
+  (numbered "Recitation <i>" when a block holds several), Answer, Hint,
+  Passage or Evidence; its text is rejected, not escaped, when it has
+  surrounding whitespace or holds a separator, since escaping would change
+  model-visible bytes;
+* the target block ends with a bare cue ("Recitation:", "Answer:", ...) for
+  the model to continue, and the dialect rewrite is applied last.
 
-Component text containing a separator string is rejected outright rather
-than escaped, since escaping would change model-visible bytes.
+Reading inverts those cues: read_answer and extract_answer take the text
+after the last "Answer:" cue (for chain-of-thought, after the last anchor
+phrase, trailing period stripped) up to the first block separator;
+split_numbered_recitations splits a continuation of "Recitation 1:" at its
+numbered cues; first_line reads a sampled hint or a generated question.
+
+A passage hint names a corpus paragraph: page title, section-title path and
+"Paragraph #<i>", joined by " --- " (make_hint, parse_hint).
 """
 
 from __future__ import annotations
 
-import json
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import Exemplar, Scheme
+from .core import Exemplar, Scheme, json_object
 
 __all__ = [
     "DialectName",
@@ -36,18 +44,36 @@ __all__ = [
     "PromptSpec",
     "PromptError",
     "PromptSet",
+    "HINT_DELIMITER",
+    "HintError",
     "build_recitation_prompt",
     "build_qa_prompt",
     "build_multihop_prompt",
     "build_hint_prompts",
     "build_question_generation_prompt",
     "build_cot_prompt",
+    "make_hint",
+    "parse_hint",
+    "read_answer",
+    "extract_answer",
+    "split_numbered_recitations",
+    "first_line",
     "sample_exemplars",
     "load_prompt_set",
 ]
 
+COT_ANSWER_ANCHOR = "So the answer is"
+ANSWER_CUE = "Answer:"
+_RECITATION_CUE_RE = re.compile(r"Recitation (\d+):")
+HINT_DELIMITER = " --- "
+_PARAGRAPH_PREFIX = "Paragraph #"
+
 
 class PromptError(ValueError):
+    pass
+
+
+class HintError(ValueError):
     pass
 
 
@@ -107,6 +133,10 @@ class PromptSpec:
             )
 
 
+# ---------------------------------------------------------------------------
+# Rendering
+
+
 def _check_component(text: str, dialect: PromptDialect, what: str) -> str:
     if text != text.strip():
         raise PromptError(f"{what} has leading or trailing whitespace: {text!r}")
@@ -119,53 +149,61 @@ def _check_component(text: str, dialect: PromptDialect, what: str) -> str:
     return text
 
 
-def _block(components: Sequence[str], dialect: PromptDialect) -> str:
-    return dialect.intra_separator.join(components)
+def _line(cue: str, text: str, dialect: PromptDialect, what: str) -> str:
+    """The component "<cue>: <text>", its text checked first."""
+    return f"{cue}: {_check_component(text, dialect, what)}"
 
 
-def _assemble(blocks: Sequence[str], dialect: PromptDialect) -> str:
-    return dialect.apply(dialect.inter_separator.join(blocks))
-
-
-def _recitation_cues(recitations: Sequence[str], dialect: PromptDialect, what: str) -> list[str]:
+def _recitation_lines(
+    recitations: Sequence[str], dialect: PromptDialect, what: str
+) -> list[str]:
     # A single recitation keeps the bare cue; several get numbered cues.
     if len(recitations) == 1:
-        return [f"Recitation: {_check_component(recitations[0], dialect, what)}"]
+        return [_line("Recitation", recitations[0], dialect, what)]
     return [
-        f"Recitation {i}: {_check_component(r, dialect, f'{what}[{i - 1}]')}"
+        _line(f"Recitation {i}", r, dialect, f"{what}[{i - 1}]")
         for i, r in enumerate(recitations, 1)
     ]
+
+
+def _render(
+    exemplar_blocks: Sequence[Sequence[str]],
+    target_block: Sequence[str],
+    dialect: PromptDialect,
+) -> str:
+    """The one renderer: components joined into blocks, the exemplar blocks
+    and then the target block joined into the prompt, and the dialect
+    rewrite applied to the whole text."""
+    blocks = [*exemplar_blocks, target_block]
+    return dialect.apply(
+        dialect.inter_separator.join(dialect.intra_separator.join(b) for b in blocks)
+    )
+
+
+def _check_spec(spec: PromptSpec, kind: str, scheme: Scheme | None = None) -> None:
+    if scheme is not None and spec.scheme is not scheme:
+        raise PromptError(
+            f"{kind} prompts require the {scheme.value} scheme, got {spec.scheme.value}"
+        )
+    if not spec.exemplars:
+        raise PromptError(f"{kind} prompts require at least one exemplar")
 
 
 def build_recitation_prompt(spec: PromptSpec) -> str:
     """Question/Recitation exemplar blocks followed by the target question
     and a trailing "Recitation:" cue."""
-    if spec.scheme is not Scheme.RECITE_ANSWER:
-        raise PromptError(
-            f"recitation prompts require the recite_answer scheme, got {spec.scheme.value}"
-        )
-    if not spec.exemplars:
-        raise PromptError("recitation prompts require at least one exemplar")
+    _check_spec(spec, "recitation", Scheme.RECITE_ANSWER)
+    d = spec.dialect
     blocks = []
     for i, ex in enumerate(spec.exemplars):
         if not ex.recitations:
             raise PromptError(f"exemplar {i} has no recitations")
-        components = [
-            f"Question: {_check_component(ex.question, spec.dialect, f'exemplar {i} question')}"
-        ]
-        components.extend(
-            _recitation_cues(ex.recitations, spec.dialect, f"exemplar {i} recitation")
-        )
-        blocks.append(_block(components, spec.dialect))
-    target = _block(
-        [
-            f"Question: {_check_component(spec.target_question, spec.dialect, 'target question')}",
-            "Recitation:",
-        ],
-        spec.dialect,
-    )
-    blocks.append(target)
-    return _assemble(blocks, spec.dialect)
+        blocks.append([
+            _line("Question", ex.question, d, f"exemplar {i} question"),
+            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
+        ])
+    target = [_line("Question", spec.target_question, d, "target question"), "Recitation:"]
+    return _render(blocks, target, d)
 
 
 def build_qa_prompt(spec: PromptSpec) -> str:
@@ -176,55 +214,39 @@ def build_qa_prompt(spec: PromptSpec) -> str:
     With the direct scheme (no recitations anywhere) this degenerates to
     plain Question/Answer blocks.
     """
-    if not spec.exemplars:
-        raise PromptError("answer prompts require at least one exemplar")
+    _check_spec(spec, "answer")
     direct = spec.scheme is Scheme.DIRECT
     if not direct and not spec.target_recitations:
         raise PromptError("answer prompts require target recitations")
     if direct and spec.target_recitations:
         raise PromptError("direct prompts must not carry target recitations")
+    d = spec.dialect
     blocks = []
     for i, ex in enumerate(spec.exemplars):
         if direct and ex.recitations:
             raise PromptError(f"exemplar {i} has recitations under the direct scheme")
-        components = []
-        if ex.recitations:
-            components.extend(
-                _recitation_cues(ex.recitations, spec.dialect, f"exemplar {i} recitation")
-            )
-        components.append(
-            f"Question: {_check_component(ex.question, spec.dialect, f'exemplar {i} question')}"
-        )
-        components.append(
-            f"Answer: {_check_component(ex.answer, spec.dialect, f'exemplar {i} answer')}"
-        )
-        blocks.append(_block(components, spec.dialect))
-    target_components = []
-    if spec.target_recitations:
-        target_components.extend(
-            _recitation_cues(spec.target_recitations, spec.dialect, "target recitation")
-        )
-    target_components.append(
-        f"Question: {_check_component(spec.target_question, spec.dialect, 'target question')}"
-    )
-    target_components.append("Answer:")
-    blocks.append(_block(target_components, spec.dialect))
-    return _assemble(blocks, spec.dialect)
+        blocks.append([
+            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
+            _line("Question", ex.question, d, f"exemplar {i} question"),
+            _line("Answer", ex.answer, d, f"exemplar {i} answer"),
+        ])
+    target = [
+        *_recitation_lines(spec.target_recitations or (), d, "target recitation"),
+        _line("Question", spec.target_question, d, "target question"),
+        ANSWER_CUE,
+    ]
+    return _render(blocks, target, d)
 
 
 def build_multihop_prompt(spec: PromptSpec) -> str:
     """Numbered-recitation exemplar blocks; the target block ends at
     "Recitation 1:" so the model decodes all recitations in one pass."""
-    if spec.scheme is not Scheme.MULTI_HOP_RECITE:
-        raise PromptError(
-            f"multihop prompts require the multi_hop_recite scheme, got {spec.scheme.value}"
-        )
+    _check_spec(spec, "multihop", Scheme.MULTI_HOP_RECITE)
     if spec.recitations_per_hop < 2:
         raise PromptError(
             f"multihop prompts require recitations_per_hop >= 2, got {spec.recitations_per_hop}"
         )
-    if not spec.exemplars:
-        raise PromptError("multihop prompts require at least one exemplar")
+    d = spec.dialect
     blocks = []
     for i, ex in enumerate(spec.exemplars):
         if len(ex.recitations) != spec.recitations_per_hop:
@@ -232,35 +254,18 @@ def build_multihop_prompt(spec: PromptSpec) -> str:
                 f"exemplar {i} has {len(ex.recitations)} recitations, "
                 f"expected {spec.recitations_per_hop}"
             )
-        components = [
-            f"Question: {_check_component(ex.question, spec.dialect, f'exemplar {i} question')}"
-        ]
-        components.extend(
-            f"Recitation {j}: {_check_component(r, spec.dialect, f'exemplar {i} recitation[{j - 1}]')}"
-            for j, r in enumerate(ex.recitations, 1)
-        )
-        blocks.append(_block(components, spec.dialect))
-    target = _block(
-        [
-            f"Question: {_check_component(spec.target_question, spec.dialect, 'target question')}",
-            "Recitation 1:",
-        ],
-        spec.dialect,
-    )
-    blocks.append(target)
-    return _assemble(blocks, spec.dialect)
-
-
-def _triple_parts(exemplar) -> tuple[str, str, str]:
-    if hasattr(exemplar, "question") and hasattr(exemplar, "hint"):
-        return exemplar.question, exemplar.hint, exemplar.passage
-    question, hint, passage = exemplar
-    return question, hint, passage
+        # At least two recitations, so every cue is numbered.
+        blocks.append([
+            _line("Question", ex.question, d, f"exemplar {i} question"),
+            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
+        ])
+    target = [_line("Question", spec.target_question, d, "target question"), "Recitation 1:"]
+    return _render(blocks, target, d)
 
 
 def build_hint_prompts(
     question: str,
-    exemplars: Sequence,
+    exemplars: Sequence[tuple[str, str, str]],
     dialect: PromptDialect = DEFAULT_DIALECT,
 ) -> tuple[str, Callable[[str], str]]:
     """Build the hint-elicitation prompt for a question plus a template that
@@ -271,36 +276,24 @@ def build_hint_prompts(
     """
     if not exemplars:
         raise PromptError("hint prompts require at least one exemplar")
-    # Local import: hintcorpus owns the hint grammar and itself builds on
-    # this module for question generation.
-    from .hintcorpus import HintError, parse_hint
-
-    triples = [_triple_parts(e) for e in exemplars]
-    for i, (_, hint, _) in enumerate(triples):
+    hint_blocks = []
+    passage_blocks = []
+    for i, (ex_question, hint, passage) in enumerate(exemplars):
         try:
             parse_hint(hint)
         except HintError as exc:
             raise PromptError(f"exemplar {i} hint is not canonical: {exc}") from None
-
-    hint_blocks = []
-    passage_blocks = []
-    for i, (ex_question, hint, passage) in enumerate(triples):
-        q = _check_component(ex_question, dialect, f"exemplar {i} question")
-        h = _check_component(hint, dialect, f"exemplar {i} hint")
-        p = _check_component(passage, dialect, f"exemplar {i} passage")
-        hint_blocks.append(_block([f"Question: {q}", f"Hint: {h}"], dialect))
-        passage_blocks.append(_block([f"Hint: {h}", f"Passage: {p}"], dialect))
-
-    target = _check_component(question, dialect, "target question")
-    hint_prompt = _assemble(
-        hint_blocks + [_block([f"Question: {target}", "Hint:"], dialect)], dialect
-    )
+        q = _line("Question", ex_question, dialect, f"exemplar {i} question")
+        h = _line("Hint", hint, dialect, f"exemplar {i} hint")
+        p = _line("Passage", passage, dialect, f"exemplar {i} passage")
+        hint_blocks.append([q, h])
+        passage_blocks.append([h, p])
+    target = [_line("Question", question, dialect, "target question"), "Hint:"]
+    hint_prompt = _render(hint_blocks, target, dialect)
 
     def passage_prompt_template(hint: str) -> str:
-        h = _check_component(hint, dialect, "target hint")
-        return _assemble(
-            passage_blocks + [_block([f"Hint: {h}", "Passage:"], dialect)], dialect
-        )
+        target = [_line("Hint", hint, dialect, "target hint"), "Passage:"]
+        return _render(passage_blocks, target, dialect)
 
     return hint_prompt, passage_prompt_template
 
@@ -316,47 +309,147 @@ def build_question_generation_prompt(
         raise PromptError("question generation requires a nonempty passage")
     if not exemplars:
         raise PromptError("question generation requires at least one exemplar")
-    blocks = []
-    for i, (evidence, question) in enumerate(exemplars):
-        e = _check_component(evidence, dialect, f"exemplar {i} evidence")
-        q = _check_component(question, dialect, f"exemplar {i} question")
-        blocks.append(_block([f"Evidence: {e}", f"Question: {q}"], dialect))
-    target = _check_component(passage, dialect, "target passage")
-    blocks.append(_block([f"Evidence: {target}", "Question:"], dialect))
-    return _assemble(blocks, dialect)
-
-
-COT_ANSWER_ANCHOR = "So the answer is"
+    blocks = [
+        [
+            _line("Evidence", evidence, dialect, f"exemplar {i} evidence"),
+            _line("Question", question, dialect, f"exemplar {i} question"),
+        ]
+        for i, (evidence, question) in enumerate(exemplars)
+    ]
+    target = [_line("Evidence", passage, dialect, "target passage"), "Question:"]
+    return _render(blocks, target, dialect)
 
 
 def build_cot_prompt(spec: PromptSpec, anchor: str = COT_ANSWER_ANCHOR) -> str:
     """Question/Answer blocks where each exemplar answer is its rationale
     followed by "<anchor> <answer>."."""
-    if spec.scheme is not Scheme.CHAIN_OF_THOUGHT:
-        raise PromptError(
-            f"chain-of-thought prompts require the chain_of_thought scheme, got {spec.scheme.value}"
-        )
-    if not spec.exemplars:
-        raise PromptError("chain-of-thought prompts require at least one exemplar")
+    _check_spec(spec, "chain-of-thought", Scheme.CHAIN_OF_THOUGHT)
+    d = spec.dialect
     blocks = []
     for i, ex in enumerate(spec.exemplars):
         if ex.rationale is None:
             raise PromptError(f"exemplar {i} has no rationale")
-        q = _check_component(ex.question, spec.dialect, f"exemplar {i} question")
-        rationale = _check_component(ex.rationale, spec.dialect, f"exemplar {i} rationale")
-        answer = _check_component(ex.answer, spec.dialect, f"exemplar {i} answer")
-        blocks.append(
-            _block([f"Question: {q}", f"Answer: {rationale} {anchor} {answer}."], spec.dialect)
+        q = _line("Question", ex.question, d, f"exemplar {i} question")
+        rationale = _check_component(ex.rationale, d, f"exemplar {i} rationale")
+        answer = _check_component(ex.answer, d, f"exemplar {i} answer")
+        blocks.append([q, f"{ANSWER_CUE} {rationale} {anchor} {answer}."])
+    target = [_line("Question", spec.target_question, d, "target question"), ANSWER_CUE]
+    return _render(blocks, target, d)
+
+
+# ---------------------------------------------------------------------------
+# Hint grammar
+
+
+def make_hint(page_title: str, section_path: Sequence[str], para_index: int) -> str:
+    """Join title, section path, and "Paragraph #<index>" with the canonical
+    delimiter; components containing the delimiter are rejected."""
+    if not page_title:
+        raise HintError("page title must be nonempty")
+    if para_index < 1:
+        raise HintError(f"paragraph index must be >= 1, got {para_index}")
+    components = [page_title, *section_path]
+    for component in components:
+        if not component:
+            raise HintError("hint components must be nonempty")
+        if HINT_DELIMITER in component:
+            raise HintError(
+                f"hint component contains the delimiter {HINT_DELIMITER!r}: {component!r}"
+            )
+    components.append(f"{_PARAGRAPH_PREFIX}{para_index}")
+    return HINT_DELIMITER.join(components)
+
+
+def parse_hint(hint: str) -> tuple[str, tuple[str, ...], int]:
+    """Inverse of make_hint; raises HintError naming the offending position
+    on grammar violations."""
+    components = hint.split(HINT_DELIMITER)
+    if len(components) < 2:
+        raise HintError(
+            f"hint must have at least a title and a paragraph component "
+            f"(position 0): {hint!r}"
         )
-    target = _block(
-        [
-            f"Question: {_check_component(spec.target_question, spec.dialect, 'target question')}",
-            "Answer:",
-        ],
-        spec.dialect,
-    )
-    blocks.append(target)
-    return _assemble(blocks, spec.dialect)
+    offset = 0
+    for component in components[:-1]:
+        if not component or component != component.strip():
+            raise HintError(f"malformed hint component at position {offset}: {component!r}")
+        offset += len(component) + len(HINT_DELIMITER)
+    tail = components[-1]
+    if not tail.startswith(_PARAGRAPH_PREFIX):
+        raise HintError(
+            f"hint must end with {_PARAGRAPH_PREFIX!r}<index> (position {offset}): {tail!r}"
+        )
+    digits = tail[len(_PARAGRAPH_PREFIX):]
+    if not digits.isdigit() or int(digits) < 1:
+        raise HintError(
+            f"paragraph index must be a positive integer "
+            f"(position {offset + len(_PARAGRAPH_PREFIX)}): {digits!r}"
+        )
+    return components[0], tuple(components[1:-1]), int(digits)
+
+
+# ---------------------------------------------------------------------------
+# Reading continuations
+
+
+def _extract(raw: str, scheme: Scheme, cot_anchor: str) -> str | None:
+    cot = scheme is Scheme.CHAIN_OF_THOUGHT
+    cue = cot_anchor if cot else ANSWER_CUE
+    idx = raw.rfind(cue)
+    if idx == -1:
+        return None
+    tail = raw[idx + len(cue):].split("\n\n")[0].strip()
+    return tail[:-1].strip() if cot and tail.endswith(".") else tail
+
+
+def extract_answer(
+    raw: str, scheme: Scheme, cot_anchor: str = COT_ANSWER_ANCHOR
+) -> str:
+    """Pull the answer out of raw answer-stage text.
+
+    Chain-of-thought: text after the last anchor phrase, trailing period
+    stripped. All other schemes: text after the final "Answer:" cue, cut at
+    the first block separator. Missing cue yields an empty answer (the
+    pipeline flags it as extraction_failed in the path's backend_meta).
+    """
+    return _extract(raw, scheme, cot_anchor) or ""
+
+
+def read_answer(
+    completion: str, scheme: Scheme, cot_anchor: str = COT_ANSWER_ANCHOR
+) -> tuple[str, str, bool]:
+    """Read a continuation of the "Answer:" cue: its transcript (the cue
+    line plus the completion), the answer extract_answer takes from it, and
+    whether the cue or anchor it needs was missing."""
+    raw = ANSWER_CUE + completion
+    answer = _extract(raw, scheme, cot_anchor)
+    return raw, answer or "", answer is None
+
+
+def split_numbered_recitations(completion: str, expected: int) -> tuple[str, ...] | None:
+    """Split a one-pass continuation of "Recitation 1:" into its numbered
+    segments; None when the cue structure is missing or out of order.
+    Content after any cue beyond the expected count is dropped."""
+    text = "Recitation 1:" + completion
+    matches = list(_RECITATION_CUE_RE.finditer(text))
+    segments: list[str] = []
+    for position, match in enumerate(matches):
+        number = int(match.group(1))
+        if len(segments) == expected:
+            break
+        if number != len(segments) + 1:
+            return None
+        end = matches[position + 1].start() if position + 1 < len(matches) else len(text)
+        segments.append(text[match.end():end].strip())
+    if len(segments) != expected:
+        return None
+    return tuple(segments)
+
+
+def first_line(completion: str) -> str:
+    """The first line of a completion, stripped: how a sampled hint or a
+    generated question is read."""
+    return completion.split("\n")[0].strip()
 
 
 def sample_exemplars(pool: Sequence[Exemplar], n: int, seed: int) -> list[Exemplar]:
@@ -403,10 +496,13 @@ def load_prompt_set(directory: str | Path) -> PromptSet:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PromptError(f"prompt set {directory} has no manifest.json")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise PromptError(f"{manifest_path}: invalid JSON: {exc}") from None
+    manifest = json_object(manifest_path.read_text(encoding="utf-8"), str(manifest_path), PromptError)
+
+    def entries(key: str, names: Sequence[str]) -> tuple[tuple[str, ...], ...]:
+        return tuple(
+            tuple(_resolve_text(entry.get(name), directory, f"{key}[{i}]") for name in names)
+            for i, entry in enumerate(manifest.get(key, []))
+        )
 
     exemplars = []
     for i, entry in enumerate(manifest.get("exemplars", [])):
@@ -414,8 +510,8 @@ def load_prompt_set(directory: str | Path) -> PromptSet:
         rationale = entry.get("rationale")
         exemplars.append(
             Exemplar(
-                question=_resolve_text(entry["question"], directory, what),
-                answer=_resolve_text(entry["answer"], directory, what),
+                question=_resolve_text(entry.get("question"), directory, what),
+                answer=_resolve_text(entry.get("answer"), directory, what),
                 recitations=tuple(
                     _resolve_text(r, directory, what) for r in entry.get("recitations", [])
                 ),
@@ -426,28 +522,9 @@ def load_prompt_set(directory: str | Path) -> PromptSet:
                 ),
             )
         )
-    hint_exemplars = []
-    for i, entry in enumerate(manifest.get("hint_exemplars", [])):
-        what = f"hint_exemplars[{i}]"
-        hint_exemplars.append(
-            (
-                _resolve_text(entry["question"], directory, what),
-                _resolve_text(entry["hint"], directory, what),
-                _resolve_text(entry["passage"], directory, what),
-            )
-        )
-    question_gen = []
-    for i, entry in enumerate(manifest.get("question_gen", [])):
-        what = f"question_gen[{i}]"
-        question_gen.append(
-            (
-                _resolve_text(entry["evidence"], directory, what),
-                _resolve_text(entry["question"], directory, what),
-            )
-        )
     return PromptSet(
         exemplars=tuple(exemplars),
-        hint_exemplars=tuple(hint_exemplars),
-        question_gen=tuple(question_gen),
+        hint_exemplars=entries("hint_exemplars", ("question", "hint", "passage")),
+        question_gen=entries("question_gen", ("evidence", "question")),
         cot_anchor=manifest.get("cot_anchor", COT_ANSWER_ANCHOR),
     )

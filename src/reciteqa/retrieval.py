@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .core import json_object
+
 __all__ = [
     "Bm25Params",
     "Bm25Index",
@@ -160,21 +162,26 @@ def load_index(path: str | Path) -> Bm25Index:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise RetrievalError(f"{path} is empty")
-    header = json.loads(lines[0])
+    header = json_object(lines[0], f"{path}:1", RetrievalError)
     if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_VERSION:
         raise RetrievalError(f"{path} is not a version-{INDEX_VERSION} {INDEX_FORMAT} file")
+    for name in ("doc_count", "avg_doc_len", "k1", "b"):
+        if not isinstance(header.get(name), (int, float)):
+            raise RetrievalError(f"{path}: header field {name!r} must be a number")
     doc_lengths: dict[str, int] = {}
     postings: dict[str, tuple[tuple[str, int], ...]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        row = json.loads(line)
-        if "doc" in row:
+        row = json_object(line, f"{path}:{lineno}", RetrievalError)
+        if isinstance(row.get("doc"), str) and isinstance(row.get("len"), int):
             doc_lengths[row["doc"]] = row["len"]
-        elif "term" in row:
+        elif isinstance(row.get("term"), str) and isinstance(row.get("postings"), list) and all(
+            isinstance(e, list) and [type(x) for x in e] == [str, int] for e in row["postings"]
+        ):
             postings[row["term"]] = tuple((d, tf) for d, tf in row["postings"])
         else:
-            raise RetrievalError(f"unrecognized index row: {line[:80]}")
+            raise RetrievalError(f"{path}:{lineno}: unrecognized index row: {line[:80]}")
     index = Bm25Index(
         doc_count=header["doc_count"],
         avg_doc_len=header["avg_doc_len"],

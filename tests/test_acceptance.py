@@ -26,7 +26,6 @@ from reciteqa.evalkit import (
     plurality_vote,
     token_f1,
 )
-from reciteqa.hintcorpus import make_hint, parse_hint
 from reciteqa.pipeline import (
     SchemeConfig,
     default_answer_params,
@@ -41,6 +40,8 @@ from reciteqa.prompting import (
     build_multihop_prompt,
     build_qa_prompt,
     build_recitation_prompt,
+    make_hint,
+    parse_hint,
 )
 
 from helpers import (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -279,6 +280,28 @@ def test_analyze_bad_arguments_exit_1_before_writing(workspace, capsys, flags):
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "run_json",
+    [
+        "{",
+        "[]",
+        "{}",
+        '{"dataset": "../../questions.jsonl"}',
+        '{"dataset": {"path": 1, "adapter": "nq"}}',
+        '{"dataset": {"path": "../../questions.jsonl"}}',
+    ],
+    ids=["torn", "array", "no-dataset", "string-dataset", "number-path", "no-adapter"],
+)
+def test_analyze_bad_run_json_exits_3_before_writing(workspace, capsys, run_json):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_dir = workspace / "runs" / "main"
+    (run_dir / "run.json").write_text(run_json, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", str(run_dir), "--out", str(workspace / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {run_dir / 'run.json'}: ")
+    assert not (workspace / "out").exists()
+
+
 def test_analyze_a_run_directory_moved_with_its_dataset(workspace, tmp_path_factory, monkeypatch):
     assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
     run_info = json.loads((workspace / "runs" / "main" / "run.json").read_text())
@@ -329,17 +352,19 @@ def test_analyze_calls_hooks_through_module_attributes(workspace, monkeypatch):
     assert calls == dict.fromkeys(names, 1)
 
 
+DUMP_ROWS = [
+    {"page": "Berlin"},
+    {"text": "Berlin hosted the 1936 summer olympics."},
+    {"page": "Cairo"},
+    {"text": "The Nile flows through Cairo."},
+    {"page": "Paris"},
+    {"text": "The Louvre is in Paris."},
+]
+
+
 def test_build_corpus_index_query_pipeline(tmp_path, capsys):
     dump = tmp_path / "dump.jsonl"
-    rows = [
-        {"page": "Berlin"},
-        {"text": "Berlin hosted the 1936 summer olympics."},
-        {"page": "Cairo"},
-        {"text": "The Nile flows through Cairo."},
-        {"page": "Paris"},
-        {"text": "The Louvre is in Paris."},
-    ]
-    dump.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    dump.write_text("".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8")
     corpus_dir = tmp_path / "corpus"
     assert main(["build-corpus", str(dump), "--out", str(corpus_dir)]) == EXIT_OK
     assert main(
@@ -359,6 +384,46 @@ def test_build_corpus_invalid_dump_exits_3(tmp_path):
     dump = tmp_path / "dump.jsonl"
     dump.write_text('{"text": "orphan paragraph"}\n', encoding="utf-8")
     assert main(["build-corpus", str(dump), "--out", str(tmp_path / "c")]) == EXIT_DATA
+
+
+BUILD_CORPUS = ["build-corpus", "dump.jsonl", "--out", "corpus"]
+INDEX_BUILD = ["index", "build", "--corpus", "corpus", "--out", "idx.jsonl"]
+INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
+
+
+@pytest.mark.parametrize(
+    "target, corrupt, argv",
+    [
+        ("dump.jsonl", lambda t: t.replace("Cairo", "Cairo --- Nile", 1), BUILD_CORPUS),
+        ("corpus/passages.jsonl", lambda t: t[:-20], INDEX_BUILD),
+        ("corpus/passages.jsonl", lambda t: "[1, 2]\n" + t, INDEX_BUILD),
+        ("corpus/passages.jsonl", lambda t: t.replace('"hint":', '"hunt":', 1), INDEX_BUILD),
+        ("corpus/passages.jsonl", lambda t: t.replace('"para_index":1', '"para_index":0', 1),
+         INDEX_BUILD),
+        ("corpus/hints.idx.jsonl", lambda t: "{\n" + t, INDEX_BUILD),
+        ("idx.jsonl", lambda t: t[:-5], INDEX_QUERY),
+        ("idx.jsonl", lambda t: re.sub(r'"doc_count": \d+, ', "", t, count=1), INDEX_QUERY),
+        ("idx.jsonl", lambda t: t + '{"term": "nile", "postings": [["x"]]}\n', INDEX_QUERY),
+    ],
+    ids=[
+        "title-holds-hint-delimiter", "torn-passage-line", "passage-row-not-object",
+        "passage-row-missing-hint", "passage-paragraph-zero", "torn-hint-index-row",
+        "truncated-index", "index-header-without-doc-count", "malformed-postings",
+    ],
+)
+def test_corrupt_corpus_or_index_exits_3(tmp_path, monkeypatch, capsys, target, corrupt, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dump.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8"
+    )
+    if argv is not BUILD_CORPUS:
+        assert main(BUILD_CORPUS) == EXIT_OK
+        assert main(INDEX_BUILD) == EXIT_OK
+    path = tmp_path / target
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_gen_questions(workspace, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -205,6 +206,34 @@ def test_every_module_export_resolves():
         module = importlib.import_module(f"reciteqa.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"reciteqa.{info.name}.__all__ names missing {name}"
+
+
+def test_prompting_builds_on_core_alone_and_imports_are_module_level():
+    # prompting owns the prompt grammar and sits directly on core; the only
+    # call-time imports left are core's record validation reaching up for
+    # the extraction rule and the vote.
+    package = Path(reciteqa.__file__).parent
+    function_level = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "prompting":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    assert node.module == "core", f"prompting imports .{node.module}"
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                        alias.name for alias in node.names
+                    ]
+                    assert not any(n and n.startswith("reciteqa") for n in names)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        function_level.add((path.stem, func.name, ast.unparse(node)))
+    assert function_level == {
+        ("core", "_validate_path", "from .prompting import COT_ANSWER_ANCHOR, extract_answer"),
+        ("core", "_validate_run", "from .evalkit import DEFAULT_PROFILE, plurality_vote"),
+    }
 
 
 def test_importing_the_package_loads_no_third_party_http_client():

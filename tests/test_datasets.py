@@ -61,6 +61,38 @@ def test_hotpotqa_adapter(tmp_path):
     assert records[0].hop_count == 2
 
 
+@pytest.mark.parametrize(
+    "adapter, content, where",
+    [
+        ("nq", '["question", "answer"]\n', "data.json:1"),
+        ("nq", '"question and answer"\n', "data.json:1"),
+        ("nq", '{"question": "q", "answer": 5}\n', "data.json:1"),
+        ("nq", '{"question": "q", "answer": {"text": "a"}}\n', "data.json:1"),
+        ("triviaqa", '["Data"]', "data.json"),
+        ("triviaqa", '{"Data": ["q"]}', "data.json: Data[0]"),
+        ("triviaqa", '{"Data": [{"Question": "q", "Answer": "a"}]}', "data.json: Data[0]"),
+        (
+            "triviaqa",
+            '{"Data": [{"Question": "q", "Answer": {"Value": "Bob", "Aliases": "Robert"}}]}',
+            "data.json: Data[0]",
+        ),
+        ("hotpotqa", '["q"]', "data.json: [0]"),
+    ],
+    ids=[
+        "nq-array-line", "nq-string-line", "nq-number-answer", "nq-object-answer",
+        "triviaqa-array-top-level", "triviaqa-string-item", "triviaqa-string-answer",
+        "triviaqa-string-aliases",
+        "hotpotqa-string-item",
+    ],
+)
+def test_malformed_item_raises_data_error_naming_file_and_item(tmp_path, adapter, content, where):
+    path = tmp_path / "data.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_questions(path, adapter)
+    assert str(err.value).startswith(str(tmp_path / where))
+
+
 def test_native_records_adapter(tmp_path):
     record = make_question("c1", "a question", ("an answer",))
     path = tmp_path / "native.jsonl"

@@ -10,18 +10,15 @@ from reciteqa.hintcorpus import (
     Corpus,
     CorpusError,
     Document,
-    HintError,
     SyntheticTriple,
     build_corpus,
     export_triples,
     generate_synthetic_triples,
     load_triples,
-    make_hint,
-    parse_hint,
     read_dump,
     read_heading_dump,
 )
-from reciteqa.prompting import build_question_generation_prompt
+from reciteqa.prompting import HintError, build_question_generation_prompt, make_hint, parse_hint
 
 from helpers import GOLDEN_DIR
 

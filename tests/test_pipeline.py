@@ -15,10 +15,8 @@ from reciteqa.pipeline import (
     config_fingerprint,
     default_answer_params,
     default_recitation_params,
-    extract_answer,
     load_run_records,
     run_dataset,
-    split_numbered_recitations,
 )
 from reciteqa.prompting import (
     DEFAULT_DIALECT,
@@ -30,6 +28,8 @@ from reciteqa.prompting import (
     build_multihop_prompt,
     build_qa_prompt,
     build_recitation_prompt,
+    extract_answer,
+    split_numbered_recitations,
 )
 
 from helpers import (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -19,8 +20,10 @@ from reciteqa.prompting import (
     build_qa_prompt,
     build_question_generation_prompt,
     build_recitation_prompt,
+    extract_answer,
     load_prompt_set,
     sample_exemplars,
+    split_numbered_recitations,
 )
 
 from helpers import (
@@ -350,6 +353,60 @@ def test_separator_law_property(n, questions):
     assert prompt.count("\n\n\n") == len(exemplars)
 
 
+# Component text the grammar accepts: no surrounding whitespace, no separator.
+component_text = st.text(min_size=1, max_size=30).filter(
+    lambda t: t == t.strip() and "\n\n" not in t
+)
+
+
+def exemplar_block(prompt: str) -> str:
+    return prompt.split(DEFAULT_DIALECT.inter_separator)[0]
+
+
+@given(
+    question=component_text,
+    recitation=component_text,
+    answer=component_text.filter(lambda t: "Answer:" not in t),
+)
+@settings(max_examples=150)
+def test_extract_answer_reads_back_a_rendered_exemplar_answer(question, recitation, answer):
+    exemplar = Exemplar(question=question, answer=answer, recitations=(recitation,))
+    prompt = build_qa_prompt(
+        PromptSpec(
+            scheme=Scheme.RECITE_ANSWER,
+            exemplars=(exemplar,),
+            target_question=TARGET,
+            target_recitations=("a recitation",),
+        )
+    )
+    assert extract_answer(exemplar_block(prompt), Scheme.RECITE_ANSWER) == answer
+
+
+@given(
+    question=component_text.filter(lambda t: "Recitation 1:" not in t),
+    recitations=st.lists(
+        component_text.filter(lambda t: not re.search(r"Recitation \d+:", t)),
+        min_size=2,
+        max_size=4,
+    ),
+)
+@settings(max_examples=150)
+def test_split_numbered_recitations_reads_back_rendered_exemplar_recitations(
+    question, recitations
+):
+    exemplar = Exemplar(question=question, answer="a", recitations=tuple(recitations))
+    prompt = build_multihop_prompt(
+        PromptSpec(
+            scheme=Scheme.MULTI_HOP_RECITE,
+            exemplars=(exemplar,),
+            target_question=TARGET,
+            recitations_per_hop=len(recitations),
+        )
+    )
+    completion = exemplar_block(prompt).split("Recitation 1:", 1)[1]
+    assert split_numbered_recitations(completion, len(recitations)) == tuple(recitations)
+
+
 # ---------------------------------------------------------------------------
 # exemplar sampling
 
@@ -433,6 +490,23 @@ def test_load_prompt_set_missing_manifest(tmp_path):
 
 def test_load_prompt_set_missing_file(tmp_path):
     manifest = {"exemplars": [{"question": "q", "answer": {"file": "nope.txt"}}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(PromptError):
+        load_prompt_set(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"exemplars": [{"question": "q"}]},
+        {"hint_exemplars": [{"question": "q", "hint": "A --- Paragraph #1"}]},
+        {"question_gen": [{"evidence": "e"}]},
+        ["not", "an", "object"],
+    ],
+    ids=["exemplar-without-answer", "hint-exemplar-without-passage", "question-gen-without-question",
+         "array-manifest"],
+)
+def test_load_prompt_set_malformed_manifest_raises_prompt_error(tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(PromptError):
         load_prompt_set(tmp_path)

@@ -13,7 +13,7 @@ import ssl
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from pathlib import Path
@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .core import (
-    SamplingParams, Strategy, canonical_json, params_to_dict, truncate_torn_tail, validate
+    SamplingParams, Strategy, canonical_json, params_to_dict, read_text, truncate_torn_tail,
+    validate,
 )
 
 __all__ = [
@@ -148,10 +149,14 @@ class Backend(ABC):
         self,
         requests_list: Sequence[GenerationRequest],
         max_in_flight: int = 4,
+        *,
+        executor: Executor | None = None,
     ) -> list[GenerationResult | BackendError]:
         """Dispatch requests with at most max_in_flight outstanding; results
         align positionally with the inputs and per-slot failures are
-        returned in place rather than aborting the batch."""
+        returned in place rather than aborting the batch. Given an executor,
+        the requests run on it, bounded by its worker count instead, and
+        no thread pool is built for the call."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         if not requests_list:
@@ -163,6 +168,8 @@ class Backend(ABC):
             except BackendError as exc:
                 return exc
 
+        if executor is not None:
+            return list(executor.map(run_one, requests_list))
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             return list(pool.map(run_one, requests_list))
 
@@ -193,7 +200,7 @@ class ScriptedBackend(Backend):
         {"prompts": [{"prompt": ..., "responses": [...]}]}."""
         path = Path(path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(read_text(path, MalformedResponse))
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedResponse(f"cannot load script file {path}: {exc}") from None
         backend = cls()

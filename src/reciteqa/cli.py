@@ -24,7 +24,7 @@ from .backend import (
 )
 from .core import (
     ParseError, SamplingParams, Scheme, Strategy, canonical_json, json_object, params_from_dict,
-    params_to_dict,
+    params_to_dict, read_text,
 )
 from .datasets import DataError, default_shots, load_questions
 from .evalkit import (
@@ -189,7 +189,7 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file {path} does not exist")
-    raw = json_object(path.read_text(encoding="utf-8"), str(path), ConfigError)
+    raw = json_object(read_text(path, ConfigError), str(path), ConfigError)
     base = path.parent
 
     def resolve(p: str) -> Path:
@@ -445,7 +445,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not run_info_path.is_file() or not records_path.is_file():
         raise DataError(f"{run_dir} is not a run directory (need run.json and records.jsonl)")
     run_info = json_object(
-        run_info_path.read_text(encoding="utf-8"), str(run_info_path), DataError, {"dataset": dict}
+        read_text(run_info_path, DataError), str(run_info_path), DataError, {"dataset": dict}
     )
     dataset = run_info["dataset"]
     if not all(isinstance(dataset.get(key), str) for key in ("path", "adapter")):

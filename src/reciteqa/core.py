@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "Dataset",
@@ -36,6 +36,9 @@ __all__ = [
     "truncate_torn_tail",
     "canonical_json",
     "json_object",
+    "read_text",
+    "read_lines",
+    "decode_utf8",
     "stable_hash",
 ]
 
@@ -324,6 +327,31 @@ def json_object(
         if not isinstance(obj.get(name), kind):
             raise error(f"{where}: {name!r} is missing or mistyped: {obj.get(name)!r}")
     return obj
+
+
+def read_text(path: Path, error: type[Exception]) -> str:
+    """The text of an outside input file; a file that is not UTF-8 raises
+    `error` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def decode_utf8(data: bytes, where: str, error: type[Exception]) -> str:
+    """`data` as UTF-8 text; bytes that are not raise `error` naming `where`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """The numbered lines of an outside input file as it is read; a line
+    that is not UTF-8 raises `error` naming the file and line."""
+    with path.open("rb") as handle:
+        for lineno, line in enumerate(handle, 1):
+            yield lineno, decode_utf8(line, f"{path}:{lineno}", error)
 
 
 def params_to_dict(p: SamplingParams) -> dict:

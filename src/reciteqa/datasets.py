@@ -16,7 +16,9 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from .core import Dataset, ParseError, QuestionRecord, deserialize, json_object, validate
+from .core import (
+    Dataset, ParseError, QuestionRecord, deserialize, json_object, read_text, validate
+)
 
 __all__ = ["DataError", "ADAPTERS", "load_questions", "default_shots"]
 
@@ -34,7 +36,7 @@ def _check(record: QuestionRecord, where: str) -> QuestionRecord:
 
 def read_nq(path: Path) -> list[QuestionRecord]:
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, DataError).splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -63,7 +65,7 @@ def read_nq(path: Path) -> list[QuestionRecord]:
 
 
 def read_triviaqa(path: Path) -> list[QuestionRecord]:
-    data = json_object(path.read_text(encoding="utf-8"), str(path), DataError)
+    data = json_object(read_text(path, DataError), str(path), DataError)
     items = data.get("Data")
     if not isinstance(items, list):
         raise DataError(f"{path}: expected a top-level Data array")
@@ -93,7 +95,7 @@ def read_triviaqa(path: Path) -> list[QuestionRecord]:
 
 def read_hotpotqa(path: Path) -> list[QuestionRecord]:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, DataError))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc.msg}") from None
     if not isinstance(data, list):
@@ -121,7 +123,7 @@ def read_hotpotqa(path: Path) -> list[QuestionRecord]:
 
 def read_native_records(path: Path) -> list[QuestionRecord]:
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, DataError).splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"

@@ -20,9 +20,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import SamplingParams, canonical_json, json_object
+from .core import (
+    SamplingParams, canonical_json, decode_utf8, json_object, read_lines, read_text
+)
 from .pipeline import _derived_params, default_recitation_params
-from .prompting import build_question_generation_prompt, first_line, make_hint
+from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
 
 __all__ = [
     "HintedPassage",
@@ -78,17 +80,26 @@ class Corpus:
     seeded uniform sampling."""
 
     def __init__(self, passages: Sequence[HintedPassage]):
+        """A passage whose hint is not make_hint's for its components, or
+        repeats an earlier one, raises HintError or CorpusError whose
+        `position` is that passage's index."""
         self._passages = tuple(passages)
         self._by_hint: dict[str, HintedPassage] = {}
-        for passage in self._passages:
-            expected = make_hint(passage.page_title, passage.section_path, passage.para_index)
-            if passage.hint != expected:
-                raise CorpusError(
-                    f"passage hint {passage.hint!r} does not match its components "
-                    f"(expected {expected!r})"
+        for position, passage in enumerate(self._passages):
+            try:
+                expected = make_hint(
+                    passage.page_title, passage.section_path, passage.para_index
                 )
-            if passage.hint in self._by_hint:
-                raise CorpusError(f"duplicate passage hint: {passage.hint!r}")
+                if passage.hint != expected:
+                    raise CorpusError(
+                        f"passage hint {passage.hint!r} does not match its components "
+                        f"(expected {expected!r})"
+                    )
+                if passage.hint in self._by_hint:
+                    raise CorpusError(f"duplicate passage hint: {passage.hint!r}")
+            except (CorpusError, HintError) as exc:
+                exc.position = position
+                raise
             self._by_hint[passage.hint] = passage
 
     def __len__(self) -> int:
@@ -137,8 +148,9 @@ class Corpus:
         if not passages_path.is_file():
             raise CorpusError(f"{passages_path} does not exist")
         passages = []
+        linenos = []
         offsets: dict[str, int] = {}
-        with passages_path.open("r", encoding="utf-8") as handle:
+        with passages_path.open("rb") as handle:
             lineno = 0
             while True:
                 offset = handle.tell()
@@ -148,14 +160,17 @@ class Corpus:
                 lineno += 1
                 if not line.strip():
                     continue
+                where = f"{passages_path}:{lineno}"
+                text = decode_utf8(line, where, CorpusError)
                 try:
-                    passage = _passage_from_line(line)
+                    passage = _passage_from_line(text)
                 except CorpusError as exc:
-                    raise CorpusError(f"{passages_path}:{lineno}: {exc}") from None
+                    raise CorpusError(f"{where}: {exc}") from None
                 passages.append(passage)
+                linenos.append(lineno)
                 offsets[passage.hint] = offset
         if index_path.is_file():
-            lines = index_path.read_text(encoding="utf-8").splitlines()
+            lines = read_text(index_path, CorpusError).splitlines()
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
@@ -166,7 +181,10 @@ class Corpus:
                     raise CorpusError(
                         f"index offset mismatch for hint {row['hint']!r}"
                     )
-        return cls(passages)
+        try:
+            return cls(passages)
+        except (CorpusError, HintError) as exc:
+            raise CorpusError(f"{passages_path}:{linenos[exc.position]}: {exc}") from None
 
 
 def _passage_to_line(passage: HintedPassage) -> str:
@@ -237,31 +255,30 @@ def read_dump(path: str | Path) -> Iterator[Document]:
     title: str | None = None
     section: tuple[str, ...] = ()
     items: list[tuple[tuple[str, ...], str]] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            record = json_object(line, f"{path}:{lineno}", CorpusError)
-            if "page" in record:
-                if title is not None:
-                    yield Document(title=title, items=tuple(items))
-                title = record["page"]
-                section = ()
-                items = []
-            elif "section" in record:
-                if title is None:
-                    raise CorpusError(f"{path}:{lineno}: section record before any page")
-                section = tuple(record["section"])
-            elif "text" in record:
-                if title is None:
-                    raise CorpusError(f"{path}:{lineno}: text record before any page")
-                for block in record["text"].split("\n\n"):
-                    if block.strip():
-                        items.append((section, block))
-            else:
-                raise CorpusError(
-                    f"{path}:{lineno}: record needs one of page/section/text"
-                )
+    for lineno, line in read_lines(path, CorpusError):
+        if not line.strip():
+            continue
+        record = json_object(line, f"{path}:{lineno}", CorpusError)
+        if "page" in record:
+            if title is not None:
+                yield Document(title=title, items=tuple(items))
+            title = record["page"]
+            section = ()
+            items = []
+        elif "section" in record:
+            if title is None:
+                raise CorpusError(f"{path}:{lineno}: section record before any page")
+            section = tuple(record["section"])
+        elif "text" in record:
+            if title is None:
+                raise CorpusError(f"{path}:{lineno}: text record before any page")
+            for block in record["text"].split("\n\n"):
+                if block.strip():
+                    items.append((section, block))
+        else:
+            raise CorpusError(
+                f"{path}:{lineno}: record needs one of page/section/text"
+            )
     if title is not None:
         yield Document(title=title, items=tuple(items))
 
@@ -296,30 +313,29 @@ def read_heading_dump(path: str | Path) -> Iterator[Document]:
             items.append((tuple(section), " ".join(paragraph)))
             paragraph.clear()
 
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            heading = _heading_level(line)
-            if heading is not None:
-                flush_paragraph()
-                level, text = heading
-                if level == 1:
-                    if title is not None:
-                        yield Document(title=title, items=tuple(items))
-                    title = text
-                    section = []
-                    items = []
-                else:
-                    if title is None:
-                        raise CorpusError(f"{path}:{lineno}: section heading before any page")
-                    depth = level - 2
-                    section = section[:depth] + [text]
-                continue
-            if not line.strip():
-                flush_paragraph()
-                continue
-            if title is None:
-                raise CorpusError(f"{path}:{lineno}: text before any page heading")
-            paragraph.append(line.strip())
+    for lineno, line in read_lines(path, CorpusError):
+        heading = _heading_level(line)
+        if heading is not None:
+            flush_paragraph()
+            level, text = heading
+            if level == 1:
+                if title is not None:
+                    yield Document(title=title, items=tuple(items))
+                title = text
+                section = []
+                items = []
+            else:
+                if title is None:
+                    raise CorpusError(f"{path}:{lineno}: section heading before any page")
+                depth = level - 2
+                section = section[:depth] + [text]
+            continue
+        if not line.strip():
+            flush_paragraph()
+            continue
+        if title is None:
+            raise CorpusError(f"{path}:{lineno}: text before any page heading")
+        paragraph.append(line.strip())
     flush_paragraph()
     if title is not None:
         yield Document(title=title, items=tuple(items))
@@ -403,7 +419,7 @@ def export_triples(triples: Iterable[SyntheticTriple], path: str | Path) -> int:
 def load_triples(path: str | Path) -> list[SyntheticTriple]:
     path = Path(path)
     triples = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, CorpusError).splitlines(), 1):
         if not line.strip():
             continue
         obj = json_object(

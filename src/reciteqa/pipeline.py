@@ -23,15 +23,22 @@ are stored as the transcript prompting.read_answer gives (the answer cue
 line plus the completion), so every extracted answer is re-derivable from
 its raw text by prompting.extract_answer.
 
-run_dataset answers a question list with bounded concurrency through one
-answer_question partial built per run, appending records.jsonl as it goes.
+Each stage is one Backend.generate_batch call on an executor that outlives
+it, so no thread pool is built per batch. answer_question on its own uses
+an executor of max_paths_in_flight workers built for that question.
+run_dataset builds one executor for the whole run, of
+max_questions_in_flight x max_paths_in_flight workers: that is the run's
+cap on requests in flight, and a worker freed by any question's batch
+takes the next queued request at once. It answers up to
+max_questions_in_flight questions at a time on it and appends
+records.jsonl in input order as it goes.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -285,7 +292,7 @@ def answer_question(
     clock: Callable[[], float] = time.monotonic,
 ) -> RunRecord:
     """Answer one question under cfg.scheme and take the plurality vote over
-    its paths' answers.
+    its paths' answers, with at most max_paths_in_flight requests in flight.
 
     Raises PipelineError, carrying the paths, when every path failed, and
     PromptError when the question's own prompt cannot be built. The hint
@@ -293,12 +300,43 @@ def answer_question(
     diversified path's backend_meta, but passages are always decoded from
     the model so the run stays closed-book.
     """
-    started = clock()
     exemplars = tuple(exemplars)
     if fingerprint is None:
         fingerprint = config_fingerprint(
             cfg, exemplars, dialect, tuple(tuple(t) for t in hint_exemplars)
         )
+    with ThreadPoolExecutor(max_workers=max_paths_in_flight) as executor:
+        return _answer(
+            question,
+            executor,
+            cfg=cfg,
+            exemplars=exemplars,
+            backend=backend,
+            hint_exemplars=hint_exemplars,
+            hint_corpus=hint_corpus,
+            dialect=dialect,
+            profile=profile,
+            fingerprint=fingerprint,
+            clock=clock,
+        )
+
+
+def _answer(
+    question: QuestionRecord,
+    executor: Executor,
+    *,
+    cfg: SchemeConfig,
+    exemplars: tuple[Exemplar, ...],
+    backend: Backend,
+    hint_exemplars: Sequence,
+    hint_corpus,
+    dialect: PromptDialect,
+    profile: NormProfile,
+    fingerprint: str,
+    clock: Callable[[], float],
+) -> RunRecord:
+    """answer_question with every model request sent on `executor`."""
+    started = clock()
     scheme = cfg.scheme
     sample_prompt, passage_template, answer_prompt = _question_prompts(
         cfg, exemplars, question.question, hint_exemplars, dialect
@@ -309,7 +347,7 @@ def answer_question(
             GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
             for i in range(n)
         ]
-        return backend.generate_batch(requests_list, max_paths_in_flight)
+        return backend.generate_batch(requests_list, executor=executor)
 
     def _answer_paths(
         entries: Sequence[tuple[str, ...] | RecitationPath],
@@ -330,7 +368,7 @@ def answer_question(
                 continue
             requests_list.append(GenerationRequest(prompt, cfg.answer_params, 1))
             slots.append(i)
-        outcomes = backend.generate_batch(requests_list, max_paths_in_flight)
+        outcomes = backend.generate_batch(requests_list, executor=executor)
         for i, outcome in zip(slots, outcomes):
             paths[i] = _path(entries[i], outcome, cfg)
         return paths
@@ -361,7 +399,7 @@ def answer_question(
             except PromptError:
                 continue
         passages = []
-        for outcome in backend.generate_batch(expansions, max_paths_in_flight):
+        for outcome in backend.generate_batch(expansions, executor=executor):
             if isinstance(outcome, BackendError):
                 continue
             passage = outcome.texts[0].strip()
@@ -475,8 +513,10 @@ def run_dataset(
     max_paths_in_flight: int = 4,
     clock: Callable[[], float] = time.monotonic,
 ) -> Iterator[RunRecord]:
-    """Answer every question (optionally only the first `limit`) with
-    bounded concurrency, emitting records in input order.
+    """Answer every question (optionally only the first `limit`), at most
+    max_questions_in_flight at a time and with at most
+    max_questions_in_flight x max_paths_in_flight requests in flight over
+    the run, emitting records in input order.
 
     With resume, a torn last line of records.jsonl is cut off first; then
     questions whose stored record carries the current config fingerprint
@@ -506,8 +546,13 @@ def run_dataset(
         else:
             records_path.write_text("", encoding="utf-8")
 
+    # One executor for every model request of the run: its worker count is
+    # the run-wide in-flight cap, and a freed worker takes the next queued
+    # request at once, whichever question's batch it belongs to.
+    requests = ThreadPoolExecutor(max_workers=max_questions_in_flight * max_paths_in_flight)
     answer = partial(
-        answer_question,
+        _answer,
+        executor=requests,
         cfg=cfg,
         exemplars=exemplars,
         backend=backend,
@@ -516,7 +561,6 @@ def run_dataset(
         dialect=dialect,
         profile=profile,
         fingerprint=fingerprint,
-        max_paths_in_flight=max_paths_in_flight,
         clock=clock,
     )
 
@@ -546,9 +590,9 @@ def run_dataset(
 
     handle = records_path.open("a", encoding="utf-8") if records_path else None
     try:
-        with ThreadPoolExecutor(max_workers=max_questions_in_flight) as pool:
+        with ThreadPoolExecutor(max_workers=max_questions_in_flight) as questions:
             try:
-                for record, fresh in pool.map(process, records):
+                for record, fresh in questions.map(process, records):
                     if handle and fresh:
                         handle.write(serialize(record) + "\n")
                         handle.flush()
@@ -556,8 +600,9 @@ def run_dataset(
             except KeyboardInterrupt:
                 # Clean drain: running questions finish, queued ones are
                 # dropped; already-written records stay on disk for resume.
-                pool.shutdown(wait=True, cancel_futures=True)
+                questions.shutdown(wait=True, cancel_futures=True)
                 raise
     finally:
+        requests.shutdown()
         if handle:
             handle.close()

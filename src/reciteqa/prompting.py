@@ -1,12 +1,15 @@
 """The prompt grammar: every prompt is rendered here, and every model
 continuation the pipeline parses is read back here.
 
-Every builder feeds its component lists to one renderer, `_render` (frozen
-by the golden files under tests/golden/):
+Every builder feeds its component lists to one renderer (frozen by the
+golden files under tests/golden/):
 
 * a prompt is one block per exemplar plus one target block, joined by the
   dialect's inter-separator (default "\\n\\n\\n"); a block's components are
   joined by the intra-separator (default "\\n\\n");
+* the joined exemplar blocks are the prompt's prefix, rendered and checked
+  once per builder, exemplar set and dialect (`_prefix`), so each prompt
+  renders only its target block (`_render`);
 * a component is a cue line "Cue: text" with the cue Question, Recitation
   (numbered "Recitation <i>" when a block holds several), Answer, Hint,
   Passage or Evidence; its text is rejected, not escaped, when it has
@@ -27,6 +30,7 @@ A passage hint names a corpus paragraph: page title, section-title path and
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import Exemplar, Scheme, json_object
+from .core import Exemplar, Scheme, json_object, read_text
 
 __all__ = [
     "DialectName",
@@ -166,17 +170,22 @@ def _recitation_lines(
     ]
 
 
-def _render(
-    exemplar_blocks: Sequence[Sequence[str]],
-    target_block: Sequence[str],
-    dialect: PromptDialect,
-) -> str:
-    """The one renderer: components joined into blocks, the exemplar blocks
-    and then the target block joined into the prompt, and the dialect
-    rewrite applied to the whole text."""
-    blocks = [*exemplar_blocks, target_block]
+@functools.lru_cache(maxsize=64)
+def _prefix(blocks: Callable[..., list[list[str]]], *key) -> str:
+    """The exemplar blocks `blocks(*key)` renders, joined as they open every
+    prompt built from them. The key is the exemplar set with what else
+    shapes its blocks, and the dialect last; each distinct key is rendered,
+    and its exemplars checked, once. A PromptError is raised, not cached."""
+    dialect = key[-1]
+    return dialect.inter_separator.join(dialect.intra_separator.join(b) for b in blocks(*key))
+
+
+def _render(prefix: str, target_block: Sequence[str], dialect: PromptDialect) -> str:
+    """The one renderer: the exemplar prefix, the inter-separator and the
+    target block's components, with the dialect rewrite applied to the
+    whole text."""
     return dialect.apply(
-        dialect.inter_separator.join(dialect.intra_separator.join(b) for b in blocks)
+        prefix + dialect.inter_separator + dialect.intra_separator.join(target_block)
     )
 
 
@@ -189,21 +198,41 @@ def _check_spec(spec: PromptSpec, kind: str, scheme: Scheme | None = None) -> No
         raise PromptError(f"{kind} prompts require at least one exemplar")
 
 
-def build_recitation_prompt(spec: PromptSpec) -> str:
-    """Question/Recitation exemplar blocks followed by the target question
-    and a trailing "Recitation:" cue."""
-    _check_spec(spec, "recitation", Scheme.RECITE_ANSWER)
-    d = spec.dialect
+def _recitation_blocks(exemplars: Sequence[Exemplar], d: PromptDialect) -> list[list[str]]:
     blocks = []
-    for i, ex in enumerate(spec.exemplars):
+    for i, ex in enumerate(exemplars):
         if not ex.recitations:
             raise PromptError(f"exemplar {i} has no recitations")
         blocks.append([
             _line("Question", ex.question, d, f"exemplar {i} question"),
             *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
         ])
+    return blocks
+
+
+def build_recitation_prompt(spec: PromptSpec) -> str:
+    """Question/Recitation exemplar blocks followed by the target question
+    and a trailing "Recitation:" cue."""
+    _check_spec(spec, "recitation", Scheme.RECITE_ANSWER)
+    d = spec.dialect
+    prefix = _prefix(_recitation_blocks, spec.exemplars, d)
     target = [_line("Question", spec.target_question, d, "target question"), "Recitation:"]
-    return _render(blocks, target, d)
+    return _render(prefix, target, d)
+
+
+def _qa_blocks(
+    exemplars: Sequence[Exemplar], direct: bool, d: PromptDialect
+) -> list[list[str]]:
+    blocks = []
+    for i, ex in enumerate(exemplars):
+        if direct and ex.recitations:
+            raise PromptError(f"exemplar {i} has recitations under the direct scheme")
+        blocks.append([
+            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
+            _line("Question", ex.question, d, f"exemplar {i} question"),
+            _line("Answer", ex.answer, d, f"exemplar {i} answer"),
+        ])
+    return blocks
 
 
 def build_qa_prompt(spec: PromptSpec) -> str:
@@ -221,21 +250,31 @@ def build_qa_prompt(spec: PromptSpec) -> str:
     if direct and spec.target_recitations:
         raise PromptError("direct prompts must not carry target recitations")
     d = spec.dialect
-    blocks = []
-    for i, ex in enumerate(spec.exemplars):
-        if direct and ex.recitations:
-            raise PromptError(f"exemplar {i} has recitations under the direct scheme")
-        blocks.append([
-            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
-            _line("Question", ex.question, d, f"exemplar {i} question"),
-            _line("Answer", ex.answer, d, f"exemplar {i} answer"),
-        ])
+    prefix = _prefix(_qa_blocks, spec.exemplars, direct, d)
     target = [
         *_recitation_lines(spec.target_recitations or (), d, "target recitation"),
         _line("Question", spec.target_question, d, "target question"),
         ANSWER_CUE,
     ]
-    return _render(blocks, target, d)
+    return _render(prefix, target, d)
+
+
+def _multihop_blocks(
+    exemplars: Sequence[Exemplar], recitations_per_hop: int, d: PromptDialect
+) -> list[list[str]]:
+    blocks = []
+    for i, ex in enumerate(exemplars):
+        if len(ex.recitations) != recitations_per_hop:
+            raise PromptError(
+                f"exemplar {i} has {len(ex.recitations)} recitations, "
+                f"expected {recitations_per_hop}"
+            )
+        # At least two recitations, so every cue is numbered.
+        blocks.append([
+            _line("Question", ex.question, d, f"exemplar {i} question"),
+            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
+        ])
+    return blocks
 
 
 def build_multihop_prompt(spec: PromptSpec) -> str:
@@ -247,20 +286,36 @@ def build_multihop_prompt(spec: PromptSpec) -> str:
             f"multihop prompts require recitations_per_hop >= 2, got {spec.recitations_per_hop}"
         )
     d = spec.dialect
-    blocks = []
-    for i, ex in enumerate(spec.exemplars):
-        if len(ex.recitations) != spec.recitations_per_hop:
-            raise PromptError(
-                f"exemplar {i} has {len(ex.recitations)} recitations, "
-                f"expected {spec.recitations_per_hop}"
-            )
-        # At least two recitations, so every cue is numbered.
-        blocks.append([
-            _line("Question", ex.question, d, f"exemplar {i} question"),
-            *_recitation_lines(ex.recitations, d, f"exemplar {i} recitation"),
-        ])
+    prefix = _prefix(_multihop_blocks, spec.exemplars, spec.recitations_per_hop, d)
     target = [_line("Question", spec.target_question, d, "target question"), "Recitation 1:"]
-    return _render(blocks, target, d)
+    return _render(prefix, target, d)
+
+
+def _hint_blocks(exemplars: tuple[tuple[str, str, str], ...], d: PromptDialect) -> list[list[str]]:
+    # Checks every part of each triple, so the passage blocks built after
+    # these cannot fail first.
+    blocks = []
+    for i, (question, hint, passage) in enumerate(exemplars):
+        try:
+            parse_hint(hint)
+        except HintError as exc:
+            raise PromptError(f"exemplar {i} hint is not canonical: {exc}") from None
+        blocks.append([
+            _line("Question", question, d, f"exemplar {i} question"),
+            _line("Hint", hint, d, f"exemplar {i} hint"),
+        ])
+        _check_component(passage, d, f"exemplar {i} passage")
+    return blocks
+
+
+def _passage_blocks(
+    exemplars: tuple[tuple[str, str, str], ...], d: PromptDialect
+) -> list[list[str]]:
+    return [
+        [_line("Hint", hint, d, f"exemplar {i} hint"),
+         _line("Passage", passage, d, f"exemplar {i} passage")]
+        for i, (_, hint, passage) in enumerate(exemplars)
+    ]
 
 
 def build_hint_prompts(
@@ -276,26 +331,25 @@ def build_hint_prompts(
     """
     if not exemplars:
         raise PromptError("hint prompts require at least one exemplar")
-    hint_blocks = []
-    passage_blocks = []
-    for i, (ex_question, hint, passage) in enumerate(exemplars):
-        try:
-            parse_hint(hint)
-        except HintError as exc:
-            raise PromptError(f"exemplar {i} hint is not canonical: {exc}") from None
-        q = _line("Question", ex_question, dialect, f"exemplar {i} question")
-        h = _line("Hint", hint, dialect, f"exemplar {i} hint")
-        p = _line("Passage", passage, dialect, f"exemplar {i} passage")
-        hint_blocks.append([q, h])
-        passage_blocks.append([h, p])
+    exemplars = tuple(tuple(e) for e in exemplars)
+    hint_prefix = _prefix(_hint_blocks, exemplars, dialect)
+    passage_prefix = _prefix(_passage_blocks, exemplars, dialect)
     target = [_line("Question", question, dialect, "target question"), "Hint:"]
-    hint_prompt = _render(hint_blocks, target, dialect)
+    hint_prompt = _render(hint_prefix, target, dialect)
 
     def passage_prompt_template(hint: str) -> str:
         target = [_line("Hint", hint, dialect, "target hint"), "Passage:"]
-        return _render(passage_blocks, target, dialect)
+        return _render(passage_prefix, target, dialect)
 
     return hint_prompt, passage_prompt_template
+
+
+def _evidence_blocks(exemplars: tuple[tuple[str, str], ...], d: PromptDialect) -> list[list[str]]:
+    return [
+        [_line("Evidence", evidence, d, f"exemplar {i} evidence"),
+         _line("Question", question, d, f"exemplar {i} question")]
+        for i, (evidence, question) in enumerate(exemplars)
+    ]
 
 
 def build_question_generation_prompt(
@@ -309,15 +363,23 @@ def build_question_generation_prompt(
         raise PromptError("question generation requires a nonempty passage")
     if not exemplars:
         raise PromptError("question generation requires at least one exemplar")
-    blocks = [
-        [
-            _line("Evidence", evidence, dialect, f"exemplar {i} evidence"),
-            _line("Question", question, dialect, f"exemplar {i} question"),
-        ]
-        for i, (evidence, question) in enumerate(exemplars)
-    ]
+    prefix = _prefix(_evidence_blocks, tuple(tuple(e) for e in exemplars), dialect)
     target = [_line("Evidence", passage, dialect, "target passage"), "Question:"]
-    return _render(blocks, target, dialect)
+    return _render(prefix, target, dialect)
+
+
+def _cot_blocks(
+    exemplars: Sequence[Exemplar], anchor: str, d: PromptDialect
+) -> list[list[str]]:
+    blocks = []
+    for i, ex in enumerate(exemplars):
+        if ex.rationale is None:
+            raise PromptError(f"exemplar {i} has no rationale")
+        q = _line("Question", ex.question, d, f"exemplar {i} question")
+        rationale = _check_component(ex.rationale, d, f"exemplar {i} rationale")
+        answer = _check_component(ex.answer, d, f"exemplar {i} answer")
+        blocks.append([q, f"{ANSWER_CUE} {rationale} {anchor} {answer}."])
+    return blocks
 
 
 def build_cot_prompt(spec: PromptSpec, anchor: str = COT_ANSWER_ANCHOR) -> str:
@@ -325,16 +387,9 @@ def build_cot_prompt(spec: PromptSpec, anchor: str = COT_ANSWER_ANCHOR) -> str:
     followed by "<anchor> <answer>."."""
     _check_spec(spec, "chain-of-thought", Scheme.CHAIN_OF_THOUGHT)
     d = spec.dialect
-    blocks = []
-    for i, ex in enumerate(spec.exemplars):
-        if ex.rationale is None:
-            raise PromptError(f"exemplar {i} has no rationale")
-        q = _line("Question", ex.question, d, f"exemplar {i} question")
-        rationale = _check_component(ex.rationale, d, f"exemplar {i} rationale")
-        answer = _check_component(ex.answer, d, f"exemplar {i} answer")
-        blocks.append([q, f"{ANSWER_CUE} {rationale} {anchor} {answer}."])
+    prefix = _prefix(_cot_blocks, spec.exemplars, anchor, d)
     target = [_line("Question", spec.target_question, d, "target question"), ANSWER_CUE]
-    return _render(blocks, target, d)
+    return _render(prefix, target, d)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +542,7 @@ def _resolve_text(value, directory: Path, what: str) -> str:
         target = directory / value["file"]
         if not target.is_file():
             raise PromptError(f"{what}: referenced file {target} does not exist")
-        return target.read_text(encoding="utf-8").strip()
+        return read_text(target, PromptError).strip()
     raise PromptError(f"{what}: expected a string or a file reference, got {value!r}")
 
 
@@ -496,7 +551,7 @@ def load_prompt_set(directory: str | Path) -> PromptSet:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PromptError(f"prompt set {directory} has no manifest.json")
-    manifest = json_object(manifest_path.read_text(encoding="utf-8"), str(manifest_path), PromptError)
+    manifest = json_object(read_text(manifest_path, PromptError), str(manifest_path), PromptError)
 
     def entries(key: str, names: Sequence[str]) -> tuple[tuple[str, ...], ...]:
         return tuple(

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import json_object
+from .core import json_object, read_text
 
 __all__ = [
     "Bm25Params",
@@ -159,7 +159,7 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> Bm25Index:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, RetrievalError).splitlines()
     if not lines:
         raise RetrievalError(f"{path} is empty")
     header = json_object(lines[0], f"{path}:1", RetrievalError)

@@ -5,6 +5,7 @@ import json
 import socket
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -171,6 +172,29 @@ def test_batch_isolates_failures():
     assert [isinstance(r, GenerationResult) for r in results] == [
         True, True, True, False, True,
     ]
+
+
+def test_batch_on_a_given_executor_runs_on_its_workers():
+    backend = FlakyBackend(fail_prompts={"p3"})
+    requests = [GenerationRequest(f"p{i}", greedy()) for i in range(12)]
+    threads = set()
+    original = backend.generate
+
+    def generate(request):
+        threads.add(threading.current_thread().name)
+        return original(request)
+
+    backend.generate = generate
+    with ThreadPoolExecutor(max_workers=3, thread_name_prefix="shared") as executor:
+        first = backend.generate_batch(requests, executor=executor)
+        second = backend.generate_batch(requests, executor=executor)
+    for results in (first, second):
+        assert isinstance(results[3], Timeout)
+        assert [r.texts[0] for i, r in enumerate(results) if i != 3] == [
+            f"echo:p{i}" for i in range(12) if i != 3
+        ]
+    assert backend.peak <= 3
+    assert threads and all(name.startswith("shared") for name in threads)
 
 
 def test_batch_empty():

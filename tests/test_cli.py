@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from reciteqa.backend import ScriptedBackend
-from reciteqa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_run_config, main
+from reciteqa.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_run_config, main
 from reciteqa.core import Scheme
 from reciteqa.evalkit import NormProfile
 from reciteqa.pipeline import SchemeConfig, default_answer_params, default_recitation_params
@@ -387,23 +387,29 @@ def test_build_corpus_invalid_dump_exits_3(tmp_path):
 
 
 BUILD_CORPUS = ["build-corpus", "dump.jsonl", "--out", "corpus"]
+BUILD_HEADINGS = ["build-corpus", "dump.txt", "--format", "headings", "--out", "headings"]
 INDEX_BUILD = ["index", "build", "--corpus", "corpus", "--out", "idx.jsonl"]
 INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
 
 
 @pytest.mark.parametrize(
-    "target, corrupt, argv",
+    "target, corrupt, argv, located",
     [
-        ("dump.jsonl", lambda t: t.replace("Cairo", "Cairo --- Nile", 1), BUILD_CORPUS),
-        ("corpus/passages.jsonl", lambda t: t[:-20], INDEX_BUILD),
-        ("corpus/passages.jsonl", lambda t: "[1, 2]\n" + t, INDEX_BUILD),
-        ("corpus/passages.jsonl", lambda t: t.replace('"hint":', '"hunt":', 1), INDEX_BUILD),
+        ("dump.jsonl", lambda t: t.replace("Cairo", "Cairo --- Nile", 1), BUILD_CORPUS, ""),
+        ("corpus/passages.jsonl", lambda t: t[:-20], INDEX_BUILD, r"corpus/passages\.jsonl:3: "),
+        ("corpus/passages.jsonl", lambda t: "[1, 2]\n" + t, INDEX_BUILD,
+         r"corpus/passages\.jsonl:1: "),
+        ("corpus/passages.jsonl", lambda t: t.replace('"hint":', '"hunt":', 1), INDEX_BUILD,
+         r"corpus/passages\.jsonl:1: "),
         ("corpus/passages.jsonl", lambda t: t.replace('"para_index":1', '"para_index":0', 1),
-         INDEX_BUILD),
-        ("corpus/hints.idx.jsonl", lambda t: "{\n" + t, INDEX_BUILD),
-        ("idx.jsonl", lambda t: t[:-5], INDEX_QUERY),
-        ("idx.jsonl", lambda t: re.sub(r'"doc_count": \d+, ', "", t, count=1), INDEX_QUERY),
-        ("idx.jsonl", lambda t: t + '{"term": "nile", "postings": [["x"]]}\n', INDEX_QUERY),
+         INDEX_BUILD, r"corpus/passages\.jsonl:1: "),
+        ("corpus/hints.idx.jsonl", lambda t: "{\n" + t, INDEX_BUILD,
+         r"corpus/hints\.idx\.jsonl:1: "),
+        ("idx.jsonl", lambda t: t[:-5], INDEX_QUERY, r"idx\.jsonl:\d+: "),
+        ("idx.jsonl", lambda t: re.sub(r'"doc_count": \d+, ', "", t, count=1), INDEX_QUERY,
+         r"idx\.jsonl: "),
+        ("idx.jsonl", lambda t: t + '{"term": "nile", "postings": [["x"]]}\n', INDEX_QUERY,
+         r"idx\.jsonl:\d+: "),
     ],
     ids=[
         "title-holds-hint-delimiter", "torn-passage-line", "passage-row-not-object",
@@ -411,7 +417,9 @@ INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
         "truncated-index", "index-header-without-doc-count", "malformed-postings",
     ],
 )
-def test_corrupt_corpus_or_index_exits_3(tmp_path, monkeypatch, capsys, target, corrupt, argv):
+def test_corrupt_corpus_or_index_exits_3(
+    tmp_path, monkeypatch, capsys, target, corrupt, argv, located
+):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dump.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8"
@@ -423,7 +431,59 @@ def test_corrupt_corpus_or_index_exits_3(tmp_path, monkeypatch, capsys, target, 
     path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
-    assert capsys.readouterr().err.startswith("data error: ")
+    # The message leads with the file and, for a row, its line.
+    assert re.match(f"data error: {located}", capsys.readouterr().err)
+
+
+RUN = ["run", "--config", "config.json"]
+
+
+@pytest.mark.parametrize(
+    "target, argv, code, kind",
+    [
+        ("questions.jsonl", RUN, EXIT_DATA, "data"),
+        ("runs/main/run.json", ["analyze", "runs/main", "--out", "out"], EXIT_DATA, "data"),
+        ("corpus/passages.jsonl", INDEX_BUILD, EXIT_DATA, "data"),
+        ("corpus/hints.idx.jsonl", INDEX_BUILD, EXIT_DATA, "data"),
+        ("idx.jsonl", INDEX_QUERY, EXIT_DATA, "data"),
+        ("config.json", RUN, EXIT_CONFIG, "config"),
+        ("prompts/manifest.json", RUN, EXIT_CONFIG, "config"),
+        ("prompts/answer0.txt", RUN, EXIT_CONFIG, "config"),
+        ("script.json", RUN, EXIT_BACKEND, "backend"),
+        ("dump.jsonl", BUILD_CORPUS, EXIT_DATA, "data"),
+        ("dump.txt", BUILD_HEADINGS, EXIT_DATA, "data"),
+    ],
+    ids=[
+        "dataset", "run-json", "passages", "hint-index", "bm25-index", "config",
+        "prompt-manifest", "prompt-exemplar-file", "script", "dump", "heading-dump",
+    ],
+)
+def test_non_utf8_input_exits_with_its_error_naming_the_file(
+    workspace, monkeypatch, capsys, target, argv, code, kind
+):
+    monkeypatch.chdir(workspace)
+    (workspace / "dump.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8"
+    )
+    (workspace / "dump.txt").write_text("= Nile =\nThe Nile is a river.\n", encoding="utf-8")
+    # The first exemplar's answer moves to a file the manifest references.
+    manifest_path = workspace / "prompts" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    answer = manifest["exemplars"][0]["answer"]
+    (workspace / "prompts" / "answer0.txt").write_text(answer, encoding="utf-8")
+    manifest["exemplars"][0]["answer"] = {"file": "answer0.txt"}
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    for setup in (RUN, BUILD_CORPUS, INDEX_BUILD, BUILD_HEADINGS):
+        assert main(setup) == EXIT_OK
+    path = workspace / target
+    # A UTF-16 byte-order mark: the file was saved in the wrong encoding.
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{kind} error: ") and "not UTF-8 text" in err
+    assert Path(target).name in err
+    assert not (workspace / "out").exists()
 
 
 def test_gen_questions(workspace, capsys):

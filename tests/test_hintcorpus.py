@@ -164,6 +164,16 @@ def test_corpus_load_detects_stale_index(tmp_path):
         Corpus.load(tmp_path / "corpus")
 
 
+def test_corpus_load_names_the_line_of_a_repeated_hint(tmp_path):
+    build_corpus([fixture_doc()]).save(tmp_path / "corpus")
+    passages = tmp_path / "corpus" / "passages.jsonl"
+    lines = passages.read_text(encoding="utf-8").splitlines(keepends=True)
+    passages.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    (tmp_path / "corpus" / "hints.idx.jsonl").unlink()
+    with pytest.raises(CorpusError, match=r"passages\.jsonl:4: duplicate passage hint"):
+        Corpus.load(tmp_path / "corpus")
+
+
 def test_golden_corpus_records_round_trip():
     from reciteqa.hintcorpus import _passage_from_line, _passage_to_line
 
@@ -324,3 +334,11 @@ def test_export_round_trip(tmp_path):
     path = tmp_path / "triples.jsonl"
     assert export_triples(triples, path) == 2
     assert load_triples(path) == triples
+
+
+def test_load_triples_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "triples.jsonl"
+    export_triples([SyntheticTriple("q", "Page 1 --- Paragraph #1", "text")], path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    with pytest.raises(CorpusError, match=r"triples\.jsonl: not UTF-8 text"):
+        load_triples(path)

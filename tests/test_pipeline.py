@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -678,6 +681,94 @@ def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path
     assert calls["deserialize"] == 1
     assert calls["build_recitation_prompt"] == 1
 
+
+def within(seconds, fn):
+    """fn() on a daemon thread; fails, rather than hangs, after `seconds`."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class InFlightBackend(Backend):
+    """Holds each request for a moment and records how many overlap and
+    which threads send them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.threads = set()
+
+    def generate(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.current_thread())
+        try:
+            time.sleep(0.002)
+            return self.inner.generate(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_run_dataset_caps_requests_in_flight_run_wide():
+    questions, cfg, scripted = dataset_fixture(6, n_paths=5)
+    backend = InFlightBackend(scripted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        records = within(30, lambda: list(run_dataset(
+            questions, cfg, EXEMPLARS, backend, max_questions_in_flight=2,
+            max_paths_in_flight=3, clock=ZERO_CLOCK,
+        )))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.voted_answer for r in records] == [f"gold {i}" for i in range(6)]
+    assert 2 <= backend.peak <= 2 * 3
+    # One set of request workers serves the whole run.
+    assert len(backend.threads) <= 2 * 3
+
+
+def test_interrupted_run_keeps_whole_records_and_resumes_byte_identical(tmp_path):
+    questions, cfg, backend = dataset_fixture(6)
+    run = dict(max_questions_in_flight=2, max_paths_in_flight=2, clock=ZERO_CLOCK)
+    clean = tmp_path / "clean"
+    list(run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=clean, **run))
+    interrupted = tmp_path / "interrupted"
+    records = run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=interrupted, **run)
+
+    def interrupt_after_two():
+        next(records)
+        next(records)
+        with pytest.raises(KeyboardInterrupt):
+            records.throw(KeyboardInterrupt)
+
+    threads_before = threading.active_count()
+    within(30, interrupt_after_two)
+    text = (interrupted / "records.jsonl").read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert [deserialize(line).question_id for line in text.splitlines()] == ["q0", "q1"]
+    # The drain joined every worker the run started.
+    assert threading.active_count() <= threads_before
+    within(30, lambda: list(run_dataset(
+        questions, cfg, EXEMPLARS, backend, run_dir=interrupted, resume=True, **run
+    )))
+    assert (interrupted / "records.jsonl").read_bytes() == (clean / "records.jsonl").read_bytes()
 
 SCHEME_EXEMPLARS = {
     Scheme.DIRECT: EXEMPLARS,

@@ -486,7 +486,9 @@ class CachingBackend(Backend):
             return
         try:
             truncate_torn_tail(self._path)
-            lines = self._path.read_text(encoding="utf-8").splitlines()
+            # Lines end at "\n" only: canonical JSON writes U+2028 and its
+            # kin unescaped inside an entry.
+            lines = self._path.read_bytes().split(b"\n")
         except OSError as exc:
             logger.warning("cannot read cache %s: %s", self._path, exc)
             return
@@ -494,7 +496,8 @@ class CachingBackend(Backend):
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                # UnicodeDecodeError is a ValueError.
+                entry = json.loads(line.decode("utf-8"))
                 key = entry["key"]
                 texts = tuple(str(t) for t in entry["texts"])
                 meta = {str(k): str(v) for k, v in entry.get("meta", {}).items()}

@@ -347,11 +347,13 @@ def decode_utf8(data: bytes, where: str, error: type[Exception]) -> str:
 
 
 def read_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
-    """The numbered lines of an outside input file as it is read; a line
-    that is not UTF-8 raises `error` naming the file and line."""
+    """The numbered lines of an outside input file as it is read, without
+    their "\\n"; a line that is not UTF-8 raises `error` naming the file and
+    line. Lines end at "\\n" only, so U+2028 and its kin, which canonical
+    JSON writes unescaped, stay inside their line."""
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, 1):
-            yield lineno, decode_utf8(line, f"{path}:{lineno}", error)
+            yield lineno, decode_utf8(line.removesuffix(b"\n"), f"{path}:{lineno}", error)
 
 
 def params_to_dict(p: SamplingParams) -> dict:

@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (
-    Dataset, ParseError, QuestionRecord, deserialize, json_object, read_text, validate
+    Dataset, ParseError, QuestionRecord, deserialize, json_object, read_lines, read_text,
+    validate,
 )
 
 __all__ = ["DataError", "ADAPTERS", "load_questions", "default_shots"]
@@ -36,7 +37,7 @@ def _check(record: QuestionRecord, where: str) -> QuestionRecord:
 
 def read_nq(path: Path) -> list[QuestionRecord]:
     records = []
-    for lineno, line in enumerate(read_text(path, DataError).splitlines(), 1):
+    for lineno, line in read_lines(path, DataError):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -123,7 +124,7 @@ def read_hotpotqa(path: Path) -> list[QuestionRecord]:
 
 def read_native_records(path: Path) -> list[QuestionRecord]:
     records = []
-    for lineno, line in enumerate(read_text(path, DataError).splitlines(), 1):
+    for lineno, line in read_lines(path, DataError):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"

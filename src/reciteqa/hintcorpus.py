@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
 from .core import (
-    SamplingParams, canonical_json, decode_utf8, json_object, read_lines, read_text
+    SamplingParams, canonical_json, decode_utf8, json_object, read_lines
 )
 from .pipeline import _derived_params, default_recitation_params
 from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
@@ -170,8 +170,7 @@ class Corpus:
                 linenos.append(lineno)
                 offsets[passage.hint] = offset
         if index_path.is_file():
-            lines = read_text(index_path, CorpusError).splitlines()
-            for lineno, line in enumerate(lines, 1):
+            for lineno, line in read_lines(index_path, CorpusError):
                 if not line.strip():
                     continue
                 row = json_object(
@@ -247,6 +246,17 @@ def build_corpus(docs: Iterable[Document]) -> Corpus:
     return Corpus(passages)
 
 
+def _check_titles(titles: Sequence, where: str) -> None:
+    """Raise CorpusError led by `where` when a page title and its section
+    path cannot form a hint."""
+    if not all(isinstance(title, str) for title in titles):
+        raise CorpusError(f"{where}: titles must be strings: {list(titles)!r}")
+    try:
+        make_hint(titles[0], titles[1:], 1)
+    except HintError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
+
+
 def read_dump(path: str | Path) -> Iterator[Document]:
     """Native dump format: one JSON record per line, {"page": title} starts
     a page, {"section": [titles...]} switches the section path, and
@@ -258,8 +268,10 @@ def read_dump(path: str | Path) -> Iterator[Document]:
     for lineno, line in read_lines(path, CorpusError):
         if not line.strip():
             continue
-        record = json_object(line, f"{path}:{lineno}", CorpusError)
+        where = f"{path}:{lineno}"
+        record = json_object(line, where, CorpusError)
         if "page" in record:
+            _check_titles((record["page"],), where)
             if title is not None:
                 yield Document(title=title, items=tuple(items))
             title = record["page"]
@@ -267,18 +279,17 @@ def read_dump(path: str | Path) -> Iterator[Document]:
             items = []
         elif "section" in record:
             if title is None:
-                raise CorpusError(f"{path}:{lineno}: section record before any page")
+                raise CorpusError(f"{where}: section record before any page")
             section = tuple(record["section"])
+            _check_titles((title, *section), where)
         elif "text" in record:
             if title is None:
-                raise CorpusError(f"{path}:{lineno}: text record before any page")
+                raise CorpusError(f"{where}: text record before any page")
             for block in record["text"].split("\n\n"):
                 if block.strip():
                     items.append((section, block))
         else:
-            raise CorpusError(
-                f"{path}:{lineno}: record needs one of page/section/text"
-            )
+            raise CorpusError(f"{where}: record needs one of page/section/text")
     if title is not None:
         yield Document(title=title, items=tuple(items))
 
@@ -318,7 +329,9 @@ def read_heading_dump(path: str | Path) -> Iterator[Document]:
         if heading is not None:
             flush_paragraph()
             level, text = heading
+            where = f"{path}:{lineno}"
             if level == 1:
+                _check_titles((text,), where)
                 if title is not None:
                     yield Document(title=title, items=tuple(items))
                 title = text
@@ -326,9 +339,10 @@ def read_heading_dump(path: str | Path) -> Iterator[Document]:
                 items = []
             else:
                 if title is None:
-                    raise CorpusError(f"{path}:{lineno}: section heading before any page")
+                    raise CorpusError(f"{where}: section heading before any page")
                 depth = level - 2
                 section = section[:depth] + [text]
+                _check_titles((title, *section), where)
             continue
         if not line.strip():
             flush_paragraph()
@@ -419,7 +433,7 @@ def export_triples(triples: Iterable[SyntheticTriple], path: str | Path) -> int:
 def load_triples(path: str | Path) -> list[SyntheticTriple]:
     path = Path(path)
     triples = []
-    for lineno, line in enumerate(read_text(path, CorpusError).splitlines(), 1):
+    for lineno, line in read_lines(path, CorpusError):
         if not line.strip():
             continue
         obj = json_object(

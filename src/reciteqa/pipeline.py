@@ -14,7 +14,10 @@ the same two stages:
   rationales (whose paths are final) or passage hints (whose unique hints
   are then greedily expanded into passages);
 * answering greedily answers each path on its own recitations: direct is
-  one path with none, diversified one path over all its passages.
+  one path with none, diversified one path over all its passages. Paths
+  whose recitations are identical are answered by one request, whose
+  outcome (answer or failure) they all carry, so a K-path question costs
+  K + d requests, where d is its number of distinct recitation tuples.
 
 A path whose sample, answer prompt or answer fails is recorded as failed,
 with its cause in backend_meta["error"], and is left out of the plurality
@@ -354,13 +357,21 @@ def _answer(
     ) -> list[RecitationPath]:
         # Greedily answer each entry on its recitations; an entry that is
         # already a failed path passes through. Model text that breaks the
-        # prompt grammar fails its own path, never the question.
+        # prompt grammar fails its own path, never the question. A greedy
+        # answer depends only on its recitations, so each distinct entry is
+        # rendered and sent once, and its repeats take that leader's path.
         paths = list(entries)
         requests_list = []
         slots = []
+        leaders: dict[tuple[str, ...], int] = {}
+        repeats = []
         for i, entry in enumerate(entries):
             if isinstance(entry, RecitationPath):
                 continue
+            if entry in leaders:
+                repeats.append((i, leaders[entry]))
+                continue
+            leaders[entry] = i
             try:
                 prompt = answer_prompt(entry)
             except PromptError as exc:
@@ -371,6 +382,8 @@ def _answer(
         outcomes = backend.generate_batch(requests_list, executor=executor)
         for i, outcome in zip(slots, outcomes):
             paths[i] = _path(entries[i], outcome, cfg)
+        for i, leader in repeats:
+            paths[i] = paths[leader]
         return paths
 
     if scheme is Scheme.DIRECT:
@@ -478,16 +491,19 @@ def check_exemplar_prompts(
 
 def load_run_records(path: str | Path) -> dict[str, RunRecord]:
     """Read a records file keeping the last record per question id; trailing
-    partial lines (from an interrupted run) are skipped with a warning."""
+    partial lines (from an interrupted run) and lines that are not UTF-8 are
+    skipped with a warning. Lines end at "\\n" only: canonical JSON writes
+    U+2028 and its kin unescaped inside a record."""
     path = Path(path)
     records: dict[str, RunRecord] = {}
     if not path.exists():
         return records
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
         if not line.strip():
             continue
         try:
-            record = deserialize(line)
+            # UnicodeDecodeError is a ValueError.
+            record = deserialize(line.decode("utf-8"))
         except ValueError as exc:
             logger.warning("skipping unreadable record at %s:%d: %s", path, lineno, exc)
             continue

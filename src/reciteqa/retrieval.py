@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import json_object, read_text
+from .core import json_object, read_lines
 
 __all__ = [
     "Bm25Params",
@@ -159,10 +159,11 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> Bm25Index:
     path = Path(path)
-    lines = read_text(path, RetrievalError).splitlines()
-    if not lines:
+    lines = read_lines(path, RetrievalError)
+    first = next(lines, None)
+    if first is None:
         raise RetrievalError(f"{path} is empty")
-    header = json_object(lines[0], f"{path}:1", RetrievalError)
+    header = json_object(first[1], f"{path}:1", RetrievalError)
     if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_VERSION:
         raise RetrievalError(f"{path} is not a version-{INDEX_VERSION} {INDEX_FORMAT} file")
     for name in ("doc_count", "avg_doc_len", "k1", "b"):
@@ -170,7 +171,7 @@ def load_index(path: str | Path) -> Bm25Index:
             raise RetrievalError(f"{path}: header field {name!r} must be a number")
     doc_lengths: dict[str, int] = {}
     postings: dict[str, tuple[tuple[str, int], ...]] = {}
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         row = json_object(line, f"{path}:{lineno}", RetrievalError)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from reciteqa.backend import ScriptedBackend
+from reciteqa.backend import Backend, ScriptedBackend
 from reciteqa.core import Dataset, Exemplar, QuestionRecord, Scheme
 from reciteqa.pipeline import SchemeConfig
 from reciteqa.prompting import DEFAULT_DIALECT, PromptSpec, build_qa_prompt, build_recitation_prompt
@@ -53,6 +53,24 @@ HINT_EXEMPLAR = (
     "Child support --- Compliance and enforcement issues --- Enforcement --- Paragraph #2",
     "Child support enforcement measures include wage garnishment and the suspension of licenses.",
 )
+
+
+class CountingBackend(Backend):
+    """Passes every request to `inner` and counts it; safe across the
+    request threads of a run."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.requests = []
+
+    @property
+    def calls(self) -> int:
+        return len(self.requests)
+
+    def generate(self, request):
+        self.requests.append(request)
+        return self.inner.generate(request)
 
 
 def make_question(

@@ -29,6 +29,8 @@ from reciteqa.backend import (
 from reciteqa.core import SamplingParams, Strategy
 from reciteqa.pipeline import default_recitation_params
 
+from helpers import CountingBackend
+
 
 def greedy(max_tokens=32, stops=()) -> SamplingParams:
     return SamplingParams(
@@ -260,6 +262,38 @@ def test_cache_corrupt_line_degrades_to_miss(tmp_path):
     result = cached.generate(GenerationRequest("P", greedy()))
     assert result.cache_hit is False
     assert result.texts == ("A",)
+
+
+def test_cache_entry_holding_line_separators_hits_after_reload(tmp_path):
+    # canonical JSON writes U+2028, U+2029 and U+0085 unescaped; they are
+    # not line ends of the cache file.
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    inner.register("P\u2028prompt", ["one\u2028two\u2029three\x85four"])
+    request = GenerationRequest("P\u2028prompt", greedy())
+    CachingBackend(inner, path).generate(request)
+    size = path.stat().st_size
+    counting = CountingBackend(inner)
+    result = CachingBackend(counting, path).generate(request)
+    assert result.cache_hit is True
+    assert result.texts == ("one\u2028two\u2029three\x85four",)
+    assert counting.calls == 0
+    assert path.stat().st_size == size
+
+
+def test_cache_line_that_is_not_utf8_is_skipped_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    inner.register("P", ["A"])
+    inner.register("Q", ["B"])
+    CachingBackend(inner, path).generate(GenerationRequest("P", greedy()))
+    with path.open("ab") as handle:
+        handle.write(b"\xff\xfe{}\n")
+    CachingBackend(inner, path).generate(GenerationRequest("Q", greedy()))
+    revived = CachingBackend(ScriptedBackend(), path)
+    assert revived.generate(GenerationRequest("P", greedy())).texts == ("A",)
+    assert revived.generate(GenerationRequest("Q", greedy())).texts == ("B",)
+    assert f"corrupt cache line 2 in {path}" in caplog.text
 
 
 def test_cache_first_write_wins(tmp_path):

@@ -395,7 +395,8 @@ INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
 @pytest.mark.parametrize(
     "target, corrupt, argv, located",
     [
-        ("dump.jsonl", lambda t: t.replace("Cairo", "Cairo --- Nile", 1), BUILD_CORPUS, ""),
+        ("dump.jsonl", lambda t: t.replace("Cairo", "Cairo --- Nile", 1), BUILD_CORPUS,
+         r"dump\.jsonl:\d+: "),
         ("corpus/passages.jsonl", lambda t: t[:-20], INDEX_BUILD, r"corpus/passages\.jsonl:3: "),
         ("corpus/passages.jsonl", lambda t: "[1, 2]\n" + t, INDEX_BUILD,
          r"corpus/passages\.jsonl:1: "),

@@ -236,6 +236,19 @@ def test_prompting_builds_on_core_alone_and_imports_are_module_level():
     }
 
 
+def test_no_module_splits_file_text_with_splitlines():
+    # str.splitlines also breaks on U+2028, U+2029 and U+0085, which
+    # canonical JSON writes unescaped inside a record; core.read_lines,
+    # which ends lines at "\n" only, is the one JSONL line reader.
+    package = Path(reciteqa.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "splitlines":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def test_importing_the_package_loads_no_third_party_http_client():
     # Importing requests and urllib3 costs far more than the stdlib client
     # the package uses; a stray import would tax every command's start-up.

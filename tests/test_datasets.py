@@ -27,6 +27,15 @@ def test_nq_adapter(tmp_path):
     assert records[1].hop_count == 1
 
 
+def test_nq_line_holding_a_line_separator_is_one_question(tmp_path):
+    # ensure_ascii=False leaves U+2028 raw in the file; it is not a line end.
+    row = {"question": "which city\u2028hosted the games", "answer": "Rome"}
+    path = tmp_path / "nq.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    [record] = load_questions(path, "nq")
+    assert record.question == "which city\u2028hosted the games"
+
+
 def test_nq_adapter_bad_line(tmp_path):
     path = tmp_path / "nq.jsonl"
     path.write_text('{"question": "q"}\n', encoding="utf-8")

@@ -225,6 +225,25 @@ def test_read_dump_errors_name_line(tmp_path):
     assert ":1:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "reader, text, where",
+    [
+        (read_dump, '{"page": "Cairo --- Nile"}\n{"text": "x"}\n', ":1: "),
+        (read_dump, '{"page": "Cairo"}\n{"section": ["A", "B --- C"]}\n', ":2: "),
+        (read_dump, '{"page": 7}\n', ":1: "),
+        (read_heading_dump, "= Cairo --- Nile =\nx\n", ":1: "),
+        (read_heading_dump, "= Cairo =\nx\n\n== A --- B ==\ny\n", ":4: "),
+    ],
+    ids=["page", "section", "page-not-string", "heading-page", "heading-section"],
+)
+def test_dump_title_that_cannot_form_a_hint_names_its_line(tmp_path, reader, text, where):
+    path = tmp_path / "dump"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        list(reader(path))
+    assert str(err.value).startswith(f"{path}{where}")
+
+
 def test_read_heading_dump(tmp_path):
     text = """= Child support =
 
@@ -340,5 +359,5 @@ def test_load_triples_not_utf8_names_the_file(tmp_path):
     path = tmp_path / "triples.jsonl"
     export_triples([SyntheticTriple("q", "Page 1 --- Paragraph #1", "text")], path)
     path.write_bytes(b"\xff\xfe" + path.read_bytes())
-    with pytest.raises(CorpusError, match=r"triples\.jsonl: not UTF-8 text"):
+    with pytest.raises(CorpusError, match=r"triples\.jsonl:1: not UTF-8 text"):
         load_triples(path)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from reciteqa.backend import Backend, ScriptedBackend, prompt_key
+from reciteqa.backend import Backend, MalformedResponse, ScriptedBackend, prompt_key
 from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, validate
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
@@ -42,6 +42,7 @@ from helpers import (
     HINT_EXEMPLAR,
     LONDON_EXEMPLAR,
     MULTIHOP_EXEMPLAR,
+    CountingBackend,
     make_question,
     script_recite_run,
 )
@@ -205,6 +206,115 @@ def test_recite_all_paths_failed_errors():
     backend = ScriptedBackend()  # nothing registered: every request misses
     with pytest.raises(PipelineError):
         answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+
+
+# ---------------------------------------------------------------------------
+# answer dedup: one answer request per distinct recitation tuple
+
+
+def count_qa_prompts(monkeypatch):
+    from reciteqa import pipeline
+
+    rendered = []
+
+    def counted(spec):
+        rendered.append(spec.target_recitations)
+        return build_qa_prompt(spec)
+
+    monkeypatch.setattr(pipeline, "build_qa_prompt", counted)
+    return rendered
+
+
+def test_recite_answers_each_distinct_recitation_once(monkeypatch):
+    question = make_question("q1", "which city hosted the event", ("rome",))
+    cfg = scheme_config(Scheme.RECITE_ANSWER, n_paths=6)
+    backend = ScriptedBackend()
+    # Path i draws recitation i % 3: three distinct recitations, each twice.
+    recitations = ["Fact A.", "Fact B.", "Fact C."]
+    script_recite_run(
+        backend, question, EXEMPLARS, cfg, recitations,
+        lambda r: " paris" if r == "Fact C." else " rome",
+    )
+    counting = CountingBackend(backend)
+    rendered = count_qa_prompts(monkeypatch)
+    record = answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    assert counting.calls == 6 + 3
+    assert rendered == [("Fact A.",), ("Fact B.",), ("Fact C.",)]
+    assert [p.recitations[0] for p in record.paths] == recitations * 2
+    assert [p.extracted_answer for p in record.paths] == ["rome", "rome", "paris"] * 2
+    assert record.paths[3] == record.paths[0]
+    assert validate(record) == []
+
+
+def test_multihop_answers_each_distinct_recitation_tuple_once(monkeypatch):
+    outputs = [
+        " The attacks hit the Taj Mahal Palace Hotel.\n\n"
+        "Recitation 2: The Taj is owned by The Indian Hotels Company.",
+        " The Taj hotel was attacked.\n\nRecitation 2: IHCL runs the Taj hotels.",
+    ]
+    question, cfg, backend = multihop_fixture(outputs, n_paths=5)
+    counting = CountingBackend(backend)
+    rendered = count_qa_prompts(monkeypatch)
+    record = answer_question(question, cfg, (MULTIHOP_EXEMPLAR,), counting, clock=ZERO_CLOCK)
+    assert counting.calls == 5 + 2
+    assert rendered == [split_numbered_recitations(output, 2) for output in outputs]
+    assert [p.recitations for p in record.paths] == [
+        split_numbered_recitations(outputs[i % 2], 2) for i in range(5)
+    ]
+    assert not any(p.failed for p in record.paths)
+
+
+class FailingBackend(ScriptedBackend):
+    """Scripted, except that each prompt in `failing` raises
+    MalformedResponse."""
+
+    def __init__(self, failing=()):
+        super().__init__()
+        self.failing = set(failing)
+
+    def generate(self, request):
+        if request.prompt in self.failing:
+            raise MalformedResponse("response carries 0 choices, expected 1")
+        return super().generate(request)
+
+
+def test_failed_answer_fails_every_path_sharing_its_recitation():
+    run = _golden_recite_dedup_run()
+    counting = CountingBackend(run["backend"])
+    [question] = run["records"]
+    record = answer_question(question, run["cfg"], run["exemplars"], counting, clock=ZERO_CLOCK)
+    assert counting.calls == 6 + 3
+    failed = [i for i, p in enumerate(record.paths) if p.failed]
+    assert failed == [2, 5]
+    assert record.paths[2].backend_meta == record.paths[5].backend_meta == {
+        "error": "MalformedResponse: response carries 0 choices, expected 1"
+    }
+    assert record.voted_answer == "rome"
+
+
+def test_prompt_error_fails_every_path_sharing_its_recitation(monkeypatch):
+    question = make_question("q1", "which city hosted the event", ("rome",))
+    cfg = scheme_config(Scheme.RECITE_ANSWER, n_paths=4)
+    backend = ScriptedBackend()
+    # "\n\n" inside a recitation breaks the answer prompt's grammar.
+    backend.register(
+        build_recitation_prompt(
+            PromptSpec(
+                scheme=Scheme.RECITE_ANSWER, exemplars=EXEMPLARS, target_question=question.question
+            )
+        ),
+        ["Fact A.", "Para\n\nB."],
+    )
+    backend.register(_qa(Scheme.RECITE_ANSWER, EXEMPLARS, question, ("Fact A.",)), [" rome"])
+    counting = CountingBackend(backend)
+    rendered = count_qa_prompts(monkeypatch)
+    record = answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    assert counting.calls == 4 + 1
+    assert len(rendered) == 2
+    assert [p.failed for p in record.paths] == [False, True, False, True]
+    assert record.paths[1] == record.paths[3]
+    assert record.paths[3].backend_meta["error"].startswith("PromptError: ")
+    assert record.voted_answer == "rome"
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +609,6 @@ def dataset_fixture(n_questions=3, n_paths=3, n_correct=3):
     return questions, cfg, backend
 
 
-class CountingBackend(Backend):
-    def __init__(self, inner):
-        self.inner = inner
-        self.backend_id = inner.backend_id
-        self.calls = 0
-
-    def generate(self, request):
-        self.calls += 1
-        return self.inner.generate(request)
-
-
 def test_run_dataset_order_and_limit():
     questions, cfg, backend = dataset_fixture(3)
     records = list(
@@ -562,6 +661,40 @@ def test_run_dataset_resume_cuts_torn_tail(tmp_path):
     lines = records_path.read_text(encoding="utf-8").splitlines()
     assert [deserialize(line).question_id for line in lines] == ["q0", "q1", "q2"]
     assert lines[1] == q1_line
+
+
+def test_records_holding_line_separators_round_trip_and_resume(tmp_path):
+    # canonical JSON writes U+2028, U+2029 and U+0085 unescaped; they are
+    # not line ends of records.jsonl.
+    question = make_question("q0", "which city hosted the event", ("rome",))
+    cfg = scheme_config(Scheme.RECITE_ANSWER)
+    backend = ScriptedBackend()
+    recitations = [f"Fact\u2028sheet\u2029number\x85{i}." for i in range(3)]
+    script_recite_run(backend, question, EXEMPLARS, cfg, recitations, lambda r: " ro\u2028me")
+    run_dir = tmp_path / "run"
+    [record] = run_dataset([question], cfg, EXEMPLARS, backend, run_dir=run_dir, clock=ZERO_CLOCK)
+    assert record.paths[0].recitations == (recitations[0],)
+    assert record.voted_answer == "ro\u2028me"
+    assert load_run_records(run_dir / "records.jsonl") == {"q0": record}
+    counting = CountingBackend(backend)
+    resumed = list(
+        run_dataset(
+            [question], cfg, EXEMPLARS, counting, run_dir=run_dir, resume=True, clock=ZERO_CLOCK
+        )
+    )
+    assert resumed == [record]
+    assert counting.calls == 0
+
+
+def test_load_run_records_skips_a_line_that_is_not_utf8(tmp_path, caplog):
+    questions, cfg, backend = dataset_fixture(2)
+    run_dir = tmp_path / "run"
+    records = list(run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=run_dir, clock=ZERO_CLOCK))
+    path = run_dir / "records.jsonl"
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + b"\xff\xfe" + first + second)
+    assert load_run_records(path) == {r.question_id: r for r in records}
+    assert f"skipping unreadable record at {path}:2" in caplog.text
 
 
 def test_run_dataset_resume_retries_all_failed_question(tmp_path):
@@ -958,12 +1091,28 @@ def _golden_diversified_run():
     )
 
 
+def _golden_recite_dedup_run():
+    # Six paths over three distinct recitations; the answer request for
+    # the third fails, so both of its paths fail and the others vote.
+    cfg = scheme_config(Scheme.RECITE_ANSWER, n_paths=6)
+    question = make_question("recite-dedup", "which city hosted the olympics", ("rome",))
+    recitations = ["Fact sheet A.", "Fact sheet B.", "Fact sheet C."]
+    failing = _qa(Scheme.RECITE_ANSWER, EXEMPLARS, question, ("Fact sheet C.",))
+    backend = FailingBackend([failing])
+    script_recite_run(
+        backend, question, EXEMPLARS, cfg, recitations,
+        lambda r: " paris" if r.endswith("B.") else " rome",
+    )
+    return dict(records=[question], cfg=cfg, exemplars=EXEMPLARS, backend=backend)
+
+
 GOLDEN_SCHEME_RUNS = (
     _golden_direct_run,
     _golden_recite_run,
     _golden_multihop_run,
     _golden_cot_run,
     _golden_diversified_run,
+    _golden_recite_dedup_run,
 )
 
 

@@ -246,15 +246,18 @@ def build_corpus(docs: Iterable[Document]) -> Corpus:
     return Corpus(passages)
 
 
-def _check_titles(titles: Sequence, where: str) -> None:
-    """Raise CorpusError led by `where` when a page title and its section
-    path cannot form a hint."""
-    if not all(isinstance(title, str) for title in titles):
-        raise CorpusError(f"{where}: titles must be strings: {list(titles)!r}")
-    try:
-        make_hint(titles[0], titles[1:], 1)
-    except HintError as exc:
-        raise CorpusError(f"{where}: {exc}") from None
+def _check_titles(titles: Sequence, wheres: Sequence[str]) -> None:
+    """Raise CorpusError led by the file and line in `wheres` of the first
+    page or section title that cannot be a hint component. The dump readers
+    call it for each paragraph, where a hint is formed, so a title with no
+    paragraph under it forms no hint and is not checked."""
+    for n, where in enumerate(wheres, 1):
+        if not isinstance(titles[n - 1], str):
+            raise CorpusError(f"{where}: titles must be strings: {titles[n - 1]!r}")
+        try:
+            make_hint(titles[0], titles[1:n], 1)
+        except HintError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
 
 
 def read_dump(path: str | Path) -> Iterator[Document]:
@@ -265,28 +268,34 @@ def read_dump(path: str | Path) -> Iterator[Document]:
     title: str | None = None
     section: tuple[str, ...] = ()
     items: list[tuple[tuple[str, ...], str]] = []
+    wheres: list[str] = []  # the line of the title and of each section
     for lineno, line in read_lines(path, CorpusError):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         record = json_object(line, where, CorpusError)
         if "page" in record:
-            _check_titles((record["page"],), where)
             if title is not None:
                 yield Document(title=title, items=tuple(items))
             title = record["page"]
             section = ()
             items = []
+            wheres = [where]
         elif "section" in record:
             if title is None:
                 raise CorpusError(f"{where}: section record before any page")
+            if not isinstance(record["section"], list):
+                raise CorpusError(f"{where}: 'section' must be a list of titles")
             section = tuple(record["section"])
-            _check_titles((title, *section), where)
+            wheres = [wheres[0]] + [where] * len(section)
         elif "text" in record:
             if title is None:
                 raise CorpusError(f"{where}: text record before any page")
+            if not isinstance(record["text"], str):
+                raise CorpusError(f"{where}: 'text' must be a string")
             for block in record["text"].split("\n\n"):
                 if block.strip():
+                    _check_titles((title, *section), wheres)
                     items.append((section, block))
         else:
             raise CorpusError(f"{where}: record needs one of page/section/text")
@@ -318,9 +327,11 @@ def read_heading_dump(path: str | Path) -> Iterator[Document]:
     section: list[str] = []
     items: list[tuple[tuple[str, ...], str]] = []
     paragraph: list[str] = []
+    wheres: list[str] = []  # the line of the title and of each section
 
     def flush_paragraph():
         if paragraph:
+            _check_titles((title, *section), wheres)
             items.append((tuple(section), " ".join(paragraph)))
             paragraph.clear()
 
@@ -331,18 +342,18 @@ def read_heading_dump(path: str | Path) -> Iterator[Document]:
             level, text = heading
             where = f"{path}:{lineno}"
             if level == 1:
-                _check_titles((text,), where)
                 if title is not None:
                     yield Document(title=title, items=tuple(items))
                 title = text
                 section = []
                 items = []
+                wheres = [where]
             else:
                 if title is None:
                     raise CorpusError(f"{where}: section heading before any page")
                 depth = level - 2
                 section = section[:depth] + [text]
-                _check_titles((title, *section), where)
+                wheres = wheres[: len(section)] + [where]
             continue
         if not line.strip():
             flush_paragraph()

@@ -36,6 +36,18 @@ def test_nq_line_holding_a_line_separator_is_one_question(tmp_path):
     assert record.question == "which city\u2028hosted the games"
 
 
+def test_nq_lines_end_at_newline_only(tmp_path):
+    # "\r\n" line ends load; a lone "\r" is not a line end.
+    rows = [{"question": f"q{i}", "answer": "a"} for i in range(2)]
+    path = tmp_path / "nq.jsonl"
+    path.write_bytes(b"".join(json.dumps(r).encode() + b"\r\n" for r in rows))
+    assert [r.question for r in load_questions(path, "nq")] == ["q0", "q1"]
+    path.write_bytes(b"".join(json.dumps(r).encode() + b"\r" for r in rows))
+    with pytest.raises(DataError) as err:
+        load_questions(path, "nq")
+    assert f"{path}:1: " in str(err.value)
+
+
 def test_nq_adapter_bad_line(tmp_path):
     path = tmp_path / "nq.jsonl"
     path.write_text('{"question": "q"}\n', encoding="utf-8")

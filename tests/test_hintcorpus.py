@@ -229,12 +229,21 @@ def test_read_dump_errors_name_line(tmp_path):
     "reader, text, where",
     [
         (read_dump, '{"page": "Cairo --- Nile"}\n{"text": "x"}\n', ":1: "),
-        (read_dump, '{"page": "Cairo"}\n{"section": ["A", "B --- C"]}\n', ":2: "),
-        (read_dump, '{"page": 7}\n', ":1: "),
+        (read_dump, '{"page": "Cairo"}\n{"section": ["A", "B --- C"]}\n{"text": "x"}\n', ":2: "),
+        (read_dump, '{"page": ""}\n{"section": ["A"]}\n{"text": "x"}\n', ":1: "),
+        (read_dump, '{"page": 7}\n{"text": "x"}\n', ":1: "),
+        (read_dump, '{"page": "Cairo"}\n{"section": [7]}\n{"text": "x"}\n', ":2: "),
+        (read_dump, '{"page": "Cairo"}\n{"section": "A"}\n', ":2: "),
+        (read_dump, '{"page": "Cairo"}\n{"text": 5}\n', ":2: "),
         (read_heading_dump, "= Cairo --- Nile =\nx\n", ":1: "),
         (read_heading_dump, "= Cairo =\nx\n\n== A --- B ==\ny\n", ":4: "),
+        (read_heading_dump, "= Cairo =\n== A --- B ==\n=== C ===\ny\n", ":2: "),
     ],
-    ids=["page", "section", "page-not-string", "heading-page", "heading-section"],
+    ids=[
+        "page", "section", "empty-page-under-section", "page-not-string",
+        "section-title-not-string", "section-not-list", "text-not-string",
+        "heading-page", "heading-section", "heading-under-subsection",
+    ],
 )
 def test_dump_title_that_cannot_form_a_hint_names_its_line(tmp_path, reader, text, where):
     path = tmp_path / "dump"
@@ -242,6 +251,22 @@ def test_dump_title_that_cannot_form_a_hint_names_its_line(tmp_path, reader, tex
     with pytest.raises(CorpusError) as err:
         list(reader(path))
     assert str(err.value).startswith(f"{path}{where}")
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_dump, '{"page": ""}\n{"page": "Cairo"}\n{"text": "x"}\n'),
+        (read_dump, '{"page": "Cairo"}\n{"section": ["B --- C"]}\n{"section": []}\n{"text": "x"}\n'),
+        (read_heading_dump, "= Cairo --- Nile =\n= Cairo =\nx\n"),
+    ],
+    ids=["empty-page", "replaced-section", "heading-page"],
+)
+def test_dump_title_with_no_paragraph_under_it_forms_no_hint(tmp_path, reader, text):
+    path = tmp_path / "dump"
+    path.write_text(text, encoding="utf-8")
+    corpus = build_corpus(reader(path))
+    assert [p.hint for p in corpus] == ["Cairo --- Paragraph #1"]
 
 
 def test_read_heading_dump(tmp_path):

@@ -13,7 +13,7 @@ import ssl
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from pathlib import Path
@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .core import (
-    SamplingParams, Strategy, canonical_json, params_to_dict, read_text, truncate_torn_tail,
-    validate,
+    SamplingParams, Strategy, canonical_json, json_object, params_to_dict, read_text,
+    truncate_torn_tail, validate,
 )
 
 __all__ = [
@@ -153,25 +153,55 @@ class Backend(ABC):
         executor: Executor | None = None,
     ) -> list[GenerationResult | BackendError]:
         """Dispatch requests with at most max_in_flight outstanding; results
-        align positionally with the inputs and per-slot failures are
-        returned in place rather than aborting the batch. Given an executor,
-        the requests run on it, bounded by its worker count instead, and
-        no thread pool is built for the call."""
+        align positionally with the inputs and a BackendError is returned
+        in its slot rather than aborting the batch.
+
+        The batch runs as min(max_in_flight, len(requests_list)) lanes, each
+        of which takes the next unclaimed request until none is left, so a
+        batch costs one task per lane rather than one per request. The lanes
+        run on `executor` when one is given (which also bounds them by its
+        worker count), otherwise on a pool built for the call. The call
+        returns once every lane has stopped. Any other exception stops the
+        lanes from claiming further requests and is re-raised by the call
+        (the first one, if several lanes raise)."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         if not requests_list:
             return []
+        lanes = min(max_in_flight, len(requests_list))
+        results: list[GenerationResult | BackendError | None] = [None] * len(requests_list)
+        errors: list[BaseException] = []
+        claim = threading.Lock()
+        claimed = 0
 
-        def run_one(request: GenerationRequest) -> GenerationResult | BackendError:
-            try:
-                return self.generate(request)
-            except BackendError as exc:
-                return exc
+        def lane() -> None:
+            nonlocal claimed
+            while True:
+                with claim:
+                    if errors or claimed == len(requests_list):
+                        return
+                    index = claimed
+                    claimed += 1
+                try:
+                    results[index] = self.generate(requests_list[index])
+                except BackendError as exc:
+                    results[index] = exc
+                except BaseException as exc:  # re-raised on the caller's thread
+                    with claim:
+                        errors.append(exc)
+                    return
+
+        def dispatch(pool: Executor) -> None:
+            wait([pool.submit(lane) for _ in range(lanes)])
 
         if executor is not None:
-            return list(executor.map(run_one, requests_list))
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            return list(pool.map(run_one, requests_list))
+            dispatch(executor)
+        else:
+            with ThreadPoolExecutor(max_workers=lanes) as pool:
+                dispatch(pool)
+        if errors:
+            raise errors[0]
+        return results
 
 
 class ScriptedBackend(Backend):
@@ -197,17 +227,38 @@ class ScriptedBackend(Backend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         """Load a script file: {"entries": {key: [responses...]}} and/or
-        {"prompts": [{"prompt": ..., "responses": [...]}]}."""
+        {"prompts": [{"prompt": ..., "responses": [...]}]}, every response
+        queue a non-empty list of strings. A file that is not such an
+        object raises MalformedResponse naming it."""
         path = Path(path)
         try:
-            data = json.loads(read_text(path, MalformedResponse))
-        except (OSError, json.JSONDecodeError) as exc:
+            text = read_text(path, MalformedResponse)
+        except OSError as exc:
             raise MalformedResponse(f"cannot load script file {path}: {exc}") from None
+        data = json_object(text, str(path), MalformedResponse)
+        entries, prompts = data.get("entries", {}), data.get("prompts", [])
+        if not isinstance(entries, dict) or not isinstance(prompts, list):
+            raise MalformedResponse(f"{path}: 'entries' must be an object and 'prompts' a list")
+
+        def queue(responses, where: str) -> tuple[str, ...]:
+            if (
+                not isinstance(responses, list)
+                or not responses
+                or not all(isinstance(r, str) for r in responses)
+            ):
+                raise MalformedResponse(
+                    f"{path}: {where} must be a non-empty list of strings, got {responses!r}"
+                )
+            return tuple(responses)
+
         backend = cls()
-        for key, queue in data.get("entries", {}).items():
-            backend._entries[key] = tuple(queue)
-        for entry in data.get("prompts", []):
-            backend.register(entry["prompt"], entry["responses"])
+        for key, responses in entries.items():
+            backend._entries[key] = queue(responses, f"entry {key!r}")
+        for i, entry in enumerate(prompts):
+            if not isinstance(entry, dict) or not isinstance(entry.get("prompt"), str):
+                raise MalformedResponse(f"{path}: prompts[{i}] needs a 'prompt' string")
+            responses = queue(entry.get("responses"), f"prompts[{i}] responses")
+            backend.register(entry["prompt"], responses)
         return backend
 
     def generate(self, request: GenerationRequest) -> GenerationResult:

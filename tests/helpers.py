@@ -1,9 +1,11 @@
-"""Shared test helpers: canonical exemplars matching the golden prompt files
-and helpers for scripting end-to-end recite-and-answer runs."""
+"""Shared test helpers: canonical exemplars matching the golden prompt files,
+helpers for scripting end-to-end recite-and-answer runs, and a time limit
+for threaded tests."""
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 from reciteqa.backend import Backend, ScriptedBackend
@@ -71,6 +73,25 @@ class CountingBackend(Backend):
     def generate(self, request):
         self.requests.append(request)
         return self.inner.generate(request)
+
+
+def within(seconds, fn):
+    """fn() on a daemon thread; fails, rather than hangs, after `seconds`."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 def make_question(

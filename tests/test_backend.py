@@ -5,6 +5,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -29,7 +30,7 @@ from reciteqa.backend import (
 from reciteqa.core import SamplingParams, Strategy
 from reciteqa.pipeline import default_recitation_params
 
-from helpers import CountingBackend
+from helpers import CountingBackend, within
 
 
 def greedy(max_tokens=32, stops=()) -> SamplingParams:
@@ -176,6 +177,18 @@ def test_batch_isolates_failures():
     ]
 
 
+class CountingExecutor(ThreadPoolExecutor):
+    """A thread pool that counts the tasks submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        return super().submit(fn, *args, **kwargs)
+
+
 def test_batch_on_a_given_executor_runs_on_its_workers():
     backend = FlakyBackend(fail_prompts={"p3"})
     requests = [GenerationRequest(f"p{i}", greedy()) for i in range(12)]
@@ -187,16 +200,62 @@ def test_batch_on_a_given_executor_runs_on_its_workers():
         return original(request)
 
     backend.generate = generate
-    with ThreadPoolExecutor(max_workers=3, thread_name_prefix="shared") as executor:
-        first = backend.generate_batch(requests, executor=executor)
-        second = backend.generate_batch(requests, executor=executor)
+    with CountingExecutor(max_workers=3, thread_name_prefix="shared") as executor:
+        batch = lambda: backend.generate_batch(requests, max_in_flight=3, executor=executor)
+        first = within(30, batch)
+        second = within(30, batch)
     for results in (first, second):
         assert isinstance(results[3], Timeout)
         assert [r.texts[0] for i, r in enumerate(results) if i != 3] == [
             f"echo:p{i}" for i in range(12) if i != 3
         ]
+    # One task per lane, not one per request.
+    assert executor.submits == 2 * 3
     assert backend.peak <= 3
     assert threads and all(name.startswith("shared") for name in threads)
+
+
+class RaisingBackend(Backend):
+    """Raises a RuntimeError, which is no BackendError, for prompt "a0" and
+    holds every other request for a moment; records each request it starts
+    and each it answers."""
+
+    backend_id = "raising"
+
+    def __init__(self):
+        self.started = []
+        self.answered = []
+
+    def generate(self, request: GenerationRequest) -> GenerationResult:
+        self.started.append(request.prompt)
+        if request.prompt == "a0":
+            raise RuntimeError("not a backend error")
+        time.sleep(0.02)
+        self.answered.append(request.prompt)
+        return GenerationResult(texts=(f"echo:{request.prompt}",))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-pool", "given-executor"])
+def test_batch_reraises_an_unexpected_error_once_every_lane_has_stopped(shared):
+    backend = RaisingBackend()
+    first = [GenerationRequest(f"a{i}", greedy()) for i in range(12)]
+    second = [GenerationRequest(f"b{i}", greedy()) for i in range(6)]
+    with ThreadPoolExecutor(max_workers=3) as executor:
+        run = dict(max_in_flight=3, executor=executor if shared else None)
+
+        def first_batch():
+            with pytest.raises(RuntimeError, match="not a backend error"):
+                backend.generate_batch(first, **run)
+            return list(backend.started), list(backend.answered)
+
+        started, answered = within(30, first_batch)
+        results = within(30, lambda: backend.generate_batch(second, **run))
+    # The other lanes stopped claiming, every request they had sent was
+    # answered before the call returned, and none was sent after it.
+    assert len(started) < len(first)
+    assert sorted(answered) == sorted(p for p in started if p != "a0")
+    assert [p for p in backend.started if p.startswith("a")] == started
+    assert [r.texts[0] for r in results] == [f"echo:b{i}" for i in range(6)]
 
 
 def test_batch_empty():

@@ -487,6 +487,28 @@ def test_non_utf8_input_exits_with_its_error_naming_the_file(
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        [],
+        {"prompts": [{"prompt": "x"}]},
+        {"prompts": [{"prompt": "x", "responses": []}]},
+        {"entries": {"k": 5}},
+        {"entries": {"k": "abc"}},
+    ],
+    ids=["not-an-object", "no-responses", "empty-responses", "queue-not-list", "queue-string"],
+)
+def test_malformed_script_exits_2_naming_the_file_before_writing(
+    workspace, monkeypatch, capsys, script
+):
+    monkeypatch.chdir(workspace)
+    (workspace / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    assert main(RUN) == EXIT_BACKEND
+    err = capsys.readouterr().err
+    assert re.match(r"backend error: \S*script\.json: ", err)
+    assert not (workspace / "runs").exists()
+
+
 def test_gen_questions(workspace, capsys):
     # Corpus plus scripted answers for each question-generation prompt.
     dump = workspace / "dump.jsonl"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import re
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -45,6 +47,7 @@ from helpers import (
     CountingBackend,
     make_question,
     script_recite_run,
+    within,
 )
 
 EXEMPLARS = (LONDON_EXEMPLAR, EIFFEL_EXEMPLAR)
@@ -815,28 +818,9 @@ def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path
     assert calls["build_recitation_prompt"] == 1
 
 
-def within(seconds, fn):
-    """fn() on a daemon thread; fails, rather than hangs, after `seconds`."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:  # re-raised on the test's thread
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"still running after {seconds}s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 class InFlightBackend(Backend):
-    """Holds each request for a moment and records how many overlap and
-    which threads send them."""
+    """Holds each request for a moment and records how many overlap, in
+    all and per dataset_fixture question, and which threads send them."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -844,12 +828,17 @@ class InFlightBackend(Backend):
         self.lock = threading.Lock()
         self.in_flight = 0
         self.peak = 0
+        self.question_in_flight = Counter()
+        self.question_peak = 0
         self.threads = set()
 
     def generate(self, request):
+        question = re.search(r"question number \d+", request.prompt).group()
         with self.lock:
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
+            self.question_in_flight[question] += 1
+            self.question_peak = max(self.question_peak, self.question_in_flight[question])
             self.threads.add(threading.current_thread())
         try:
             time.sleep(0.002)
@@ -857,6 +846,7 @@ class InFlightBackend(Backend):
         finally:
             with self.lock:
                 self.in_flight -= 1
+                self.question_in_flight[question] -= 1
 
 
 def test_run_dataset_caps_requests_in_flight_run_wide():
@@ -873,6 +863,8 @@ def test_run_dataset_caps_requests_in_flight_run_wide():
         sys.setswitchinterval(interval)
     assert [r.voted_answer for r in records] == [f"gold {i}" for i in range(6)]
     assert 2 <= backend.peak <= 2 * 3
+    # A question's batch takes at most max_paths_in_flight of the workers.
+    assert backend.question_peak <= 3
     # One set of request workers serves the whole run.
     assert len(backend.threads) <= 2 * 3
 

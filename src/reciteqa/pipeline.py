@@ -27,13 +27,14 @@ line plus the completion), so every extracted answer is re-derivable from
 its raw text by prompting.extract_answer.
 
 Each stage is one Backend.generate_batch call on an executor that outlives
-it, so no thread pool is built per batch. A batch runs as up to
-max_paths_in_flight lanes, each taking the batch's next unsent request as
-its last one returns, so a question has at most max_paths_in_flight
-requests in flight. answer_question on its own uses an executor of
-max_paths_in_flight workers built for that question. run_dataset builds
-one executor for the whole run, of max_questions_in_flight x
-max_paths_in_flight workers, which caps the run's requests in flight. It
+it, so no thread pool is built per batch. A batch runs as one lane per
+worker of that executor (fewer if the batch is smaller), each taking the
+batch's next unsent request as its last one returns. answer_question on
+its own uses an executor of max_paths_in_flight workers built for that
+question. run_dataset builds one executor for the whole run, of
+max_questions_in_flight x max_paths_in_flight workers: that is the run's
+cap on requests in flight, and a worker freed by one question's lanes
+takes the next queued lane at once, whichever question it belongs to. It
 answers up to max_questions_in_flight questions at a time on it and
 appends records.jsonl in input order as it goes.
 """
@@ -321,7 +322,7 @@ def answer_question(
             dialect=dialect,
             profile=profile,
             fingerprint=fingerprint,
-            max_paths_in_flight=max_paths_in_flight,
+            max_in_flight=max_paths_in_flight,
             clock=clock,
         )
 
@@ -338,11 +339,11 @@ def _answer(
     dialect: PromptDialect,
     profile: NormProfile,
     fingerprint: str,
-    max_paths_in_flight: int,
+    max_in_flight: int,
     clock: Callable[[], float],
 ) -> RunRecord:
-    """answer_question with every model request sent on `executor`, at
-    most max_paths_in_flight at a time."""
+    """answer_question with every model request sent on `executor` as
+    max_in_flight lanes per batch, its worker count."""
     started = clock()
     scheme = cfg.scheme
     sample_prompt, passage_template, answer_prompt = _question_prompts(
@@ -354,7 +355,7 @@ def _answer(
             GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
             for i in range(n)
         ]
-        return backend.generate_batch(requests_list, max_paths_in_flight, executor=executor)
+        return backend.generate_batch(requests_list, max_in_flight, executor=executor)
 
     def _answer_paths(
         entries: Sequence[tuple[str, ...] | RecitationPath],
@@ -383,7 +384,7 @@ def _answer(
                 continue
             requests_list.append(GenerationRequest(prompt, cfg.answer_params, 1))
             slots.append(i)
-        outcomes = backend.generate_batch(requests_list, max_paths_in_flight, executor=executor)
+        outcomes = backend.generate_batch(requests_list, max_in_flight, executor=executor)
         for i, outcome in zip(slots, outcomes):
             paths[i] = _path(entries[i], outcome, cfg)
         for i, leader in repeats:
@@ -416,7 +417,7 @@ def _answer(
             except PromptError:
                 continue
         passages = []
-        for outcome in backend.generate_batch(expansions, max_paths_in_flight, executor=executor):
+        for outcome in backend.generate_batch(expansions, max_in_flight, executor=executor):
             if isinstance(outcome, BackendError):
                 continue
             passage = outcome.texts[0].strip()
@@ -534,9 +535,9 @@ def run_dataset(
     clock: Callable[[], float] = time.monotonic,
 ) -> Iterator[RunRecord]:
     """Answer every question (optionally only the first `limit`), at most
-    max_questions_in_flight at a time, emitting records in input order.
-    Each question has at most max_paths_in_flight requests in flight, and
-    the run at most max_questions_in_flight x max_paths_in_flight.
+    max_questions_in_flight at a time and with at most
+    max_questions_in_flight x max_paths_in_flight requests in flight over
+    the run, emitting records in input order.
 
     With resume, a torn last line of records.jsonl is cut off first; then
     questions whose stored record carries the current config fingerprint
@@ -567,9 +568,11 @@ def run_dataset(
             records_path.write_text("", encoding="utf-8")
 
     # One executor for every model request of the run: its worker count is
-    # the run-wide in-flight cap, and each question's batches take at most
-    # max_paths_in_flight of its workers.
-    requests = ThreadPoolExecutor(max_workers=max_questions_in_flight * max_paths_in_flight)
+    # the run-wide in-flight cap. Each batch runs as that many lanes, so a
+    # worker freed by one question's lanes takes the next queued lane at
+    # once, whichever question's batch it belongs to.
+    workers = max_questions_in_flight * max_paths_in_flight
+    requests = ThreadPoolExecutor(max_workers=workers)
     answer = partial(
         _answer,
         executor=requests,
@@ -581,7 +584,7 @@ def run_dataset(
         dialect=dialect,
         profile=profile,
         fingerprint=fingerprint,
-        max_paths_in_flight=max_paths_in_flight,
+        max_in_flight=workers,
         clock=clock,
     )
 

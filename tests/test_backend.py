@@ -197,21 +197,25 @@ def test_batch_on_a_given_executor_runs_on_its_workers():
 
     def generate(request):
         threads.add(threading.current_thread().name)
+        time.sleep(0.002)  # let the lanes' requests overlap
         return original(request)
 
     backend.generate = generate
-    with CountingExecutor(max_workers=3, thread_name_prefix="shared") as executor:
-        batch = lambda: backend.generate_batch(requests, max_in_flight=3, executor=executor)
-        first = within(30, batch)
-        second = within(30, batch)
-    for results in (first, second):
-        assert isinstance(results[3], Timeout)
-        assert [r.texts[0] for i, r in enumerate(results) if i != 3] == [
-            f"echo:p{i}" for i in range(12) if i != 3
-        ]
-    # One task per lane, not one per request.
-    assert executor.submits == 2 * 3
-    assert backend.peak <= 3
+    # 3 lanes fill the 3 workers; with 4, the executor's worker count is the
+    # cap and the fourth lane waits for a free worker.
+    for lanes in (3, 4):
+        with CountingExecutor(max_workers=3, thread_name_prefix="shared") as executor:
+            batch = lambda: backend.generate_batch(requests, max_in_flight=lanes, executor=executor)
+            first = within(30, batch)
+            second = within(30, batch)
+        for results in (first, second):
+            assert isinstance(results[3], Timeout)
+            assert [r.texts[0] for i, r in enumerate(results) if i != 3] == [
+                f"echo:p{i}" for i in range(12) if i != 3
+            ]
+        # One task per lane, not one per request.
+        assert executor.submits == 2 * lanes
+        assert backend.peak <= 3
     assert threads and all(name.startswith("shared") for name in threads)
 
 

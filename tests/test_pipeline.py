@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import re
 import sys
 import threading
 import time
-from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -819,8 +817,8 @@ def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path
 
 
 class InFlightBackend(Backend):
-    """Holds each request for a moment and records how many overlap, in
-    all and per dataset_fixture question, and which threads send them."""
+    """Holds each request for a moment and records how many overlap and
+    which threads send them."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -828,17 +826,12 @@ class InFlightBackend(Backend):
         self.lock = threading.Lock()
         self.in_flight = 0
         self.peak = 0
-        self.question_in_flight = Counter()
-        self.question_peak = 0
         self.threads = set()
 
     def generate(self, request):
-        question = re.search(r"question number \d+", request.prompt).group()
         with self.lock:
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
-            self.question_in_flight[question] += 1
-            self.question_peak = max(self.question_peak, self.question_in_flight[question])
             self.threads.add(threading.current_thread())
         try:
             time.sleep(0.002)
@@ -846,7 +839,6 @@ class InFlightBackend(Backend):
         finally:
             with self.lock:
                 self.in_flight -= 1
-                self.question_in_flight[question] -= 1
 
 
 def test_run_dataset_caps_requests_in_flight_run_wide():
@@ -863,10 +855,41 @@ def test_run_dataset_caps_requests_in_flight_run_wide():
         sys.setswitchinterval(interval)
     assert [r.voted_answer for r in records] == [f"gold {i}" for i in range(6)]
     assert 2 <= backend.peak <= 2 * 3
-    # A question's batch takes at most max_paths_in_flight of the workers.
-    assert backend.question_peak <= 3
     # One set of request workers serves the whole run.
     assert len(backend.threads) <= 2 * 3
+
+
+class BarrierBackend(Backend):
+    """Holds each of the first `parties` requests until that many are in
+    flight at once; fails them if they never are."""
+
+    def __init__(self, inner, parties):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.barrier = threading.Barrier(parties, timeout=5)
+        self.lock = threading.Lock()
+        self.held = 0
+
+    def generate(self, request):
+        with self.lock:
+            self.held += 1
+            hold = self.held <= self.barrier.parties
+        if hold:
+            self.barrier.wait()
+        return self.inner.generate(request)
+
+
+def test_run_dataset_lets_one_question_use_every_request_worker():
+    # The run's cap is shared, not split per question: a question's batch
+    # may take every free worker, here all 2 x 3 for its 6 recitations.
+    questions, cfg, scripted = dataset_fixture(1, n_paths=6)
+    backend = BarrierBackend(scripted, parties=2 * 3)
+    records = within(30, lambda: list(run_dataset(
+        questions, cfg, EXEMPLARS, backend, max_questions_in_flight=2,
+        max_paths_in_flight=3, clock=ZERO_CLOCK,
+    )))
+    assert [r.voted_answer for r in records] == ["gold 0"]
+    assert not backend.barrier.broken
 
 
 def test_interrupted_run_keeps_whole_records_and_resumes_byte_identical(tmp_path):

@@ -508,6 +508,8 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_questions(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     cfg = load_run_config(args.config, None)
     corpus = hintcorpus.Corpus.load(args.corpus)
     prompt_set = load_prompt_set(cfg.prompt_set)
@@ -540,6 +542,8 @@ def cmd_index_build(args: argparse.Namespace) -> int:
 
 
 def cmd_index_query(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     try:
         index = retrieval.load_index(args.index)
     except (retrieval.RetrievalError, OSError) as exc:

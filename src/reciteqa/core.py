@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -33,6 +33,7 @@ __all__ = [
     "deserialize",
     "params_to_dict",
     "params_from_dict",
+    "derived_params",
     "truncate_torn_tail",
     "canonical_json",
     "json_object",
@@ -45,6 +46,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MAX_SEED = 2**64 - 1
+
+
+def derived_params(params: SamplingParams, index: int) -> SamplingParams:
+    """params for the index-th of several independent samples: its seed is
+    offset by index, wrapping within [0, MAX_SEED]."""
+    return replace(params, seed=(params.seed + index) % (MAX_SEED + 1))
 
 
 class Dataset(Enum):

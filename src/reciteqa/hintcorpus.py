@@ -20,10 +20,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import (
-    SamplingParams, canonical_json, decode_utf8, json_object, read_lines
-)
-from .pipeline import _derived_params, default_recitation_params
+from .core import canonical_json, decode_utf8, derived_params, json_object, read_lines
+from .pipeline import default_recitation_params
 from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
 
 __all__ = [
@@ -378,7 +376,6 @@ def generate_synthetic_triples(
     exemplars: Sequence[tuple[str, str]],
     backend: Backend,
     seed: int,
-    params: SamplingParams | None = None,
     max_in_flight: int = 4,
 ) -> tuple[list[SyntheticTriple], int]:
     """Sample n passages, generate one question per passage, and pair each
@@ -394,12 +391,11 @@ def generate_synthetic_triples(
             f"exemplar pairs, got {len(exemplars)}"
         )
     picked = corpus.sample(n, seed)
-    if params is None:
-        params = default_recitation_params(seed, max_tokens=64, stop_sequences=("\n\n",))
+    params = default_recitation_params(seed, max_tokens=64, stop_sequences=("\n\n",))
     requests_list = [
         GenerationRequest(
             prompt=build_question_generation_prompt(passage.text, exemplars),
-            params=_derived_params(params, i),
+            params=derived_params(params, i),
             n_samples=1,
         )
         for i, passage in enumerate(picked)

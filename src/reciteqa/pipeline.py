@@ -1,10 +1,10 @@
 """One answering engine for every scheme, and dataset runs on top of it.
 
-answer_question answers one question under any of the five schemes:
-direct, recite-and-answer with a K-path self-consistency vote, multi-hop
-one-pass recitation, chain-of-thought, and diversified recitation via
-passage hints. The prompt grammar belongs to prompting; this module decides
-only which prompts each scheme renders (_question_prompts, shared with
+_answer answers one question under any of the five schemes: direct,
+recite-and-answer with a K-path self-consistency vote, multi-hop one-pass
+recitation, chain-of-thought, and diversified recitation via passage hints.
+The prompt grammar belongs to prompting; this module decides only which
+prompts each scheme renders (_question_prompts, shared with
 check_exemplar_prompts) and how paths flow through them. Every scheme is
 the same two stages:
 
@@ -21,22 +21,23 @@ the same two stages:
 
 A path whose sample, answer prompt or answer fails is recorded as failed,
 with its cause in backend_meta["error"], and is left out of the plurality
-vote; the question fails only when every path does. Answer-stage outputs
-are stored as the transcript prompting.read_answer gives (the answer cue
-line plus the completion), so every extracted answer is re-derivable from
-its raw text by prompting.extract_answer.
+vote; the question fails only when every path does, and a question whose
+own prompt cannot be built is one failed path. A failed question's record
+has voted_answer "". Answer-stage outputs are stored as the transcript
+prompting.read_answer gives (the answer cue line plus the completion), so
+every extracted answer is re-derivable from its raw text by
+prompting.extract_answer.
 
-Each stage is one Backend.generate_batch call on an executor that outlives
-it, so no thread pool is built per batch. A batch runs as one lane per
-worker of that executor (fewer if the batch is smaller), each taking the
-batch's next unsent request as its last one returns. answer_question on
-its own uses an executor of max_paths_in_flight workers built for that
-question. run_dataset builds one executor for the whole run, of
-max_questions_in_flight x max_paths_in_flight workers: that is the run's
-cap on requests in flight, and a worker freed by one question's lanes
-takes the next queued lane at once, whichever question it belongs to. It
-answers up to max_questions_in_flight questions at a time on it and
-appends records.jsonl in input order as it goes.
+run_dataset alone checks the config, takes its fingerprint and builds the
+executors; answer_question is run_dataset on one question. Each stage is
+one Backend.generate_batch call on the run's one request executor, of
+max_questions_in_flight x max_paths_in_flight workers: the run's cap on
+requests in flight. A batch runs as one lane per worker (fewer if the
+batch is smaller), each taking the batch's next unsent request as its last
+one returns, so a worker freed by one question's lanes takes the next
+queued lane at once, whichever question it belongs to. Up to
+max_questions_in_flight questions run at a time, and records.jsonl is
+appended in input order.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from typing import Callable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest, GenerationResult
 from .core import (
-    MAX_SEED,
     Exemplar,
     QuestionRecord,
     RecitationPath,
@@ -59,6 +59,7 @@ from .core import (
     SamplingParams,
     Scheme,
     Strategy,
+    derived_params,
     deserialize,
     params_to_dict,
     serialize,
@@ -191,10 +192,6 @@ def config_fingerprint(
     return stable_hash(payload)
 
 
-def _derived_params(params: SamplingParams, index: int) -> SamplingParams:
-    return replace(params, seed=(params.seed + index) % (MAX_SEED + 1))
-
-
 def _path(
     recitations: Sequence[str], outcome: GenerationResult | BackendError, cfg: SchemeConfig
 ) -> RecitationPath:
@@ -292,39 +289,37 @@ def answer_question(
     hint_corpus=None,
     dialect: PromptDialect = DEFAULT_DIALECT,
     profile: NormProfile = DEFAULT_PROFILE,
-    fingerprint: str | None = None,
     max_paths_in_flight: int = 4,
     clock: Callable[[], float] = time.monotonic,
 ) -> RunRecord:
     """Answer one question under cfg.scheme and take the plurality vote over
-    its paths' answers, with at most max_paths_in_flight requests in flight.
+    its paths' answers, with at most max_paths_in_flight requests in flight:
+    run_dataset on that one question, with no run directory.
 
-    Raises PipelineError, carrying the paths, when every path failed, and
-    PromptError when the question's own prompt cannot be built. The hint
-    corpus is diagnostic only: sampled hints found in it are counted in the
+    Raises ValueError for an invalid cfg, and PipelineError, carrying the
+    paths, when every path failed; a question whose own prompt cannot be
+    built is one such path, its error the PromptError. The hint corpus is
+    diagnostic only: sampled hints found in it are counted in the
     diversified path's backend_meta, but passages are always decoded from
     the model so the run stays closed-book.
     """
-    exemplars = tuple(exemplars)
-    if fingerprint is None:
-        fingerprint = config_fingerprint(
-            cfg, exemplars, dialect, tuple(tuple(t) for t in hint_exemplars)
+    [record] = run_dataset(
+        [question],
+        cfg,
+        exemplars,
+        backend,
+        hint_exemplars=hint_exemplars,
+        hint_corpus=hint_corpus,
+        dialect=dialect,
+        profile=profile,
+        max_paths_in_flight=max_paths_in_flight,
+        clock=clock,
+    )
+    if all(p.failed for p in record.paths):
+        raise PipelineError(
+            question.id, f"all {len(record.paths)} paths failed", paths=record.paths
         )
-    with ThreadPoolExecutor(max_workers=max_paths_in_flight) as executor:
-        return _answer(
-            question,
-            executor,
-            cfg=cfg,
-            exemplars=exemplars,
-            backend=backend,
-            hint_exemplars=hint_exemplars,
-            hint_corpus=hint_corpus,
-            dialect=dialect,
-            profile=profile,
-            fingerprint=fingerprint,
-            max_in_flight=max_paths_in_flight,
-            clock=clock,
-        )
+    return record
 
 
 def _answer(
@@ -342,17 +337,42 @@ def _answer(
     max_in_flight: int,
     clock: Callable[[], float],
 ) -> RunRecord:
-    """answer_question with every model request sent on `executor` as
-    max_in_flight lanes per batch, its worker count."""
+    """The record of one question under cfg.scheme, with every model request
+    sent on `executor` as max_in_flight lanes per batch, its worker count.
+    A failed question is logged and recorded, never raised: see the module
+    docstring."""
     started = clock()
     scheme = cfg.scheme
-    sample_prompt, passage_template, answer_prompt = _question_prompts(
-        cfg, exemplars, question.question, hint_exemplars, dialect
-    )
+
+    def record(paths: Sequence[RecitationPath]) -> RunRecord:
+        answers = [p.extracted_answer for p in paths if not p.failed]
+        if answers:
+            voted, _ = plurality_vote(answers, profile.for_dataset(question.dataset.value))
+        else:
+            voted = ""
+            logger.warning(
+                "question %s failed: all %d paths failed (first: %s)",
+                question.id, len(paths), paths[0].backend_meta["error"],
+            )
+        return RunRecord(
+            question_id=question.id,
+            scheme=scheme,
+            paths=tuple(paths),
+            voted_answer=voted,
+            config_fingerprint=fingerprint,
+            wall_clock_ms=int((clock() - started) * 1000),
+        )
+
+    try:
+        sample_prompt, passage_template, answer_prompt = _question_prompts(
+            cfg, exemplars, question.question, hint_exemplars, dialect
+        )
+    except PromptError as exc:
+        return record([_failed_path((), exc)])
 
     def _sample(prompt: str, n: int) -> list[GenerationResult | BackendError]:
         requests_list = [
-            GenerationRequest(prompt, _derived_params(cfg.recitation_params, i), 1)
+            GenerationRequest(prompt, derived_params(cfg.recitation_params, i), 1)
             for i in range(n)
         ]
         return backend.generate_batch(requests_list, max_in_flight, executor=executor)
@@ -453,19 +473,7 @@ def _answer(
                     recitations or _failed_path((), "structure: recitation cues missing")
                 )
         paths = _answer_paths(entries)
-
-    answers = [p.extracted_answer for p in paths if not p.failed]
-    if not answers:
-        raise PipelineError(question.id, f"all {len(paths)} paths failed", paths=paths)
-    voted, _ = plurality_vote(answers, profile.for_dataset(question.dataset.value))
-    return RunRecord(
-        question_id=question.id,
-        scheme=scheme,
-        paths=tuple(paths),
-        voted_answer=voted,
-        config_fingerprint=fingerprint,
-        wall_clock_ms=int((clock() - started) * 1000),
-    )
+    return record(paths)
 
 
 def check_exemplar_prompts(
@@ -596,21 +604,7 @@ def run_dataset(
             and not all(p.failed for p in cached.paths)
         ):
             return cached, False
-        started = clock()
-        try:
-            return answer(question), True
-        except (PipelineError, BackendError, PromptError) as exc:
-            logger.warning("question %s failed: %s", question.id, exc)
-            paths = getattr(exc, "paths", ()) or (_failed_path((), exc),)
-            failed = RunRecord(
-                question_id=question.id,
-                scheme=cfg.scheme,
-                paths=tuple(paths),
-                voted_answer="",
-                config_fingerprint=fingerprint,
-                wall_clock_ms=int((clock() - started) * 1000),
-            )
-            return failed, True
+        return answer(question), True
 
     handle = records_path.open("a", encoding="utf-8") if records_path else None
     try:

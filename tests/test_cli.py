@@ -280,6 +280,34 @@ def test_analyze_bad_arguments_exit_1_before_writing(workspace, capsys, flags):
     assert not (workspace / "out").exists()
 
 
+GEN_QUESTIONS = ["gen-questions", "--config", "config.json", "--corpus", "corpus"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "query", "--index", "idx.jsonl", "--query", "nile", "--k", "0"],
+        [*GEN_QUESTIONS, "--n", "0", "--out", "out.jsonl"],
+        [*GEN_QUESTIONS, "--n", "-1", "--out", "out.jsonl"],
+    ],
+    ids=["index-query-zero-k", "gen-questions-zero-n", "gen-questions-negative-n"],
+)
+def test_corpus_commands_reject_counts_below_one_with_exit_1(
+    workspace, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(workspace)
+    (workspace / "dump.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8"
+    )
+    assert main(["build-corpus", "dump.jsonl", "--out", "corpus"]) == EXIT_OK
+    assert main(["index", "build", "--corpus", "corpus", "--out", "idx.jsonl"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --") and err.count("\n") == 1
+    assert not (workspace / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "run_json",
     [

@@ -211,11 +211,20 @@ def test_every_module_export_resolves():
 def test_prompting_builds_on_core_alone_and_imports_are_module_level():
     # prompting owns the prompt grammar and sits directly on core; the only
     # call-time imports left are core's record validation reaching up for
-    # the extraction rule and the vote.
+    # the extraction rule and the vote. No module imports a sibling's
+    # private name: what two modules share is public in the lower one.
     package = Path(reciteqa.__file__).parent
     function_level = set()
+    private = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private.extend(
+                    f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
         if path.stem == "prompting":
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and node.level:
@@ -234,6 +243,7 @@ def test_prompting_builds_on_core_alone_and_imports_are_module_level():
         ("core", "_validate_path", "from .prompting import COT_ANSWER_ANCHOR, extract_answer"),
         ("core", "_validate_run", "from .evalkit import DEFAULT_PROFILE, plurality_vote"),
     }
+    assert private == []
 
 
 def test_no_module_splits_file_text_with_splitlines():

@@ -209,6 +209,34 @@ def test_recite_all_paths_failed_errors():
         answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(answer_params=default_recitation_params()), dict(n_paths=0)],
+    ids=["sampled-answers", "zero-paths"],
+)
+def test_answer_question_rejects_an_invalid_config(overrides):
+    # Answer dedup shares one answer among equal recitations, which holds
+    # only for greedy answers; answer_question checks cfg as run_dataset does.
+    question = make_question("q1", "which city hosted the event", ("rome",))
+    cfg = scheme_config(Scheme.RECITE_ANSWER, **overrides)
+    counting = CountingBackend(ScriptedBackend())
+    with pytest.raises(ValueError, match="invalid scheme config"):
+        answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    assert counting.calls == 0
+
+
+def test_question_whose_prompt_cannot_be_built_fails_as_its_one_path():
+    question = make_question("q1", "which city\n\nhosted the event", ("rome",))
+    cfg = scheme_config(Scheme.RECITE_ANSWER)
+    counting = CountingBackend(ScriptedBackend())
+    with pytest.raises(PipelineError) as failure:
+        answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    [path] = failure.value.paths
+    assert path.recitations == ()
+    assert path.backend_meta["error"].startswith("PromptError: ")
+    assert counting.calls == 0
+
+
 # ---------------------------------------------------------------------------
 # answer dedup: one answer request per distinct recitation tuple
 

@@ -129,13 +129,30 @@ def prompt_key(prompt: str) -> str:
 
 
 def cache_key(backend_id: str, request: GenerationRequest) -> str:
-    payload = {
-        "backend": backend_id,
-        "prompt": request.prompt,
-        "params": params_to_dict(request.params),
-        "n_samples": request.n_samples,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    """sha256 of canonical_json({"backend", "n_samples", "params", "prompt"}).
+
+    Sorted keys put "prompt" last, so the hashed bytes are a head, the
+    canonical JSON of the other three fields up to its closing brace and
+    then ',"prompt":', followed by the JSON-escaped prompt and "}". A batch
+    computes each distinct head and prompt tail once."""
+    return hashlib.sha256(
+        _key_head(backend_id, request) + _prompt_tail(request.prompt)
+    ).hexdigest()
+
+
+def _key_head(backend_id: str, request: GenerationRequest) -> bytes:
+    head = canonical_json(
+        {
+            "backend": backend_id,
+            "n_samples": request.n_samples,
+            "params": params_to_dict(request.params),
+        }
+    )
+    return f'{head[:-1]},"prompt":'.encode("utf-8")
+
+
+def _prompt_tail(prompt: str) -> bytes:
+    return (json.dumps(prompt, ensure_ascii=False) + "}").encode("utf-8")
 
 
 class Backend(ABC):
@@ -163,7 +180,8 @@ class Backend(ABC):
         worker count), otherwise on a pool built for the call. The call
         returns once every lane has stopped. Any other exception stops the
         lanes from claiming further requests and is re-raised by the call
-        (the first one, if several lanes raise)."""
+        (the first one, if several lanes raise). CachingBackend answers its
+        hits on the calling thread and sends only its misses here."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         if not requests_list:
@@ -520,16 +538,29 @@ class CachingBackend(Backend):
     Entries are one JSON object per line keyed by cache_key; the first entry
     for a key wins, so retries can never install divergent values. A torn
     last line left by a crash is cut off on load, so the next append starts
-    on a fresh line. Corrupted lines and cache I/O failures degrade to
-    misses with a logged warning.
+    on a fresh line. A line that is not a JSON object with a "key" string, a
+    non-empty "texts" list of strings and, if present, a "meta" object is
+    corrupt. Corrupt lines and cache I/O failures degrade to misses with a
+    logged warning. Entries are appended through one handle, opened on the
+    first miss and flushed after each entry, so an interrupted run loses no
+    stored entry; close() or dropping the backend closes it.
+
+    generate_batch answers a batch's hits on the calling thread, with no
+    task on the executor, and sends only its misses through
+    Backend.generate_batch to generate.
     """
 
     def __init__(self, inner: Backend, path: str | Path):
+        self._lock = threading.Lock()
+        self._handle = None
         self.inner = inner
         self.backend_id = inner.backend_id
         self._path = Path(path)
-        self._lock = threading.Lock()
         self._entries: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {}
+        # The keys of the misses of the batches in progress, so generate
+        # does not hash them again. Equal requests have equal keys, so
+        # concurrent batches that share a request cannot disagree.
+        self._miss_keys: dict[GenerationRequest, str] = {}
         self._load()
 
     def _load(self) -> None:
@@ -549,13 +580,24 @@ class CachingBackend(Backend):
             try:
                 # UnicodeDecodeError is a ValueError.
                 entry = json.loads(line.decode("utf-8"))
-                key = entry["key"]
-                texts = tuple(str(t) for t in entry["texts"])
-                meta = {str(k): str(v) for k, v in entry.get("meta", {}).items()}
-            except (ValueError, KeyError, TypeError) as exc:
+                if not isinstance(entry, dict):
+                    raise ValueError("not a JSON object")
+                key, texts, meta = entry.get("key"), entry.get("texts"), entry.get("meta", {})
+                if (
+                    not isinstance(key, str)
+                    or not isinstance(texts, list)
+                    or not texts
+                    or not all(isinstance(t, str) for t in texts)
+                    or not isinstance(meta, dict)
+                ):
+                    raise ValueError(
+                        "needs a 'key' string, a non-empty 'texts' list of strings "
+                        "and an optional 'meta' object"
+                    )
+            except ValueError as exc:
                 logger.warning("skipping corrupt cache line %d in %s: %s", lineno, self._path, exc)
                 continue
-            self._entries.setdefault(key, (texts, meta))
+            self._entries.setdefault(key, (tuple(texts), {k: str(v) for k, v in meta.items()}))
 
     def _store(self, key: str, result: GenerationResult) -> None:
         with self._lock:
@@ -566,13 +608,24 @@ class CachingBackend(Backend):
                 {"key": key, "texts": list(result.texts), "meta": dict(result.meta)}
             )
             try:
-                with self._path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
+                if self._handle is None:
+                    self._handle = self._path.open("a", encoding="utf-8")
+                self._handle.write(line + "\n")
+                self._handle.flush()
             except OSError as exc:
                 logger.warning("cannot append to cache %s: %s", self._path, exc)
 
+    def close(self) -> None:
+        """Close the append handle; a later miss opens it again."""
+        with self._lock:
+            handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    __del__ = close
+
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        key = cache_key(self.backend_id, request)
+        key = self._miss_keys.get(request) or cache_key(self.backend_id, request)
         with self._lock:
             hit = self._entries.get(key)
         if hit is not None:
@@ -581,3 +634,51 @@ class CachingBackend(Backend):
         result = self.inner.generate(request)
         self._store(key, result)
         return result
+
+    def generate_batch(
+        self,
+        requests_list: Sequence[GenerationRequest],
+        max_in_flight: int = 4,
+        *,
+        executor: Executor | None = None,
+    ) -> list[GenerationResult | BackendError]:
+        """Backend.generate_batch, with the hits answered first on the
+        calling thread: the keys share the head of each distinct params and
+        n_samples and the escaped tail of each distinct prompt, and every
+        hit is read under one lock. Only the misses go through
+        Backend.generate_batch, as lanes, to generate; an all-hit batch
+        submits nothing to the executor."""
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        heads: dict[tuple[SamplingParams, int], bytes] = {}
+        tails: dict[str, bytes] = {}
+        keys = []
+        for request in requests_list:
+            shape = (request.params, request.n_samples)
+            head = heads.get(shape) or heads.setdefault(shape, _key_head(self.backend_id, request))
+            tail = tails.get(request.prompt) or tails.setdefault(
+                request.prompt, _prompt_tail(request.prompt)
+            )
+            keys.append(hashlib.sha256(head + tail).hexdigest())
+        results: list[GenerationResult | BackendError | None] = [None] * len(keys)
+        misses = []
+        with self._lock:
+            for i, key in enumerate(keys):
+                hit = self._entries.get(key)
+                if hit is None:
+                    misses.append(i)
+                else:
+                    results[i] = GenerationResult(texts=hit[0], meta=hit[1], cache_hit=True)
+        if not misses:
+            return results
+        missed = [requests_list[i] for i in misses]
+        for i, request in zip(misses, missed):
+            self._miss_keys[request] = keys[i]
+        try:
+            outcomes = Backend.generate_batch(self, missed, max_in_flight, executor=executor)
+        finally:
+            for request in missed:
+                self._miss_keys.pop(request, None)
+        for i, outcome in zip(misses, outcomes):
+            results[i] = outcome
+        return results

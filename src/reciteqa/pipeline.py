@@ -30,12 +30,14 @@ prompting.extract_answer.
 
 run_dataset alone checks the config, takes its fingerprint and builds the
 executors; answer_question is run_dataset on one question. Each stage is
-one Backend.generate_batch call on the run's one request executor, of
+one backend.generate_batch call on the run's one request executor, of
 max_questions_in_flight x max_paths_in_flight workers: the run's cap on
 requests in flight. A batch runs as one lane per worker (fewer if the
 batch is smaller), each taking the batch's next unsent request as its last
 one returns, so a worker freed by one question's lanes takes the next
-queued lane at once, whichever question it belongs to. Up to
+queued lane at once, whichever question it belongs to. A CachingBackend
+answers a batch's cache hits on the question's own thread and runs only
+its misses as lanes, so a fully cached stage uses no worker. Up to
 max_questions_in_flight questions run at a time, and records.jsonl is
 appended in input order.
 """

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import socket
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+from concurrent.futures import Executor, ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reciteqa import backend as backend_module
 from reciteqa.backend import (
     Backend,
     CachingBackend,
@@ -27,7 +32,7 @@ from reciteqa.backend import (
     prompt_key,
     truncate_at_stop,
 )
-from reciteqa.core import SamplingParams, Strategy
+from reciteqa.core import SamplingParams, Strategy, canonical_json, params_to_dict
 from reciteqa.pipeline import default_recitation_params
 
 from helpers import CountingBackend, within
@@ -385,6 +390,204 @@ def test_cache_torn_tail_does_not_swallow_next_entry(tmp_path):
     assert revived.generate(GenerationRequest("P", greedy())).texts == ("A",)
     assert revived.generate(GenerationRequest("Q", greedy())).texts == ("B",)
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+
+
+# Characters whose JSON escaping differs: quotes, backslashes, control
+# characters, and the separators canonical JSON writes unescaped.
+TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\n\r\t\x00\x1f\x7f\x85\u2028\u2029é日\U0001f600 a'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(
+    backend_id=TRICKY_TEXT,
+    prompt=TRICKY_TEXT.filter(bool),
+    stops=st.lists(TRICKY_TEXT, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+    temperature=st.floats(0.01, 2.0),
+    n_samples=st.integers(1, 4),
+    greedy_decoding=st.booleans(),
+)
+def test_cache_key_is_the_hash_of_the_canonical_payload(
+    backend_id, prompt, stops, seed, temperature, n_samples, greedy_decoding
+):
+    if greedy_decoding:
+        params, n_samples = greedy(stops=tuple(stops)), 1
+    else:
+        params = SamplingParams(
+            strategy=Strategy.TOP_K, k=40, temperature=temperature, seed=seed,
+            max_tokens=32, stop_sequences=tuple(stops),
+        )
+    request = GenerationRequest(prompt, params, n_samples)
+    payload = {
+        "backend": backend_id,
+        "prompt": prompt,
+        "params": params_to_dict(params),
+        "n_samples": n_samples,
+    }
+    assert cache_key(backend_id, request) == hashlib.sha256(
+        canonical_json(payload).encode("utf-8")
+    ).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"meta": [1]},
+        {"meta": None},
+        {"key": ["x"]},
+        {"texts": "abc"},
+        {"texts": []},
+        {"texts": [1]},
+    ],
+    ids=["meta-list", "meta-null", "key-list", "texts-string", "texts-empty", "texts-not-strings"],
+)
+def test_cache_line_with_a_mistyped_field_is_skipped_with_a_warning(tmp_path, caplog, fields):
+    path = tmp_path / "cache.jsonl"
+    request = GenerationRequest("P", greedy())
+    entry = {"key": cache_key("scripted", request), "texts": ["stale"], "meta": {}}
+    path.write_text(json.dumps({**entry, **fields}) + "\n", encoding="utf-8")
+    inner = ScriptedBackend()
+    inner.register("P", ["A"])
+    result = CachingBackend(inner, path).generate(request)
+    assert result.cache_hit is False
+    assert result.texts == ("A",)
+    assert f"corrupt cache line 1 in {path}" in caplog.text
+
+
+def test_cache_appends_through_one_flushed_handle(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    for prompt in "PQR":
+        inner.register(prompt, [prompt.lower()])
+    appends = []
+    open_path = type(path).open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if "a" in mode:
+            appends.append(self)
+        return open_path(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(type(path), "open", counting_open)
+    first = CachingBackend(inner, path)
+    first.generate(GenerationRequest("P", greedy()))
+    first.generate(GenerationRequest("Q", greedy()))
+    assert appends == [path]
+    # `first` stays open, as in a run that is killed: its entries are
+    # already on disk for the next backend.
+    counting = CountingBackend(ScriptedBackend())
+    revived = CachingBackend(counting, path)
+    for prompt in "PQ":
+        result = revived.generate(GenerationRequest(prompt, greedy()))
+        assert (result.texts, result.cache_hit) == ((prompt.lower(),), True)
+    assert counting.calls == 0
+    first.close()
+    first.generate(GenerationRequest("R", greedy()))
+    assert len(appends) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        del first
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def stored_keys(path):
+    """The keys of a cache file's entries, in file order."""
+    return [json.loads(line)["key"] for line in path.read_bytes().split(b"\n") if line]
+
+
+class RefusingExecutor(Executor):
+    def submit(self, fn, /, *args, **kwargs):
+        raise AssertionError("a task was submitted")
+
+
+def test_cache_all_hit_batch_runs_on_the_calling_thread(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    inner.register("P", ["A", "B", "C"])
+    inner.register("Q", ["D"])
+    requests = [GenerationRequest("P", sampled(seed=i)) for i in range(3)]
+    requests.append(GenerationRequest("Q", greedy()))
+    warm = CachingBackend(inner, path).generate_batch(requests, max_in_flight=2)
+    counting = CountingBackend(inner)
+    cached = CachingBackend(counting, path)
+    results = cached.generate_batch(requests, max_in_flight=2, executor=RefusingExecutor())
+    assert [r.texts for r in results] == [r.texts for r in warm] == [
+        ("A",), ("B",), ("C",), ("D",),
+    ]
+    assert all(r.cache_hit for r in results)
+    assert counting.calls == 0
+    with pytest.raises(ValueError, match="max_in_flight"):
+        cached.generate_batch(requests, max_in_flight=0, executor=RefusingExecutor())
+
+
+def test_cache_mixed_batch_keeps_positions_and_stores_each_miss_once(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    inner = FlakyBackend(fail_prompts={"p3"})
+    requests = [GenerationRequest(f"p{i}", greedy()) for i in range(6)]
+    CachingBackend(inner, path).generate_batch(requests[0::2], max_in_flight=2)
+    counting = CountingBackend(inner)
+    results = CachingBackend(counting, path).generate_batch(requests, max_in_flight=2)
+    assert isinstance(results[3], Timeout)
+    assert [(r.texts, r.cache_hit) for i, r in enumerate(results) if i != 3] == [
+        ((f"echo:p{i}",), i % 2 == 0) for i in (0, 1, 2, 4, 5)
+    ]
+    assert sorted(r.prompt for r in counting.requests) == ["p1", "p3", "p5"]
+    stored = stored_keys(path)
+    assert sorted(stored) == sorted(cache_key("flaky", requests[i]) for i in (0, 1, 2, 4, 5))
+
+
+def test_cache_concurrent_batches_sharing_misses_agree(tmp_path):
+    inner = FlakyBackend()
+    requests = [GenerationRequest(f"p{i % 5}", sampled(seed=i % 3)) for i in range(15)]
+    cached = CachingBackend(inner, tmp_path / "cache.jsonl")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as batches, ThreadPoolExecutor(4) as lanes:
+            run = lambda shift: cached.generate_batch(
+                requests[shift:] + requests[:shift], max_in_flight=2, executor=lanes
+            )
+            outcomes = within(30, lambda: list(batches.map(run, range(6))))
+    finally:
+        sys.setswitchinterval(interval)
+    for shift, results in enumerate(outcomes):
+        assert [r.texts for r in results] == [
+            (f"echo:{r.prompt}",) for r in requests[shift:] + requests[:shift]
+        ]
+    assert sorted(stored_keys(tmp_path / "cache.jsonl")) == sorted(
+        {cache_key("flaky", r) for r in requests}
+    )
+    assert cached._miss_keys == {}
+
+
+def test_cache_batch_escapes_a_shared_prompt_once_and_keys_each_request(tmp_path, monkeypatch):
+    escaped = []
+    prompt_tail = backend_module._prompt_tail
+
+    def counting_tail(prompt):
+        escaped.append(prompt)
+        return prompt_tail(prompt)
+
+    monkeypatch.setattr(backend_module, "_prompt_tail", counting_tail)
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    inner.register("Recite: \"x\"\u2028", [f"r{i}" for i in range(5)])
+    requests = [GenerationRequest("Recite: \"x\"\u2028", sampled(seed=i)) for i in range(5)]
+    cached = CachingBackend(inner, path)
+    results = cached.generate_batch(requests, max_in_flight=2)
+    # Once for the batch's keys; the misses do not compute their keys again.
+    assert escaped == [requests[0].prompt]
+    assert [r.texts for r in results] == [(f"r{i}",) for i in range(5)]
+    stored = stored_keys(path)
+    monkeypatch.undo()
+    assert sorted(stored) == sorted(cache_key("scripted", r) for r in requests)
+    assert len(set(stored)) == len(requests)
 
 
 # ---------------------------------------------------------------------------

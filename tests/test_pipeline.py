@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from reciteqa.backend import Backend, MalformedResponse, ScriptedBackend, prompt_key
+from reciteqa.backend import (
+    Backend, CachingBackend, MalformedResponse, ScriptedBackend, prompt_key,
+)
 from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, validate
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
@@ -806,27 +808,28 @@ def test_run_dataset_rejects_bad_config():
         list(run_dataset(questions, bad, EXEMPLARS, backend))
 
 
+def count_calls(monkeypatch, calls, owner, name):
+    """Replace owner.name with a wrapper that counts its calls in calls[name]."""
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path):
     # perfbench/workload.py traces a run by replacing these module
     # attributes; a name captured at import time would bypass its wrapper.
     from reciteqa import pipeline
 
     calls = {}
-
-    def count(owner, name):
-        inner = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
     for name in (
         "build_recitation_prompt", "build_qa_prompt", "plurality_vote", "serialize", "deserialize",
     ):
-        count(pipeline, name)
-    count(Backend, "generate_batch")
+        count_calls(monkeypatch, calls, pipeline, name)
+    count_calls(monkeypatch, calls, Backend, "generate_batch")
     questions, cfg, backend = dataset_fixture(1, n_paths=3)
     run = dict(run_dir=tmp_path, max_questions_in_flight=1, max_paths_in_flight=2, clock=ZERO_CLOCK)
     [record] = run_dataset(questions, cfg, EXEMPLARS, backend, **run)
@@ -842,6 +845,29 @@ def test_run_dataset_calls_hooks_through_module_attributes(monkeypatch, tmp_path
     list(run_dataset(questions, cfg, EXEMPLARS, backend, resume=True, **run))
     assert calls["deserialize"] == 1
     assert calls["build_recitation_prompt"] == 1
+
+
+def test_run_dataset_sends_cache_misses_through_the_traced_methods(monkeypatch, tmp_path):
+    # perfbench/workload.py counts recite_http's requests as the
+    # CachingBackend.generate calls made inside Backend.generate_batch, so a
+    # cold cache must still send every miss through both.
+    calls = {}
+    count_calls(monkeypatch, calls, Backend, "generate_batch")
+    count_calls(monkeypatch, calls, CachingBackend, "generate")
+    questions, cfg, scripted = dataset_fixture(1, n_paths=3)
+    inner = CountingBackend(scripted)
+    cache = CachingBackend(inner, tmp_path / "cache.jsonl")
+    run = dict(max_questions_in_flight=1, max_paths_in_flight=2, clock=ZERO_CLOCK)
+    [record] = run_dataset(questions, cfg, EXEMPLARS, cache, **run)
+    assert record.voted_answer == "gold 0"
+    # Three recitations, then one answer per distinct recitation.
+    assert inner.calls == 6
+    assert calls == {"generate_batch": 2, "generate": 6}
+    # A warm cache answers every hit on the question's thread.
+    [again] = run_dataset(questions, cfg, EXEMPLARS, cache, **run)
+    assert again == record
+    assert calls == {"generate_batch": 2, "generate": 6}
+    assert inner.calls == 6
 
 
 class InFlightBackend(Backend):

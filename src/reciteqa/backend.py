@@ -9,13 +9,13 @@ import json
 import logging
 import os
 import random
+import socket
 import ssl
 import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from http.client import HTTPConnection, HTTPException, HTTPResponse, HTTPSConnection
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -39,6 +39,7 @@ __all__ = [
     "HttpBackend",
     "CachingBackend",
     "check_base_url",
+    "is_header_text",
     "prompt_key",
     "cache_key",
     "truncate_at_stop",
@@ -63,7 +64,8 @@ class RateLimited(BackendError):
 
 
 class Unavailable(BackendError):
-    """A 502, 503 or 504 reply, or a connection refused or dropped."""
+    """A 502, 503 or 504 reply, a connection refused or dropped, or a reply
+    that cannot be framed."""
 
     retryable = True
 
@@ -302,8 +304,9 @@ class ScriptedBackend(Backend):
 
 
 def check_base_url(base_url: str) -> None:
-    """Raise ValueError unless base_url is an http or https URL with a host
-    and, if given, a numeric port."""
+    """Raise ValueError unless base_url is an http or https URL with a host,
+    if given a numeric port, and a path and query that a request line can
+    carry: ASCII with no space or control character."""
     try:
         parts = urlsplit(base_url)
         parts.port
@@ -311,85 +314,272 @@ def check_base_url(base_url: str) -> None:
         raise ValueError(f"invalid base_url {base_url!r}: {exc}") from None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"base_url must be an http or https URL with a host, got {base_url!r}")
+    target = parts.path + parts.query
+    if not target.isascii() or any(ch <= " " or ch == "\x7f" for ch in target):
+        raise ValueError(
+            f"base_url path must be ASCII with no space or control character, got {base_url!r}"
+        )
+
+
+# Caps on one reply line and on a reply's header count, as in http.client.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# A body is read in pieces of at most this size, so a forged length cannot
+# make the reader allocate it all up front.
+_READ_PIECE = 1 << 20
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+def is_header_text(text: str) -> bool:
+    """Whether text can be sent as an HTTP header name or value: Latin-1,
+    with no CR or LF."""
+    if "\r" in text or "\n" in text:
+        return False
+    try:
+        text.encode("latin-1")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+class _BadReply(Exception):
+    """A reply whose framing cannot be read."""
+
+
+def _route(url: str) -> tuple[tuple[str, str, int], str]:
+    """(origin, request head up to the per-request headers) for a POST to a
+    url that check_base_url accepts.
+
+    Host is rendered as http.client renders it: an IPv6 literal in brackets
+    and no port when it is the scheme's default."""
+    parts = urlsplit(url)
+    scheme, host = parts.scheme, parts.hostname
+    port = parts.port or _DEFAULT_PORTS[scheme]
+    target = parts.path + (f"?{parts.query}" if parts.query else "")
+    name = host if host.isascii() else host.encode("idna").decode("ascii")
+    if ":" in name:
+        name = f"[{name}]"
+    if port != _DEFAULT_PORTS[scheme]:
+        name = f"{name}:{port}"
+    head = f"POST {target} HTTP/1.1\r\nHost: {name}\r\nAccept-Encoding: identity\r\n"
+    return (scheme, host, port), head
+
+
+def _readline(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _BadReply(f"a reply line is longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_fields(reader) -> dict[bytes, bytes]:
+    """Header or trailer fields up to the blank line, by lower-cased name."""
+    fields = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _readline(reader)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if not line:
+            raise _BadReply("the connection closed inside the reply's headers")
+        name, _, value = line.partition(b":")
+        fields[name.strip().lower()] = value.strip()
+    raise _BadReply(f"the reply has more than {_MAX_HEADERS} headers")
+
+
+def _read_exact(reader, size: int) -> bytes:
+    pieces = []
+    while size > 0:
+        piece = reader.read(min(size, _READ_PIECE))
+        if not piece:
+            raise _BadReply("the connection closed inside the reply's body")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_chunked(reader) -> bytes:
+    pieces = []
+    while True:
+        line = _readline(reader)
+        size = line.split(b";", 1)[0].strip()
+        if not size or size.strip(_HEX_DIGITS):
+            raise _BadReply(f"bad chunk size line {line[:40]!r}")
+        size = int(size, 16)
+        if not size:
+            break
+        pieces.append(_read_exact(reader, size))
+        if _readline(reader) not in (b"\r\n", b"\n"):
+            raise _BadReply("a chunk does not end where its size says")
+    _read_fields(reader)  # the trailer
+    return b"".join(pieces)
+
+
+def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
+    """(status, body, keep_alive) of a reply whose first line is read.
+
+    Interim 1xx replies are skipped. The body is framed by chunked transfer
+    encoding, else by Content-Length, else by the end of the stream. The
+    connection stays alive under HTTP/1.1 unless the reply says
+    `Connection: close`, under HTTP/1.0 only if it says `Connection:
+    keep-alive`, and never after a body read to the end of the stream.
+    """
+    while True:
+        if len(line) > _MAX_LINE:
+            raise _BadReply(f"a reply line is longer than {_MAX_LINE} bytes")
+        version, code = (line.split(None, 2) + [b""])[:2]
+        if (
+            not version.startswith(b"HTTP/1.")
+            or len(code) != 3
+            or not code.isdigit()
+            or code < b"100"
+        ):
+            raise _BadReply(f"bad status line {line[:80]!r}")
+        status = int(code)
+        fields = _read_fields(reader)
+        if status >= 200:
+            break
+        line = reader.readline(_MAX_LINE + 1)
+    connection = fields.get(b"connection", b"").lower()
+    if version == b"HTTP/1.0":
+        keep_alive = b"keep-alive" in connection
+    else:
+        keep_alive = b"close" not in connection
+    if status in (204, 304):
+        return status, b"", keep_alive
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, _read_chunked(reader), keep_alive
+    length = fields.get(b"content-length")
+    if length is None:
+        return status, reader.read(), False
+    if not length.isdigit():
+        raise _BadReply(f"bad Content-Length {length[:40]!r}")
+    return status, _read_exact(reader, int(length)), keep_alive
+
+
+class _Connection:
+    """A socket and the one buffered reader over it, closed together."""
+
+    __slots__ = ("sock", "reader", "timeout_s")
+
+    def __init__(self, sock: socket.socket, timeout_s: float):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+        self.timeout_s = timeout_s
+
+    def exchange(self, message: bytes) -> bytes:
+        """Send a request in one write and return the reply's first line. The
+        end of the stream before that line raises ConnectionResetError."""
+        self.sock.sendall(message)
+        line = self.reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionResetError("the connection closed before a reply")
+        return line
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
 
 
 class _ConnectionPool:
-    """HttpBackend's default transport: POSTs a JSON payload over kept-alive
-    HTTP/1.1 connections and returns (status, body); HttpBackend describes
-    the pooling and re-send rules.
+    """HttpBackend's default transport: POSTs a JSON payload as HTTP/1.1 over
+    kept-alive sockets and returns (status, body); HttpBackend describes the
+    pooling and re-send rules.
+
+    Each request is rendered whole, headers and body, and sent in one write,
+    with the headers the stdlib http.client sends: Host, Accept-Encoding:
+    identity, Content-Length and the caller's. A header name or value that
+    holds CR or LF or is not Latin-1 raises ValueError, naming the header
+    but not its value, before anything is sent. Each socket keeps one
+    buffered reader for its life; _read_reply gives the framing and
+    keep-alive rules. A reply line may hold at most 65536 bytes and a reply
+    at most 100 headers.
 
     Idle connections wait on a lock-guarded list per origin, and a request
-    takes the most recently used one. A socket timeout raises Timeout; other
-    socket and HTTP protocol errors raise Unavailable. A body that is not a
-    JSON object reads as {}.
+    takes the most recently used one; a connection goes back only after its
+    reply was read completely. A socket timeout raises Timeout; other socket
+    errors and any framing fault raise Unavailable, and the socket is
+    closed. A body that is not a JSON object reads as {}.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._idle: dict[tuple, list[HTTPConnection]] = {}
+        self._idle: dict[tuple, list[_Connection]] = {}
+        self._routes: dict[str, tuple[tuple[str, str, int], str]] = {}
         self._ssl_context: ssl.SSLContext | None = None
 
     def __call__(
         self, url: str, payload: dict, headers: dict, timeout_s: float
     ) -> tuple[int, dict]:
-        parts = urlsplit(url)
-        origin = (parts.scheme, parts.hostname, parts.port)
-        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        route = self._routes.get(url) or self._routes.setdefault(url, _route(url))
+        origin, head = route
         data = json.dumps(payload).encode("utf-8")
-        conn, reused = self._take(origin, timeout_s)
+        lines = [head, f"Content-Length: {len(data)}\r\n"]
+        for name, value in headers.items():
+            if not name or ":" in name or not (is_header_text(name) and is_header_text(value)):
+                raise ValueError(
+                    f"HTTP header {name!r} holds CR, LF or a character outside Latin-1"
+                )
+            lines.append(f"{name}: {value}\r\n")
+        lines.append("\r\n")
+        message = "".join(lines).encode("latin-1") + data
+        conn = None
         try:
+            conn, reused = self._take(origin, timeout_s)
             try:
-                response = self._send(conn, target, data, headers)
+                line = conn.exchange(message)
             except ConnectionError:
                 # The server closed the idle connection before this request.
                 if not reused:
                     raise
                 conn.close()
                 conn = self._connect(origin, timeout_s)
-                response = self._send(conn, target, data, headers)
-            raw = response.read()
+                line = conn.exchange(message)
+            status, raw, keep_alive = _read_reply(conn.reader, line)
         except TimeoutError as exc:
-            conn.close()
+            if conn is not None:
+                conn.close()
             raise Timeout(f"request to {url} timed out after {timeout_s}s") from exc
-        except (OSError, HTTPException) as exc:
-            conn.close()
+        except (OSError, _BadReply) as exc:
+            if conn is not None:
+                conn.close()
             raise Unavailable(f"cannot reach {url}: {exc!r}") from exc
-        if response.will_close:
-            conn.close()
-        else:
+        if keep_alive:
             with self._lock:
                 self._idle.setdefault(origin, []).append(conn)
+        else:
+            conn.close()
         try:
             body = json.loads(raw)
         except ValueError:
             body = None
-        return response.status, body if isinstance(body, dict) else {}
+        return status, body if isinstance(body, dict) else {}
 
-    @staticmethod
-    def _send(conn: HTTPConnection, target: str, data: bytes, headers: dict) -> HTTPResponse:
-        conn.request("POST", target, body=data, headers=headers)
-        return conn.getresponse()
-
-    def _take(self, origin: tuple, timeout_s: float) -> tuple[HTTPConnection, bool]:
+    def _take(self, origin: tuple, timeout_s: float) -> tuple[_Connection, bool]:
         """An idle connection to the origin (reused=True) or a new one."""
         with self._lock:
             idle = self._idle.get(origin)
             conn = idle.pop() if idle else None
         if conn is None:
             return self._connect(origin, timeout_s), False
-        if conn.timeout != timeout_s:
-            conn.timeout = timeout_s
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout_s)
+        if conn.timeout_s != timeout_s:
+            conn.timeout_s = timeout_s
+            conn.sock.settimeout(timeout_s)
         return conn, True
 
-    def _connect(self, origin: tuple, timeout_s: float) -> HTTPConnection:
+    def _connect(self, origin: tuple, timeout_s: float) -> _Connection:
         scheme, host, port = origin
-        if scheme == "https":
-            if self._ssl_context is None:
-                self._ssl_context = ssl.create_default_context()
-            return HTTPSConnection(host, port, timeout=timeout_s, context=self._ssl_context)
-        return HTTPConnection(host, port, timeout=timeout_s)
+        sock = socket.create_connection((host, port), timeout_s)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                if self._ssl_context is None:
+                    self._ssl_context = ssl.create_default_context()
+                sock = self._ssl_context.wrap_socket(sock, server_hostname=host)
+            return _Connection(sock, timeout_s)
+        except BaseException:
+            sock.close()
+            raise
 
     def close(self) -> None:
         """Close every idle connection."""
@@ -413,15 +603,21 @@ class HttpBackend(Backend):
     are fatal for the request. Sampling seeds are forwarded best-effort;
     determinism is only guaranteed by the scripted backend.
 
-    The default transport (stdlib `http.client`) keeps connections alive.
+    The default transport speaks HTTP/1.1 itself on stdlib sockets and
+    `ssl`, sends each request in one write and keeps connections alive.
     Each backend owns a pool of idle connections that grows only to the
     number of requests in flight. A connection returns to the pool after a
-    complete response unless the server marks it `Connection: close`, and
-    is closed on any error. A request that meets a connection error on a
-    reused idle connection before any response arrives is sent once more,
-    at once, on a fresh connection; that re-send is not an attempt and is
-    not backed off. Dropping the backend closes its idle sockets. Proxy
-    environment variables are not read, and HTTPS verifies against the
+    reply read completely unless the reply ends the connection (HTTP/1.1
+    with `Connection: close`, HTTP/1.0 without `Connection: keep-alive`, or
+    a body framed by the end of the stream), and is closed on any error. A
+    reply that cannot be framed (a bad status line, a bad Content-Length, a
+    cut-short body or chunk, a line over 65536 bytes or over 100 headers)
+    is Unavailable. A request that meets a connection error, or the end of
+    the stream, on a reused idle connection before any status line arrives
+    is sent once more, at once, on a fresh connection; that re-send is not
+    an attempt and is not backed off. Sockets set TCP_NODELAY. Dropping the
+    backend closes its idle sockets. Proxy environment variables are not
+    read, and HTTPS verifies the certificate and host name against the
     system CA store. `transport(url, payload, headers, timeout_s) ->
     (status, body)` replaces the default transport, e.g. in tests.
     """

@@ -20,7 +20,8 @@ from typing import Sequence
 
 from . import hintcorpus, retrieval
 from .backend import (
-    Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend, check_base_url
+    Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend, check_base_url,
+    is_header_text,
 )
 from .core import (
     ParseError, SamplingParams, Scheme, Strategy, canonical_json, json_object, params_from_dict,
@@ -75,6 +76,8 @@ class ConfigError(ValueError):
 SCHEME_KEYS = ("n_paths", "shots", "exemplar_seed", "n_hints", "recitations_per_hop")
 # Config keys that become NormProfile flags of the same name.
 NORM_KEYS = ("lowercase", "strip_articles", "strip_punct", "collapse_whitespace")
+# The variable an http backend's auth token is read from, unless auth_env names another.
+DEFAULT_AUTH_ENV = "RECITEQA_API_KEY"
 
 
 @dataclass
@@ -180,6 +183,15 @@ def _backend_from_config(entry, resolve, name: str) -> dict:
             check_base_url(entry["base_url"])
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
+        # The token is checked here, once, and never echoed: HttpBackend
+        # would refuse it on the first request, after the run began.
+        auth_env = entry.get("auth_env", DEFAULT_AUTH_ENV)
+        token = os.environ.get(auth_env)
+        if token and not is_header_text(token):
+            raise ConfigError(
+                f"{name}: the token in ${auth_env} holds CR, LF or a character outside "
+                "Latin-1, so it cannot be sent as a header"
+            )
         return entry
     raise ConfigError(f"{name}: kind must be scripted or http, got {kind!r}")
 
@@ -290,7 +302,7 @@ def _build_backend(cfg: RunConfig) -> tuple[Backend, bool]:
         backend = HttpBackend(
             base_url=cfg.backend["base_url"],
             model=cfg.backend["model"],
-            auth_env=cfg.backend.get("auth_env", "RECITEQA_API_KEY"),
+            auth_env=cfg.backend.get("auth_env", DEFAULT_AUTH_ENV),
             timeout_s=float(cfg.backend.get("timeout_s", 60.0)),
         )
         deterministic = False

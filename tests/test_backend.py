@@ -3,7 +3,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import shutil
 import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -733,7 +736,8 @@ def test_http_payload_shape():
 
 
 class LocalServer(ThreadingHTTPServer):
-    """A localhost HTTP/1.1 server that answers POSTs with one "ok" choice.
+    """A localhost HTTP/1.1 server that answers POSTs with one "ok" choice
+    and records each request as (request line, sorted headers, body).
 
     `actions[i]` says what to do with request i (the last one repeats):
     "reply"; "drop" (close without replying); "close-after" (reply, then
@@ -749,6 +753,7 @@ class LocalServer(ThreadingHTTPServer):
         self.lock = threading.Lock()
         self.connections = 0
         self.requests = 0
+        self.seen = []
         self.finished = threading.Semaphore(0)
         self.release = threading.Event()
         super().__init__(("127.0.0.1", 0), _LocalHandler)
@@ -770,11 +775,12 @@ class _LocalHandler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        body = self.rfile.read(int(self.headers["Content-Length"]))
         server = self.server
         with server.lock:
             action = server.actions[min(server.requests, len(server.actions) - 1)]
             server.requests += 1
+            server.seen.append((self.requestline, sorted(self.headers.items()), body))
         if action in ("drop", "silent"):
             if action == "silent":
                 server.release.wait(10)
@@ -904,7 +910,250 @@ def test_http_dropping_the_backend_closes_its_idle_connections(local_server):
         gc.enable()
 
 
-@pytest.mark.parametrize("base_url", ["ftp://h/v1", "localhost:8000", "http://", "http://h:x"])
+@pytest.mark.parametrize(
+    "base_url",
+    ["ftp://h/v1", "localhost:8000", "http://", "http://h:x", "http://h/v 1", "http://h/v\u00e9"],
+)
 def test_http_rejects_a_base_url_that_is_not_http(base_url):
     with pytest.raises(ValueError):
         HttpBackend(base_url=base_url, model="m1")
+
+
+@pytest.mark.parametrize("token", [None, "tok"])
+def test_http_sends_the_request_http_client_sent(local_server, monkeypatch, token):
+    if token is None:
+        monkeypatch.delenv("RECITEQA_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("RECITEQA_API_KEY", token)
+    server, base_url = local_server("reply")
+    backend = HttpBackend(base_url=base_url, model="m1")
+    request = GenerationRequest("Q: é \"ü\"\nA:", sampled(seed=3, stops=("\n",)))
+    assert within(30, lambda: backend.generate(request)).texts == ("ok",)
+    body = json.dumps(backend._payload(request)).encode("utf-8")
+    headers = [
+        ("Accept-Encoding", "identity"),
+        ("Content-Length", str(len(body))),
+        ("Content-Type", "application/json"),
+        ("Host", f"127.0.0.1:{server.server_address[1]}"),
+    ]
+    if token is not None:
+        headers.append(("Authorization", f"Bearer {token}"))
+    assert server.seen == [("POST /v1/completions HTTP/1.1", sorted(headers), body)]
+
+
+def test_http_sends_each_request_in_one_write(local_server, monkeypatch):
+    server, base_url = local_server("reply")
+    port = server.server_address[1]
+    writes = []
+    sendall = socket.socket.sendall
+
+    def counting_sendall(sock, data, *args):
+        if sock.getpeername()[1] == port:  # the client's end, not the server's
+            writes.append(len(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    backend = HttpBackend(base_url=base_url, model="m1")
+    assert within(30, lambda: ask(backend, 3)) == [("ok",)] * 3
+    assert len(writes) == 3
+
+
+# ---------------------------------------------------------------------------
+# http backend framing, against a localhost server that sends raw replies
+
+
+OK_BODY = json.dumps({"choices": [{"text": "ok"}]}).encode("utf-8")
+
+
+def raw_reply(*header_lines, body=OK_BODY, status_line=b"HTTP/1.1 200 OK"):
+    return b"\r\n".join((status_line, *header_lines, b"", body))
+
+
+def chunked(body, cut):
+    """body as two chunks split at `cut`, with a chunk extension and a trailer."""
+    pieces = (body[:cut], body[cut:])
+    return b"".join(b"%x;ext=1\r\n%s\r\n" % (len(p), p) for p in pieces) + (
+        b"0\r\nX-Trailer: 1\r\n\r\n"
+    )
+
+
+class RawServer:
+    """A localhost TCP server that answers request i with the bytes
+    `replies[i]` as given (the last one repeats) and, if close_after is
+    set, closes the connection after each reply."""
+
+    def __init__(self, replies, close_after=False):
+        self.replies = replies
+        self.close_after = close_after
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = 0
+        self.stop = threading.Event()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.base_url = f"http://127.0.0.1:{self.listener.getsockname()[1]}/v1"
+        self.thread = threading.Thread(target=self._accept, daemon=True)
+        self.thread.start()
+
+    def _accept(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            with self.lock:
+                self.connections += 1
+            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        conn.settimeout(10)
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                length = None
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                if length is None:
+                    return
+                reader.read(length)
+                with self.lock:
+                    reply = self.replies[min(self.requests, len(self.replies) - 1)]
+                    self.requests += 1
+                conn.sendall(reply)
+                if self.close_after:
+                    return
+
+    def close(self):
+        self.stop.set()
+        self.thread.join(timeout=5)
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    started = []
+
+    def start(*replies, close_after=False):
+        started.append(RawServer(replies, close_after))
+        return started[-1]
+
+    yield start
+    for server in started:
+        server.close()
+
+
+def idle_connections(backend):
+    return [conn for conns in backend._transport._idle.values() for conn in conns]
+
+
+def test_http_reads_a_chunked_reply_and_reuses_the_connection(raw_server):
+    server = raw_server(raw_reply(b"Transfer-Encoding: chunked", body=chunked(OK_BODY, 5)))
+    backend = HttpBackend(base_url=server.base_url, model="m1", max_attempts=1)
+    assert within(30, lambda: ask(backend, 2)) == [("ok",)] * 2
+    assert (server.requests, server.connections, len(idle_connections(backend))) == (2, 1, 1)
+
+
+def test_http_reads_a_reply_with_no_length_to_the_end_and_does_not_pool_it(raw_server):
+    reply = raw_reply(b"Content-Type: application/json", status_line=b"HTTP/1.0 200 OK")
+    server = raw_server(reply, close_after=True)
+    backend = HttpBackend(base_url=server.base_url, model="m1", max_attempts=1)
+    assert within(30, lambda: ask(backend, 2)) == [("ok",)] * 2
+    assert (server.requests, server.connections, idle_connections(backend)) == (2, 2, [])
+
+
+def test_http_skips_an_interim_reply(raw_server):
+    length = b"Content-Length: %d" % len(OK_BODY)
+    server = raw_server(b"HTTP/1.1 100 Continue\r\n\r\n" + raw_reply(length))
+    backend = HttpBackend(base_url=server.base_url, model="m1", max_attempts=1)
+    assert within(30, lambda: ask(backend, 2)) == [("ok",)] * 2
+    assert (server.requests, server.connections) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "status_line, connection, pooled",
+    [
+        (b"HTTP/1.1 200 OK", None, True),
+        (b"HTTP/1.1 200 OK", b"Connection: close", False),
+        (b"HTTP/1.0 200 OK", None, False),
+        (b"HTTP/1.0 200 OK", b"Connection: keep-alive", True),
+    ],
+    ids=["1.1", "1.1-close", "1.0", "1.0-keep-alive"],
+)
+def test_http_keeps_a_connection_alive_by_the_http_client_rule(
+    raw_server, status_line, connection, pooled
+):
+    lines = [b"Content-Length: %d" % len(OK_BODY)] + ([connection] if connection else [])
+    server = raw_server(raw_reply(*lines, status_line=status_line))
+    backend = HttpBackend(base_url=server.base_url, model="m1", max_attempts=1)
+    assert within(30, lambda: ask(backend, 1)) == [("ok",)]
+    assert len(idle_connections(backend)) == pooled
+
+
+FRAMING_FAULTS = {
+    "not-http": raw_reply(b"Content-Length: 2", body=b"{}", status_line=b"SPDY/3 200 OK"),
+    "two-digit-status": raw_reply(b"Content-Length: 2", body=b"{}", status_line=b"HTTP/1.1 20 OK"),
+    "non-numeric-length": raw_reply(b"Content-Length: abc"),
+    "negative-length": raw_reply(b"Content-Length: -5"),
+    "body-cut-short": raw_reply(b"Content-Length: %d" % (len(OK_BODY) + 10)),
+    "huge-length": raw_reply(b"Content-Length: %d" % 10**15),
+    "chunk-cut-short": raw_reply(b"Transfer-Encoding: chunked", body=b"ff\r\n" + OK_BODY),
+    "bad-chunk-size": raw_reply(b"Transfer-Encoding: chunked", body=b"-5\r\n" + OK_BODY),
+    "long-header-line": raw_reply(b"X-Long: " + b"a" * 65536, b"Content-Length: 0", body=b""),
+    "101-headers": raw_reply(*[b"X-H: 1"] * 100, b"Content-Length: 0", body=b""),
+    "closed-in-headers": b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+}
+
+
+@pytest.mark.parametrize("reply", list(FRAMING_FAULTS.values()), ids=list(FRAMING_FAULTS))
+def test_http_reply_that_cannot_be_framed_is_unavailable_and_closes_the_socket(raw_server, reply):
+    server = raw_server(reply, close_after=True)
+    backend = HttpBackend(base_url=server.base_url, model="m1", timeout_s=5, max_attempts=1)
+    with pytest.raises(Unavailable):
+        within(30, lambda: backend.generate(GenerationRequest("P", greedy())))
+    assert idle_connections(backend) == []
+
+
+def test_http_accepts_exactly_100_headers(raw_server):
+    server = raw_server(raw_reply(*[b"X-H: 1"] * 99, b"Content-Length: %d" % len(OK_BODY)))
+    backend = HttpBackend(base_url=server.base_url, model="m1", max_attempts=1)
+    assert within(30, lambda: ask(backend, 1)) == [("ok",)]
+
+
+@pytest.mark.parametrize("token", ["sekret\r\nX-Injected: 1", "sekret\nX: 1", "sekret€"])
+def test_http_header_that_cannot_be_sent_raises_before_anything_is_sent(
+    raw_server, monkeypatch, token
+):
+    server = raw_server(raw_reply(b"Content-Length: %d" % len(OK_BODY)))
+    monkeypatch.setenv("RECITEQA_API_KEY", token)
+    backend = HttpBackend(base_url=server.base_url, model="m1", max_attempts=1)
+    with pytest.raises(ValueError) as raised:
+        within(30, lambda: backend.generate(GenerationRequest("P", greedy())))
+    assert "sekret" not in str(raised.value)
+    assert (server.connections, server.requests) == (0, 0)
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+def test_https_verifies_the_server_certificate(tmp_path, local_server):
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        [
+            "openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+            "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "1",
+            "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+        ],
+        check=True, capture_output=True, timeout=60,
+    )
+    server, base_url = local_server("reply")
+    context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+    context.load_cert_chain(cert, key)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    base_url = base_url.replace("http:", "https:")
+    backend = HttpBackend(base_url=base_url, model="m1", timeout_s=5, max_attempts=1)
+    with pytest.raises(Unavailable, match="CERTIFICATE_VERIFY_FAILED"):
+        within(30, lambda: backend.generate(GenerationRequest("P", greedy())))
+    # The same server passes once its certificate is trusted: the failure
+    # above was verification, not the TLS exchange.
+    backend._transport._ssl_context = ssl.create_default_context(cafile=str(cert))
+    assert within(30, lambda: ask(backend, 2)) == [("ok",)] * 2
+    assert (server.requests, len(idle_connections(backend))) == (2, 1)

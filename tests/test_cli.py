@@ -195,6 +195,27 @@ def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides)
     assert not (workspace / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "backend, auth_env, token",
+    [
+        (HTTP_BACKEND, "RECITEQA_API_KEY", "sekret\nX: 1"),
+        (HTTP_BACKEND, "RECITEQA_API_KEY", "sekret\rX: 1"),
+        ({**HTTP_BACKEND, "auth_env": "PROBE_TOKEN"}, "PROBE_TOKEN", "sekret€"),
+    ],
+    ids=["lf", "cr", "not-latin-1"],
+)
+def test_run_auth_token_that_cannot_be_a_header_exits_1_without_printing_it(
+    workspace, capsys, monkeypatch, backend, auth_env, token
+):
+    monkeypatch.setenv(auth_env, token)
+    bad = write_config(workspace / "bad.json", workspace, backend=backend)
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {bad}: backend: the token in ${auth_env}" in captured.err
+    assert "sekret" not in captured.err + captured.out
+    assert not (workspace / "runs").exists()
+
+
 def test_run_negative_limit_flag_exits_1_before_writing(workspace, capsys):
     config = str(workspace / "config.json")
     assert main(["run", "--config", config, "--limit", "-1"]) == EXIT_CONFIG

@@ -260,14 +260,16 @@ def test_no_module_splits_file_text_with_splitlines():
 
 
 def test_importing_the_package_loads_no_third_party_http_client():
-    # Importing requests and urllib3 costs far more than the stdlib client
-    # the package uses; a stray import would tax every command's start-up.
+    # Importing requests and urllib3 costs far more than the sockets the
+    # package speaks HTTP on, and http.client pulls in the email package to
+    # parse headers; a stray import would tax every command's start-up.
     names = [info.name for info in pkgutil.iter_modules(reciteqa.__path__)]
     code = (
         "import importlib, sys\n"
         f"for name in {names!r}:\n"
         "    importlib.import_module('reciteqa.' + name)\n"
-        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+        "loaded = ('requests', 'urllib3', 'http.client', 'email')\n"
+        "print(sorted(m for m in loaded if m in sys.modules))\n"
     )
     src = str(Path(reciteqa.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

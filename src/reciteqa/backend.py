@@ -37,6 +37,7 @@ __all__ = [
     "Backend",
     "ScriptedBackend",
     "HttpBackend",
+    "DEFAULT_AUTH_ENV",
     "CachingBackend",
     "check_base_url",
     "is_header_text",
@@ -49,6 +50,8 @@ logger = logging.getLogger(__name__)
 
 MAX_ATTEMPTS = 5
 BACKOFF_BASE_S = 0.5
+# The variable HttpBackend reads its auth token from, unless told another.
+DEFAULT_AUTH_ENV = "RECITEQA_API_KEY"
 
 
 class BackendError(Exception):
@@ -65,7 +68,8 @@ class RateLimited(BackendError):
 
 class Unavailable(BackendError):
     """A 502, 503 or 504 reply, a connection refused or dropped, or a reply
-    that cannot be framed."""
+    that cannot be framed. A TLS certificate that cannot be verified is a
+    plain, non-retryable BackendError instead."""
 
     retryable = True
 
@@ -497,9 +501,10 @@ class _ConnectionPool:
 
     Idle connections wait on a lock-guarded list per origin, and a request
     takes the most recently used one; a connection goes back only after its
-    reply was read completely. A socket timeout raises Timeout; other socket
-    errors and any framing fault raise Unavailable, and the socket is
-    closed. A body that is not a JSON object reads as {}.
+    reply was read completely. A socket timeout raises Timeout, a server
+    certificate that cannot be verified raises BackendError, and other
+    socket errors and any framing fault raise Unavailable; the socket is
+    then closed. A body that is not a JSON object reads as {}.
     """
 
     def __init__(self):
@@ -543,6 +548,9 @@ class _ConnectionPool:
         except (OSError, _BadReply) as exc:
             if conn is not None:
                 conn.close()
+            if isinstance(exc, ssl.SSLCertVerificationError):
+                # No retry can make the certificate verify.
+                raise BackendError(f"cannot verify the certificate of {url}: {exc}") from exc
             raise Unavailable(f"cannot reach {url}: {exc!r}") from exc
         if keep_alive:
             with self._lock:
@@ -599,8 +607,9 @@ class HttpBackend(Backend):
     to <base_url>/completions and reads {"choices": [{"text": ...}, ...]}.
     The auth token comes from an environment variable, never configuration.
     Timeouts, connection errors and statuses 429, 502, 503 and 504 retry
-    with exponential backoff plus jitter, up to MAX_ATTEMPTS; other failures
-    are fatal for the request. Sampling seeds are forwarded best-effort;
+    with exponential backoff plus jitter, up to MAX_ATTEMPTS; other failures,
+    a server certificate that cannot be verified among them, are fatal for
+    the request at once. Sampling seeds are forwarded best-effort;
     determinism is only guaranteed by the scripted backend.
 
     The default transport speaks HTTP/1.1 itself on stdlib sockets and
@@ -626,7 +635,7 @@ class HttpBackend(Backend):
         self,
         base_url: str,
         model: str,
-        auth_env: str = "RECITEQA_API_KEY",
+        auth_env: str = DEFAULT_AUTH_ENV,
         timeout_s: float = 60.0,
         max_attempts: int = MAX_ATTEMPTS,
         transport: Callable[[str, dict, dict, float], tuple[int, dict]] | None = None,

@@ -20,8 +20,8 @@ from typing import Sequence
 
 from . import hintcorpus, retrieval
 from .backend import (
-    Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend, check_base_url,
-    is_header_text,
+    DEFAULT_AUTH_ENV, Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend,
+    check_base_url, is_header_text,
 )
 from .core import (
     ParseError, SamplingParams, Scheme, Strategy, canonical_json, json_object, params_from_dict,
@@ -31,6 +31,7 @@ from .datasets import DataError, default_shots, load_questions
 from .evalkit import (
     DEFAULT_PROFILE,
     EvalError,
+    EvalReport,
     NormProfile,
     aggregate_report,
     format_category_table,
@@ -41,7 +42,6 @@ from .evalkit import (
 from .pipeline import (
     SchemeConfig,
     check_exemplar_prompts,
-    config_fingerprint,
     default_answer_params,
     default_recitation_params,
     load_run_records,
@@ -76,8 +76,6 @@ class ConfigError(ValueError):
 SCHEME_KEYS = ("n_paths", "shots", "exemplar_seed", "n_hints", "recitations_per_hop")
 # Config keys that become NormProfile flags of the same name.
 NORM_KEYS = ("lowercase", "strip_articles", "strip_punct", "collapse_whitespace")
-# The variable an http backend's auth token is read from, unless auth_env names another.
-DEFAULT_AUTH_ENV = "RECITEQA_API_KEY"
 
 
 @dataclass
@@ -172,8 +170,8 @@ def _backend_from_config(entry, resolve, name: str) -> dict:
         for key in ("base_url", "model", "auth_env"):
             if key in entry and not isinstance(entry[key], str):
                 raise ConfigError(f"{name}: {key} must be a string, got {entry[key]!r}")
-        timeout_s = entry.get("timeout_s", 60.0)
-        if (
+        timeout_s = entry.get("timeout_s")
+        if "timeout_s" in entry and (
             isinstance(timeout_s, bool)
             or not isinstance(timeout_s, (int, float))
             or not 0 < timeout_s < math.inf
@@ -211,6 +209,9 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
     for field_name in ("dataset", "scheme", "prompt_set", "backend", "run_dir"):
         if field_name not in raw:
             raise ConfigError(f"{path}: missing required field {field_name!r}")
+    for key in ("prompt_set", "run_dir"):
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"{path}: {key} must be a string, got {raw[key]!r}")
     dataset = raw.pop("dataset")
     if not isinstance(dataset, dict) or not all(
         isinstance(dataset.get(key), str) for key in ("path", "adapter")
@@ -258,6 +259,12 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         **scheme_fields,
     )
     normalization = raw.pop("normalization", None)
+    cache = raw.pop("cache", None)
+    if cache is not None and not (isinstance(cache, str) and cache):
+        raise ConfigError(f"{path}: cache must be a non-empty string or null, got {cache!r}")
+    resume = raw.pop("resume", False)
+    if not isinstance(resume, bool):
+        raise ConfigError(f"{path}: resume must be true or false, got {resume!r}")
     cfg = RunConfig(
         dataset_path=resolve(dataset["path"]),
         adapter=dataset["adapter"],
@@ -271,8 +278,8 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         profile=_profile_from_config(normalization, f"{path}: normalization"),
         max_questions_in_flight=ints.get("max_questions_in_flight", 1),
         max_paths_in_flight=ints.get("max_paths_in_flight", 4),
-        cache=resolve(cache) if (cache := raw.pop("cache", None)) else None,
-        resume=raw.pop("resume", False),
+        cache=None if cache is None else resolve(cache),
+        resume=resume,
     )
     if raw:
         raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(raw))}")
@@ -299,12 +306,9 @@ def _build_backend(cfg: RunConfig) -> tuple[Backend, bool]:
         backend: Backend = ScriptedBackend.from_file(cfg.backend["script"])
         deterministic = True
     else:
-        backend = HttpBackend(
-            base_url=cfg.backend["base_url"],
-            model=cfg.backend["model"],
-            auth_env=cfg.backend.get("auth_env", DEFAULT_AUTH_ENV),
-            timeout_s=float(cfg.backend.get("timeout_s", 60.0)),
-        )
+        # The entry's other keys are HttpBackend parameters of the same name;
+        # HttpBackend holds the defaults of those it leaves out.
+        backend = HttpBackend(**{k: v for k, v in cfg.backend.items() if k != "kind"})
         deterministic = False
     if cfg.cache is not None:
         backend = CachingBackend(backend, cfg.cache)
@@ -335,6 +339,13 @@ def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, dialect: Pr
     return exemplars
 
 
+def _write_report(report: EvalReport, out_dir: Path) -> EvalReport:
+    (out_dir / "report.json").write_text(
+        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return report
+
+
 def _execute_run(cfg: RunConfig) -> dict:
     questions = load_questions(cfg.dataset_path, cfg.adapter)
     prompt_set = load_prompt_set(cfg.prompt_set)
@@ -350,9 +361,6 @@ def _execute_run(cfg: RunConfig) -> dict:
     clock = (lambda: 0.0) if deterministic else time.monotonic
 
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = config_fingerprint(
-        scheme_cfg, exemplars, dialect, tuple(tuple(t) for t in prompt_set.hint_exemplars)
-    )
     started = time.time()
     records = list(
         run_dataset(
@@ -373,11 +381,7 @@ def _execute_run(cfg: RunConfig) -> dict:
     )
     finished = time.time()
 
-    report = aggregate_report(records, questions, cfg.profile)
-    (cfg.run_dir / "report.json").write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    report = _write_report(aggregate_report(records, questions, cfg.profile), cfg.run_dir)
 
     def recorded(path: Path) -> str:
         # run.json names files relative to the run directory, so a run
@@ -396,7 +400,9 @@ def _execute_run(cfg: RunConfig) -> dict:
         **{key: getattr(scheme_cfg, key) for key in SCHEME_KEYS},
         "normalization": cfg.normalization,
         "backend": backend_info,
-        "config_fingerprint": fingerprint,
+        # aggregate_report refused an empty run, and run_dataset re-emits
+        # only stored records that carry the current fingerprint.
+        "config_fingerprint": records[0].config_fingerprint,
     }
     (cfg.run_dir / "run.json").write_text(
         canonical_json(run_info) + "\n", encoding="utf-8"
@@ -473,11 +479,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = aggregate_report(records, questions, profile)
-    (out_dir / "report.json").write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    report = _write_report(aggregate_report(records, questions, profile), out_dir)
     category_table = format_category_table(report)
     quadrant_table = format_quadrant_table(report)
     (out_dir / "category_table.txt").write_text(category_table + "\n", encoding="utf-8")

@@ -28,25 +28,25 @@ prompting.read_answer gives (the answer cue line plus the completion), so
 every extracted answer is re-derivable from its raw text by
 prompting.extract_answer.
 
-run_dataset alone checks the config, takes its fingerprint and builds the
-executors; answer_question is run_dataset on one question. Each stage is
-one backend.generate_batch call on the run's one request executor, of
-max_questions_in_flight x max_paths_in_flight workers: the run's cap on
-requests in flight. A batch runs as one lane per worker (fewer if the
-batch is smaller), each taking the batch's next unsent request as its last
-one returns, so a worker freed by one question's lanes takes the next
-queued lane at once, whichever question it belongs to. A CachingBackend
-answers a batch's cache hits on the question's own thread and runs only
-its misses as lanes, so a fully cached stage uses no worker. Up to
-max_questions_in_flight questions run at a time, and records.jsonl is
-appended in input order.
+run_dataset is the one entry point: it alone checks the config, takes its
+fingerprint, builds the executors and binds the run's dispatcher, the one
+backend.generate_batch call _answer makes per stage, on the run's one
+request executor of max_questions_in_flight x max_paths_in_flight workers:
+the run's cap on requests in flight. A batch runs as one lane per worker
+(fewer if the batch is smaller), each taking the batch's next unsent
+request as its last one returns, so a worker freed by one question's lanes
+takes the next queued lane at once, whichever question it belongs to. A
+CachingBackend answers a batch's cache hits on the question's own thread
+and runs only its misses as lanes, so a fully cached stage uses no worker.
+Up to max_questions_in_flight questions run at a time, and records.jsonl
+is appended in input order.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -88,11 +88,9 @@ from .prompting import (
 
 __all__ = [
     "SchemeConfig",
-    "PipelineError",
     "default_recitation_params",
     "default_answer_params",
     "config_fingerprint",
-    "answer_question",
     "check_exemplar_prompts",
     "run_dataset",
     "load_run_records",
@@ -101,15 +99,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE_VERSION = 1
-
-
-class PipelineError(Exception):
-    """A per-question failure; carries whatever paths were assembled."""
-
-    def __init__(self, question_id: str, message: str, paths: Sequence[RecitationPath] = ()):
-        super().__init__(f"question {question_id}: {message}")
-        self.question_id = question_id
-        self.paths = tuple(paths)
 
 
 def default_recitation_params(
@@ -281,68 +270,22 @@ def _dedup_hints(hints: Sequence[str]) -> list[str]:
     return unique
 
 
-def answer_question(
-    question: QuestionRecord,
-    cfg: SchemeConfig,
-    exemplars: Sequence[Exemplar],
-    backend: Backend,
-    *,
-    hint_exemplars: Sequence = (),
-    hint_corpus=None,
-    dialect: PromptDialect = DEFAULT_DIALECT,
-    profile: NormProfile = DEFAULT_PROFILE,
-    max_paths_in_flight: int = 4,
-    clock: Callable[[], float] = time.monotonic,
-) -> RunRecord:
-    """Answer one question under cfg.scheme and take the plurality vote over
-    its paths' answers, with at most max_paths_in_flight requests in flight:
-    run_dataset on that one question, with no run directory.
-
-    Raises ValueError for an invalid cfg, and PipelineError, carrying the
-    paths, when every path failed; a question whose own prompt cannot be
-    built is one such path, its error the PromptError. The hint corpus is
-    diagnostic only: sampled hints found in it are counted in the
-    diversified path's backend_meta, but passages are always decoded from
-    the model so the run stays closed-book.
-    """
-    [record] = run_dataset(
-        [question],
-        cfg,
-        exemplars,
-        backend,
-        hint_exemplars=hint_exemplars,
-        hint_corpus=hint_corpus,
-        dialect=dialect,
-        profile=profile,
-        max_paths_in_flight=max_paths_in_flight,
-        clock=clock,
-    )
-    if all(p.failed for p in record.paths):
-        raise PipelineError(
-            question.id, f"all {len(record.paths)} paths failed", paths=record.paths
-        )
-    return record
-
-
 def _answer(
     question: QuestionRecord,
-    executor: Executor,
     *,
+    dispatch: Callable[[list[GenerationRequest]], list[GenerationResult | BackendError]],
     cfg: SchemeConfig,
     exemplars: tuple[Exemplar, ...],
-    backend: Backend,
     hint_exemplars: Sequence,
     hint_corpus,
     dialect: PromptDialect,
     profile: NormProfile,
     fingerprint: str,
-    max_in_flight: int,
     clock: Callable[[], float],
 ) -> RunRecord:
-    """The record of one question under cfg.scheme, with every model request
-    sent on `executor` as max_in_flight lanes per batch, its worker count.
-    A failed question is logged and recorded, never raised: see the module
-    docstring."""
+    """The record of one question under cfg.scheme, with each stage's model
+    requests sent as one batch through `dispatch`. A failed question is
+    logged and recorded, never raised: see the module docstring."""
     started = clock()
     scheme = cfg.scheme
 
@@ -377,7 +320,7 @@ def _answer(
             GenerationRequest(prompt, derived_params(cfg.recitation_params, i), 1)
             for i in range(n)
         ]
-        return backend.generate_batch(requests_list, max_in_flight, executor=executor)
+        return dispatch(requests_list)
 
     def _answer_paths(
         entries: Sequence[tuple[str, ...] | RecitationPath],
@@ -406,7 +349,7 @@ def _answer(
                 continue
             requests_list.append(GenerationRequest(prompt, cfg.answer_params, 1))
             slots.append(i)
-        outcomes = backend.generate_batch(requests_list, max_in_flight, executor=executor)
+        outcomes = dispatch(requests_list)
         for i, outcome in zip(slots, outcomes):
             paths[i] = _path(entries[i], outcome, cfg)
         for i, leader in repeats:
@@ -439,7 +382,7 @@ def _answer(
             except PromptError:
                 continue
         passages = []
-        for outcome in backend.generate_batch(expansions, max_in_flight, executor=executor):
+        for outcome in dispatch(expansions):
             if isinstance(outcome, BackendError):
                 continue
             passage = outcome.texts[0].strip()
@@ -485,7 +428,7 @@ def check_exemplar_prompts(
     hint_exemplars: Sequence = (),
     dialect: PromptDialect = DEFAULT_DIALECT,
 ) -> None:
-    """Render the few-shot prompts `answer_question` builds under cfg.scheme
+    """Render the few-shot prompts `run_dataset` builds under cfg.scheme
     for a placeholder question and recitation.
 
     Raises PromptError when an exemplar breaks the prompt grammar, which
@@ -554,7 +497,10 @@ def run_dataset(
     are skipped and their stored records re-emitted, unless every path of
     that record failed: such a question is answered again and its new
     record appended. Per-question failures become failed RunRecords and
-    the run continues.
+    the run continues; an invalid cfg raises ValueError before any request.
+    The hint corpus is diagnostic only: sampled hints found in it are
+    counted in the diversified path's backend_meta, but passages are always
+    decoded from the model so the run stays closed-book.
     """
     issues = cfg.validate()
     if issues:
@@ -585,16 +531,16 @@ def run_dataset(
     requests = ThreadPoolExecutor(max_workers=workers)
     answer = partial(
         _answer,
-        executor=requests,
+        # Bound per run, not at import: a patched Backend.generate_batch
+        # still sees every batch.
+        dispatch=partial(backend.generate_batch, max_in_flight=workers, executor=requests),
         cfg=cfg,
         exemplars=exemplars,
-        backend=backend,
         hint_exemplars=hint_exemplars,
         hint_corpus=hint_corpus,
         dialect=dialect,
         profile=profile,
         fingerprint=fingerprint,
-        max_in_flight=workers,
         clock=clock,
     )
 

@@ -91,12 +91,17 @@ def _idf(index: Bm25Index, df: int) -> float:
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
+def _weight(index: Bm25Index, idf: float, tf: int, doc_len: int) -> float:
+    """One term's BM25 contribution to one document's score."""
+    k1, b = index.params.k1, index.params.b
+    return idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doc_len / index.avg_doc_len))
+
+
 def score(index: Bm25Index, query: str, doc_id: str) -> float:
     """BM25 score of one document for a query; 0 when no query term occurs
     in the document."""
     if doc_id not in index.doc_lengths:
         raise RetrievalError(f"unknown doc id {doc_id!r}")
-    k1, b = index.params.k1, index.params.b
     doc_len = index.doc_lengths[doc_id]
     total = 0.0
     for term in tokenize(query):
@@ -110,8 +115,7 @@ def score(index: Bm25Index, query: str, doc_id: str) -> float:
                 break
         if tf == 0:
             continue
-        norm = tf + k1 * (1.0 - b + b * doc_len / index.avg_doc_len)
-        total += _idf(index, len(entries)) * tf * (k1 + 1.0) / norm
+        total += _weight(index, _idf(index, len(entries)), tf, doc_len)
     return total
 
 
@@ -120,7 +124,6 @@ def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
     documents scoring 0 are never returned."""
     if k < 1:
         raise RetrievalError(f"k must be >= 1, got {k}")
-    k1, b = index.params.k1, index.params.b
     accumulator: dict[str, float] = {}
     for term in tokenize(query):
         entries = index.postings.get(term)
@@ -128,9 +131,8 @@ def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
             continue
         idf = _idf(index, len(entries))
         for doc_id, tf in entries:
-            doc_len = index.doc_lengths[doc_id]
-            norm = tf + k1 * (1.0 - b + b * doc_len / index.avg_doc_len)
-            accumulator[doc_id] = accumulator.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / norm
+            weight = _weight(index, idf, tf, index.doc_lengths[doc_id])
+            accumulator[doc_id] = accumulator.get(doc_id, 0.0) + weight
     ranked = [(doc_id, s) for doc_id, s in accumulator.items() if s > 0.0]
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranked[:k]

@@ -1,6 +1,6 @@
 """Shared test helpers: canonical exemplars matching the golden prompt files,
-helpers for scripting end-to-end recite-and-answer runs, and a time limit
-for threaded tests."""
+helpers for scripting end-to-end recite-and-answer runs, answering one
+question, and a time limit for threaded tests."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import threading
 from pathlib import Path
 
 from reciteqa.backend import Backend, ScriptedBackend
-from reciteqa.core import Dataset, Exemplar, QuestionRecord, Scheme
-from reciteqa.pipeline import SchemeConfig
+from reciteqa.core import Dataset, Exemplar, QuestionRecord, RunRecord, Scheme
+from reciteqa.pipeline import SchemeConfig, run_dataset
 from reciteqa.prompting import DEFAULT_DIALECT, PromptSpec, build_qa_prompt, build_recitation_prompt
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -73,6 +73,15 @@ class CountingBackend(Backend):
     def generate(self, request):
         self.requests.append(request)
         return self.inner.generate(request)
+
+
+def answer_one(
+    question: QuestionRecord, cfg: SchemeConfig, exemplars, backend: Backend, **kw
+) -> RunRecord:
+    """The one record of run_dataset on `question` alone, with no run
+    directory."""
+    [record] = run_dataset([question], cfg, exemplars, backend, **kw)
+    return record
 
 
 def within(seconds, fn):

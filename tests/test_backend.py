@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from reciteqa import backend as backend_module
 from reciteqa.backend import (
     Backend,
+    BackendError,
     CachingBackend,
     GenerationRequest,
     GenerationResult,
@@ -1149,9 +1150,13 @@ def test_https_verifies_the_server_certificate(tmp_path, local_server):
     context.load_cert_chain(cert, key)
     server.socket = context.wrap_socket(server.socket, server_side=True)
     base_url = base_url.replace("http:", "https:")
-    backend = HttpBackend(base_url=base_url, model="m1", timeout_s=5, max_attempts=1)
-    with pytest.raises(Unavailable, match="CERTIFICATE_VERIFY_FAILED"):
+    sleeps = []
+    backend = HttpBackend(base_url=base_url, model="m1", timeout_s=5, sleep=sleeps.append)
+    # No retry can make a certificate verify, so the first failure is final.
+    with pytest.raises(BackendError, match="CERTIFICATE_VERIFY_FAILED") as raised:
         within(30, lambda: backend.generate(GenerationRequest("P", greedy())))
+    assert not raised.value.retryable
+    assert sleeps == []
     # The same server passes once its certificate is trusted: the failure
     # above was verification, not the TLS exchange.
     backend._transport._ssl_context = ssl.create_default_context(cafile=str(cert))

@@ -179,6 +179,11 @@ def test_run_bad_scheme_exits_1(workspace):
         {"normalization": {"lowercas": False}},
         {"normalization": {"overrides": {"nq": {"lowercas": False}}}},
         {"normalization": {"lowercase": "no"}},
+        {"prompt_set": 5},
+        {"run_dir": 5},
+        {"cache": 5},
+        {"cache": False},
+        {"resume": "no"},
     ],
     ids=[
         "zero-temperature", "string-seed", "unknown-sampling-key", "unknown-key",
@@ -186,6 +191,7 @@ def test_run_bad_scheme_exits_1(workspace):
         "string-timeout", "bool-timeout", "zero-timeout", "ftp-base-url", "integer-model",
         "unknown-http-key", "unknown-scripted-key", "unknown-dataset-key",
         "unknown-normalization-key", "unknown-override-key", "string-normalization-flag",
+        "number-prompt-set", "number-run-dir", "number-cache", "false-cache", "string-resume",
     ],
 )
 def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides):

@@ -13,9 +13,7 @@ from reciteqa.backend import (
 from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, validate
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
-    PipelineError,
     SchemeConfig,
-    answer_question,
     check_exemplar_prompts,
     config_fingerprint,
     default_answer_params,
@@ -45,6 +43,7 @@ from helpers import (
     LONDON_EXEMPLAR,
     MULTIHOP_EXEMPLAR,
     CountingBackend,
+    answer_one,
     make_question,
     script_recite_run,
     within,
@@ -133,7 +132,7 @@ def test_answer_direct():
         )
     )
     backend.register(prompt, [" 1973\n\nQuestion: junk"])
-    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert record.voted_answer == "1973"
     assert len(record.paths) == 1
     assert record.paths[0].recitations == ()
@@ -161,14 +160,14 @@ def recite_fixture(n_paths: int, n_correct: int, correct="rome", wrong="paris"):
 
 def test_recite_and_answer_single_path():
     question, cfg, backend = recite_fixture(1, 1)
-    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert record.voted_answer == "rome"
     assert len(record.paths) == 1
 
 
 def test_recite_and_answer_majority_vote():
     question, cfg, backend = recite_fixture(20, 11)
-    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert record.voted_answer == "rome"
     assert len(record.paths) == 20
     answers = [p.extracted_answer for p in record.paths]
@@ -179,7 +178,7 @@ def test_recite_and_answer_majority_vote():
 
 def test_recite_paths_use_distinct_recitations():
     question, cfg, backend = recite_fixture(5, 5)
-    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     seen = {p.recitations[0] for p in record.paths}
     assert len(seen) == 5
 
@@ -196,7 +195,7 @@ def test_recite_failed_path_excluded_from_vote():
         )
     )
     del backend._entries[prompt_key(qa_prompt)]
-    record = answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
     assert sum(1 for p in record.paths if p.failed) == 1
     # remaining answers: rome (path 0), paris (path 1) -> tie, earliest wins
     assert record.voted_answer == "rome"
@@ -207,8 +206,10 @@ def test_recite_all_paths_failed_errors():
     question = make_question("q1", "which city hosted the event", ("rome",))
     cfg = scheme_config(Scheme.RECITE_ANSWER, n_paths=2)
     backend = ScriptedBackend()  # nothing registered: every request misses
-    with pytest.raises(PipelineError):
-        answer_question(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
+    assert len(record.paths) == 2
+    assert all(p.failed for p in record.paths)
+    assert record.voted_answer == ""
 
 
 @pytest.mark.parametrize(
@@ -216,14 +217,14 @@ def test_recite_all_paths_failed_errors():
     [dict(answer_params=default_recitation_params()), dict(n_paths=0)],
     ids=["sampled-answers", "zero-paths"],
 )
-def test_answer_question_rejects_an_invalid_config(overrides):
+def test_run_dataset_rejects_an_invalid_config(overrides):
     # Answer dedup shares one answer among equal recitations, which holds
-    # only for greedy answers; answer_question checks cfg as run_dataset does.
+    # only for greedy answers.
     question = make_question("q1", "which city hosted the event", ("rome",))
     cfg = scheme_config(Scheme.RECITE_ANSWER, **overrides)
     counting = CountingBackend(ScriptedBackend())
     with pytest.raises(ValueError, match="invalid scheme config"):
-        answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+        answer_one(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
     assert counting.calls == 0
 
 
@@ -231,9 +232,8 @@ def test_question_whose_prompt_cannot_be_built_fails_as_its_one_path():
     question = make_question("q1", "which city\n\nhosted the event", ("rome",))
     cfg = scheme_config(Scheme.RECITE_ANSWER)
     counting = CountingBackend(ScriptedBackend())
-    with pytest.raises(PipelineError) as failure:
-        answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
-    [path] = failure.value.paths
+    record = answer_one(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    [path] = record.paths
     assert path.recitations == ()
     assert path.backend_meta["error"].startswith("PromptError: ")
     assert counting.calls == 0
@@ -268,7 +268,7 @@ def test_recite_answers_each_distinct_recitation_once(monkeypatch):
     )
     counting = CountingBackend(backend)
     rendered = count_qa_prompts(monkeypatch)
-    record = answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
     assert counting.calls == 6 + 3
     assert rendered == [("Fact A.",), ("Fact B.",), ("Fact C.",)]
     assert [p.recitations[0] for p in record.paths] == recitations * 2
@@ -286,7 +286,7 @@ def test_multihop_answers_each_distinct_recitation_tuple_once(monkeypatch):
     question, cfg, backend = multihop_fixture(outputs, n_paths=5)
     counting = CountingBackend(backend)
     rendered = count_qa_prompts(monkeypatch)
-    record = answer_question(question, cfg, (MULTIHOP_EXEMPLAR,), counting, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, (MULTIHOP_EXEMPLAR,), counting, clock=ZERO_CLOCK)
     assert counting.calls == 5 + 2
     assert rendered == [split_numbered_recitations(output, 2) for output in outputs]
     assert [p.recitations for p in record.paths] == [
@@ -313,7 +313,7 @@ def test_failed_answer_fails_every_path_sharing_its_recitation():
     run = _golden_recite_dedup_run()
     counting = CountingBackend(run["backend"])
     [question] = run["records"]
-    record = answer_question(question, run["cfg"], run["exemplars"], counting, clock=ZERO_CLOCK)
+    record = answer_one(question, run["cfg"], run["exemplars"], counting, clock=ZERO_CLOCK)
     assert counting.calls == 6 + 3
     failed = [i for i, p in enumerate(record.paths) if p.failed]
     assert failed == [2, 5]
@@ -339,7 +339,7 @@ def test_prompt_error_fails_every_path_sharing_its_recitation(monkeypatch):
     backend.register(_qa(Scheme.RECITE_ANSWER, EXEMPLARS, question, ("Fact A.",)), [" rome"])
     counting = CountingBackend(backend)
     rendered = count_qa_prompts(monkeypatch)
-    record = answer_question(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
+    record = answer_one(question, cfg, EXEMPLARS, counting, clock=ZERO_CLOCK)
     assert counting.calls == 4 + 1
     assert len(rendered) == 2
     assert [p.failed for p in record.paths] == [False, True, False, True]
@@ -396,7 +396,7 @@ def test_multihop_one_pass_split():
         "Recitation 2: The Indian Hotels Company runs the Taj hotels.",
     ]
     question, cfg, backend = multihop_fixture(outputs)
-    record = answer_question(
+    record = answer_one(
         question, cfg, (MULTIHOP_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     assert record.voted_answer == "The Indian Hotels Company"
@@ -411,7 +411,7 @@ def test_multihop_structure_error_excluded():
         " Missing the second cue entirely.",
     ]
     question, cfg, backend = multihop_fixture(outputs)
-    record = answer_question(
+    record = answer_one(
         question, cfg, (MULTIHOP_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     failed = [p for p in record.paths if p.failed]
@@ -442,7 +442,7 @@ def test_chain_of_thought_votes_over_anchored_answers():
             " I believe it is three. So the answer is 3.",
         ],
     )
-    record = answer_question(
+    record = answer_one(
         question, cfg, (COT_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     assert record.voted_answer == "5"
@@ -463,7 +463,7 @@ def test_chain_of_thought_missing_anchor_flagged():
         )
     )
     backend.register(prompt, [" rambling with no anchor"])
-    record = answer_question(
+    record = answer_one(
         question, cfg, (COT_EXEMPLAR,), backend, clock=ZERO_CLOCK
     )
     assert record.paths[0].extracted_answer == ""
@@ -506,7 +506,7 @@ def test_diversified_dedups_hints_before_expansion():
         "Paris --- Overview --- Paragraph #1",
     ]
     question, cfg, backend = diversified_fixture(hints, n_hints=3)
-    record = answer_question(
+    record = answer_one(
         question, cfg, EXEMPLARS, backend, hint_exemplars=[HINT_EXEMPLAR], clock=ZERO_CLOCK
     )
     assert record.voted_answer == "Paris"
@@ -521,7 +521,7 @@ def test_diversified_dedups_hints_before_expansion():
 def test_diversified_single_hint_degenerates():
     hints = ["France --- Geography --- Paragraph #1"]
     question, cfg, backend = diversified_fixture(hints, n_hints=1)
-    record = answer_question(
+    record = answer_one(
         question, cfg, EXEMPLARS, backend, hint_exemplars=[HINT_EXEMPLAR], clock=ZERO_CLOCK
     )
     assert len(record.paths[0].recitations) == 1
@@ -537,7 +537,7 @@ def test_diversified_counts_known_hints_against_corpus():
         "Paris --- Overview --- Paragraph #1",
     ]
     question, cfg, backend = diversified_fixture(hints, n_hints=2)
-    record = answer_question(
+    record = answer_one(
         question,
         cfg,
         EXEMPLARS,

@@ -14,7 +14,7 @@ import ssl
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -171,9 +171,9 @@ class Backend(ABC):
     def generate_batch(
         self,
         requests_list: Sequence[GenerationRequest],
-        max_in_flight: int = 4,
+        max_in_flight: int,
         *,
-        executor: Executor | None = None,
+        executor: Executor,
     ) -> list[GenerationResult | BackendError]:
         """Dispatch requests with at most max_in_flight outstanding; results
         align positionally with the inputs and a BackendError is returned
@@ -182,11 +182,10 @@ class Backend(ABC):
         The batch runs as min(max_in_flight, len(requests_list)) lanes, each
         of which takes the next unclaimed request until none is left, so a
         batch costs one task per lane rather than one per request. The lanes
-        run on `executor` when one is given (which also bounds them by its
-        worker count), otherwise on a pool built for the call. The call
-        returns once every lane has stopped. Any other exception stops the
-        lanes from claiming further requests and is re-raised by the call
-        (the first one, if several lanes raise). CachingBackend answers its
+        run on `executor`, which also bounds them by its worker count. The
+        call returns once every lane has stopped. Any other exception stops
+        the lanes from claiming further requests and is re-raised by the
+        call (the first one, if several lanes raise). CachingBackend answers its
         hits on the calling thread and sends only its misses here."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
@@ -215,14 +214,7 @@ class Backend(ABC):
                         errors.append(exc)
                     return
 
-        def dispatch(pool: Executor) -> None:
-            wait([pool.submit(lane) for _ in range(lanes)])
-
-        if executor is not None:
-            dispatch(executor)
-        else:
-            with ThreadPoolExecutor(max_workers=lanes) as pool:
-                dispatch(pool)
+        wait([executor.submit(lane) for _ in range(lanes)])
         if errors:
             raise errors[0]
         return results
@@ -843,9 +835,9 @@ class CachingBackend(Backend):
     def generate_batch(
         self,
         requests_list: Sequence[GenerationRequest],
-        max_in_flight: int = 4,
+        max_in_flight: int,
         *,
-        executor: Executor | None = None,
+        executor: Executor,
     ) -> list[GenerationResult | BackendError]:
         """Backend.generate_batch, with the hits answered first on the
         calling thread: the keys share the head of each distinct params and

@@ -122,8 +122,9 @@ def _params_from_config(entry, default: SamplingParams, name: str) -> SamplingPa
 
 def _profile_from_config(entry, name: str) -> NormProfile:
     """Build the profile of a normalization entry: the NORM_KEYS flags
-    (each defaulting to true) and per-dataset `overrides` of those flags."""
-    if not entry:
+    (each defaulting to true) and per-dataset `overrides` of those flags.
+    Only an absent or null entry means the default profile."""
+    if entry is None:
         return DEFAULT_PROFILE
 
     def build(obj, name: str, allowed, overrides) -> NormProfile:
@@ -170,6 +171,8 @@ def _backend_from_config(entry, resolve, name: str) -> dict:
         for key in ("base_url", "model", "auth_env"):
             if key in entry and not isinstance(entry[key], str):
                 raise ConfigError(f"{name}: {key} must be a string, got {entry[key]!r}")
+        if entry.get("auth_env") == "":
+            raise ConfigError(f"{name}: auth_env must name an environment variable, got ''")
         timeout_s = entry.get("timeout_s")
         if "timeout_s" in entry and (
             isinstance(timeout_s, bool)
@@ -322,6 +325,9 @@ def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, dialect: Pr
     pool = prompt_set.exemplars
     if scheme is Scheme.CHAIN_OF_THOUGHT:
         pool = tuple(e for e in pool if e.rationale is not None)
+    elif scheme is Scheme.MULTI_HOP_RECITE:
+        # A multi-hop prompt renders exactly recitations_per_hop per exemplar.
+        pool = tuple(e for e in pool if len(e.recitations) == scheme_cfg.recitations_per_hop)
     elif scheme is not Scheme.DIRECT:
         pool = tuple(e for e in pool if e.recitations)
     if len(pool) < scheme_cfg.shots:

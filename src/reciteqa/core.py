@@ -39,7 +39,6 @@ __all__ = [
     "json_object",
     "read_text",
     "read_lines",
-    "decode_utf8",
     "stable_hash",
 ]
 
@@ -345,14 +344,6 @@ def read_text(path: Path, error: type[Exception]) -> str:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def decode_utf8(data: bytes, where: str, error: type[Exception]) -> str:
-    """`data` as UTF-8 text; bytes that are not raise `error` naming `where`."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def read_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     """The numbered lines of an outside input file as it is read, without
     their "\\n"; a line that is not UTF-8 raises `error` naming the file and
@@ -360,7 +351,12 @@ def read_lines(path: Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     JSON writes unescaped, stay inside their line."""
     with path.open("rb") as handle:
         for lineno, line in enumerate(handle, 1):
-            yield lineno, decode_utf8(line.removesuffix(b"\n"), f"{path}:{lineno}", error)
+            try:
+                text = line.removesuffix(b"\n").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = f"{path}:{lineno}"
+                raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+            yield lineno, text
 
 
 def params_to_dict(p: SamplingParams) -> dict:

@@ -15,12 +15,13 @@ whitespace-normalized, so passages never contain prompt separators.
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import canonical_json, decode_utf8, derived_params, json_object, read_lines
+from .core import canonical_json, derived_params, json_object, read_lines
 from .pipeline import default_recitation_params
 from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
 
@@ -124,64 +125,33 @@ class Corpus:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write passages.jsonl plus a hint -> byte-offset index file."""
+        """Write passages.jsonl, one passage row per line."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        passages_path = directory / "passages.jsonl"
-        index_path = directory / "hints.idx.jsonl"
-        offsets: list[tuple[str, int]] = []
-        with passages_path.open("w", encoding="utf-8") as handle:
+        with (directory / "passages.jsonl").open("w", encoding="utf-8") as handle:
             for passage in self._passages:
-                offsets.append((passage.hint, handle.tell()))
                 handle.write(_passage_to_line(passage) + "\n")
-        with index_path.open("w", encoding="utf-8") as handle:
-            for hint, offset in offsets:
-                handle.write(canonical_json({"hint": hint, "offset": offset}) + "\n")
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
-        directory = Path(directory)
-        passages_path = directory / "passages.jsonl"
-        index_path = directory / "hints.idx.jsonl"
-        if not passages_path.is_file():
-            raise CorpusError(f"{passages_path} does not exist")
+        """Read passages.jsonl; an error in a row names its line."""
+        path = Path(directory) / "passages.jsonl"
+        if not path.is_file():
+            raise CorpusError(f"{path} does not exist")
         passages = []
         linenos = []
-        offsets: dict[str, int] = {}
-        with passages_path.open("rb") as handle:
-            lineno = 0
-            while True:
-                offset = handle.tell()
-                line = handle.readline()
-                if not line:
-                    break
-                lineno += 1
-                if not line.strip():
-                    continue
-                where = f"{passages_path}:{lineno}"
-                text = decode_utf8(line, where, CorpusError)
-                try:
-                    passage = _passage_from_line(text)
-                except CorpusError as exc:
-                    raise CorpusError(f"{where}: {exc}") from None
-                passages.append(passage)
-                linenos.append(lineno)
-                offsets[passage.hint] = offset
-        if index_path.is_file():
-            for lineno, line in read_lines(index_path, CorpusError):
-                if not line.strip():
-                    continue
-                row = json_object(
-                    line, f"{index_path}:{lineno}", CorpusError, {"hint": str, "offset": int}
-                )
-                if offsets.get(row["hint"]) != row["offset"]:
-                    raise CorpusError(
-                        f"index offset mismatch for hint {row['hint']!r}"
-                    )
+        for lineno, line in read_lines(path, CorpusError):
+            if not line.strip():
+                continue
+            try:
+                passages.append(_passage_from_line(line))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
         try:
             return cls(passages)
         except (CorpusError, HintError) as exc:
-            raise CorpusError(f"{passages_path}:{linenos[exc.position]}: {exc}") from None
+            raise CorpusError(f"{path}:{linenos[exc.position]}: {exc}") from None
 
 
 def _passage_to_line(passage: HintedPassage) -> str:
@@ -400,7 +370,8 @@ def generate_synthetic_triples(
         )
         for i, passage in enumerate(picked)
     ]
-    results = backend.generate_batch(requests_list, max_in_flight=max_in_flight)
+    with ThreadPoolExecutor(max_workers=max_in_flight) as executor:
+        results = backend.generate_batch(requests_list, max_in_flight, executor=executor)
     triples: list[SyntheticTriple] = []
     dropped = 0
     for passage, result in zip(picked, results):

@@ -38,7 +38,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import Exemplar, Scheme, json_object, read_text
+from .core import Exemplar, Scheme, json_object, read_text, validate
 
 __all__ = [
     "DialectName",
@@ -547,39 +547,57 @@ def _resolve_text(value, directory: Path, what: str) -> str:
 
 
 def load_prompt_set(directory: str | Path) -> PromptSet:
+    """Read a prompt set's manifest.json. Each pool must be a list of
+    objects, an exemplar's recitations a list, every exemplar valid under
+    core.validate and cot_anchor a non-empty string; a manifest that breaks
+    this raises PromptError naming manifest.json and the entry."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PromptError(f"prompt set {directory} has no manifest.json")
     manifest = json_object(read_text(manifest_path, PromptError), str(manifest_path), PromptError)
 
+    def pool(key: str) -> list[tuple[str, dict]]:
+        """The entries of a pool, each with the name its errors lead with."""
+        items = manifest.get(key, [])
+        if not isinstance(items, list):
+            raise PromptError(f"{manifest_path}: {key} must be a list, got {items!r}")
+        named = [(f"{manifest_path}: {key}[{i}]", item) for i, item in enumerate(items)]
+        for what, item in named:
+            if not isinstance(item, dict):
+                raise PromptError(f"{what}: expected an object, got {item!r}")
+        return named
+
     def entries(key: str, names: Sequence[str]) -> tuple[tuple[str, ...], ...]:
         return tuple(
-            tuple(_resolve_text(entry.get(name), directory, f"{key}[{i}]") for name in names)
-            for i, entry in enumerate(manifest.get(key, []))
+            tuple(_resolve_text(entry.get(name), directory, what) for name in names)
+            for what, entry in pool(key)
         )
 
     exemplars = []
-    for i, entry in enumerate(manifest.get("exemplars", [])):
-        what = f"exemplars[{i}]"
+    for what, entry in pool("exemplars"):
+        recitations = entry.get("recitations", [])
+        if not isinstance(recitations, list):
+            raise PromptError(f"{what}: recitations must be a list, got {recitations!r}")
         rationale = entry.get("rationale")
-        exemplars.append(
-            Exemplar(
-                question=_resolve_text(entry.get("question"), directory, what),
-                answer=_resolve_text(entry.get("answer"), directory, what),
-                recitations=tuple(
-                    _resolve_text(r, directory, what) for r in entry.get("recitations", [])
-                ),
-                rationale=(
-                    _resolve_text(rationale, directory, what)
-                    if rationale is not None
-                    else None
-                ),
-            )
+        exemplar = Exemplar(
+            question=_resolve_text(entry.get("question"), directory, what),
+            answer=_resolve_text(entry.get("answer"), directory, what),
+            recitations=tuple(_resolve_text(r, directory, what) for r in recitations),
+            rationale=None if rationale is None else _resolve_text(rationale, directory, what),
+        )
+        issues = validate(exemplar)
+        if issues:
+            raise PromptError(f"{what}: {'; '.join(issues)}")
+        exemplars.append(exemplar)
+    cot_anchor = manifest.get("cot_anchor", COT_ANSWER_ANCHOR)
+    if not isinstance(cot_anchor, str) or not cot_anchor:
+        raise PromptError(
+            f"{manifest_path}: cot_anchor must be a non-empty string, got {cot_anchor!r}"
         )
     return PromptSet(
         exemplars=tuple(exemplars),
         hint_exemplars=entries("hint_exemplars", ("question", "hint", "passage")),
         question_gen=entries("question_gen", ("evidence", "question")),
-        cot_anchor=manifest.get("cot_anchor", COT_ANSWER_ANCHOR),
+        cot_anchor=cot_anchor,
     )

@@ -146,6 +146,14 @@ def test_request_validation():
 # batch dispatch
 
 
+@pytest.fixture
+def pool():
+    """The executor a test's batches run their lanes on; its 8 workers
+    cover every lane count used here."""
+    with ThreadPoolExecutor(max_workers=8) as executor:
+        yield executor
+
+
 class FlakyBackend(Backend):
     backend_id = "flaky"
 
@@ -168,18 +176,18 @@ class FlakyBackend(Backend):
                 self.in_flight -= 1
 
 
-def test_batch_preserves_order():
+def test_batch_preserves_order(pool):
     backend = FlakyBackend()
     requests = [GenerationRequest(f"p{i}", greedy()) for i in range(20)]
-    results = backend.generate_batch(requests, max_in_flight=4)
+    results = backend.generate_batch(requests, max_in_flight=4, executor=pool)
     assert [r.texts[0] for r in results] == [f"echo:p{i}" for i in range(20)]
     assert backend.peak <= 4
 
 
-def test_batch_isolates_failures():
+def test_batch_isolates_failures(pool):
     backend = FlakyBackend(fail_prompts={"p3"})
     requests = [GenerationRequest(f"p{i}", greedy()) for i in range(5)]
-    results = backend.generate_batch(requests, max_in_flight=2)
+    results = backend.generate_batch(requests, max_in_flight=2, executor=pool)
     assert isinstance(results[3], Timeout)
     assert [isinstance(r, GenerationResult) for r in results] == [
         True, True, True, False, True,
@@ -248,13 +256,12 @@ class RaisingBackend(Backend):
         return GenerationResult(texts=(f"echo:{request.prompt}",))
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["own-pool", "given-executor"])
-def test_batch_reraises_an_unexpected_error_once_every_lane_has_stopped(shared):
+def test_batch_reraises_an_unexpected_error_once_every_lane_has_stopped():
     backend = RaisingBackend()
     first = [GenerationRequest(f"a{i}", greedy()) for i in range(12)]
     second = [GenerationRequest(f"b{i}", greedy()) for i in range(6)]
     with ThreadPoolExecutor(max_workers=3) as executor:
-        run = dict(max_in_flight=3, executor=executor if shared else None)
+        run = dict(max_in_flight=3, executor=executor)
 
         def first_batch():
             with pytest.raises(RuntimeError, match="not a backend error"):
@@ -271,8 +278,8 @@ def test_batch_reraises_an_unexpected_error_once_every_lane_has_stopped(shared):
     assert [r.texts[0] for r in results] == [f"echo:b{i}" for i in range(6)]
 
 
-def test_batch_empty():
-    assert FlakyBackend().generate_batch([], max_in_flight=3) == []
+def test_batch_empty(pool):
+    assert FlakyBackend().generate_batch([], max_in_flight=3, executor=pool) == []
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +517,14 @@ class RefusingExecutor(Executor):
         raise AssertionError("a task was submitted")
 
 
-def test_cache_all_hit_batch_runs_on_the_calling_thread(tmp_path):
+def test_cache_all_hit_batch_runs_on_the_calling_thread(tmp_path, pool):
     path = tmp_path / "cache.jsonl"
     inner = ScriptedBackend()
     inner.register("P", ["A", "B", "C"])
     inner.register("Q", ["D"])
     requests = [GenerationRequest("P", sampled(seed=i)) for i in range(3)]
     requests.append(GenerationRequest("Q", greedy()))
-    warm = CachingBackend(inner, path).generate_batch(requests, max_in_flight=2)
+    warm = CachingBackend(inner, path).generate_batch(requests, max_in_flight=2, executor=pool)
     counting = CountingBackend(inner)
     cached = CachingBackend(counting, path)
     results = cached.generate_batch(requests, max_in_flight=2, executor=RefusingExecutor())
@@ -530,13 +537,15 @@ def test_cache_all_hit_batch_runs_on_the_calling_thread(tmp_path):
         cached.generate_batch(requests, max_in_flight=0, executor=RefusingExecutor())
 
 
-def test_cache_mixed_batch_keeps_positions_and_stores_each_miss_once(tmp_path):
+def test_cache_mixed_batch_keeps_positions_and_stores_each_miss_once(tmp_path, pool):
     path = tmp_path / "cache.jsonl"
     inner = FlakyBackend(fail_prompts={"p3"})
     requests = [GenerationRequest(f"p{i}", greedy()) for i in range(6)]
-    CachingBackend(inner, path).generate_batch(requests[0::2], max_in_flight=2)
+    CachingBackend(inner, path).generate_batch(requests[0::2], max_in_flight=2, executor=pool)
     counting = CountingBackend(inner)
-    results = CachingBackend(counting, path).generate_batch(requests, max_in_flight=2)
+    results = CachingBackend(counting, path).generate_batch(
+        requests, max_in_flight=2, executor=pool
+    )
     assert isinstance(results[3], Timeout)
     assert [(r.texts, r.cache_hit) for i, r in enumerate(results) if i != 3] == [
         ((f"echo:p{i}",), i % 2 == 0) for i in (0, 1, 2, 4, 5)
@@ -570,7 +579,9 @@ def test_cache_concurrent_batches_sharing_misses_agree(tmp_path):
     assert cached._miss_keys == {}
 
 
-def test_cache_batch_escapes_a_shared_prompt_once_and_keys_each_request(tmp_path, monkeypatch):
+def test_cache_batch_escapes_a_shared_prompt_once_and_keys_each_request(
+    tmp_path, monkeypatch, pool
+):
     escaped = []
     prompt_tail = backend_module._prompt_tail
 
@@ -584,7 +595,7 @@ def test_cache_batch_escapes_a_shared_prompt_once_and_keys_each_request(tmp_path
     inner.register("Recite: \"x\"\u2028", [f"r{i}" for i in range(5)])
     requests = [GenerationRequest("Recite: \"x\"\u2028", sampled(seed=i)) for i in range(5)]
     cached = CachingBackend(inner, path)
-    results = cached.generate_batch(requests, max_in_flight=2)
+    results = cached.generate_batch(requests, max_in_flight=2, executor=pool)
     # Once for the batch's keys; the misses do not compute their keys again.
     assert escaped == [requests[0].prompt]
     assert [r.texts for r in results] == [(f"r{i}",) for i in range(5)]
@@ -831,7 +842,7 @@ def test_http_keeps_one_connection_alive_for_sequential_requests(local_server):
     assert (server.requests, server.connections, sleeps) == (5, 1, [])
 
 
-def test_http_pool_under_concurrent_batches_loses_no_connection(local_server):
+def test_http_pool_under_concurrent_batches_loses_no_connection(local_server, pool):
     server, base_url = local_server("reply")
     sleeps = []
     backend = HttpBackend(base_url=base_url, model="m1", sleep=sleeps.append)
@@ -839,7 +850,7 @@ def test_http_pool_under_concurrent_batches_loses_no_connection(local_server):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = backend.generate_batch(requests, max_in_flight=8)
+        results = backend.generate_batch(requests, max_in_flight=8, executor=pool)
     finally:
         sys.setswitchinterval(interval)
     assert [r.texts for r in results] == [("ok",)] * 60

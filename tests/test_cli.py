@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,24 @@ def test_run_resume_flag(workspace, capsys):
     assert len(records) == 3
 
 
+def test_multi_hop_run_picks_only_exemplars_with_recitations_per_hop(workspace):
+    exemplars = [
+        {"question": f"question {i}", "answer": f"answer {i}",
+         "recitations": [f"recitation {i}.{j}" for j in range(1 + i % 2)]}
+        for i in range(6)
+    ]
+    (workspace / "prompts" / "manifest.json").write_text(
+        json.dumps({"exemplars": exemplars}), encoding="utf-8"
+    )
+    (workspace / "script.json").write_text('{"entries": {}}', encoding="utf-8")
+    for seed in range(6):
+        config = write_config(
+            workspace / "multihop.json", workspace, scheme="multi_hop_recite",
+            recitations_per_hop=2, exemplar_seed=seed, run_dir=f"runs/seed-{seed}",
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_OK, seed
+
+
 def test_run_missing_config_exits_1(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
@@ -184,6 +205,10 @@ def test_run_bad_scheme_exits_1(workspace):
         {"cache": 5},
         {"cache": False},
         {"resume": "no"},
+        {"normalization": []},
+        {"normalization": False},
+        {"normalization": ""},
+        {"backend": {**HTTP_BACKEND, "auth_env": ""}},
     ],
     ids=[
         "zero-temperature", "string-seed", "unknown-sampling-key", "unknown-key",
@@ -192,6 +217,7 @@ def test_run_bad_scheme_exits_1(workspace):
         "unknown-http-key", "unknown-scripted-key", "unknown-dataset-key",
         "unknown-normalization-key", "unknown-override-key", "string-normalization-flag",
         "number-prompt-set", "number-run-dir", "number-cache", "false-cache", "string-resume",
+        "list-normalization", "false-normalization", "empty-normalization", "empty-auth-env",
     ],
 )
 def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides):
@@ -459,8 +485,6 @@ INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
          r"corpus/passages\.jsonl:1: "),
         ("corpus/passages.jsonl", lambda t: t.replace('"para_index":1', '"para_index":0', 1),
          INDEX_BUILD, r"corpus/passages\.jsonl:1: "),
-        ("corpus/hints.idx.jsonl", lambda t: "{\n" + t, INDEX_BUILD,
-         r"corpus/hints\.idx\.jsonl:1: "),
         ("idx.jsonl", lambda t: t[:-5], INDEX_QUERY, r"idx\.jsonl:\d+: "),
         ("idx.jsonl", lambda t: re.sub(r'"doc_count": \d+, ', "", t, count=1), INDEX_QUERY,
          r"idx\.jsonl: "),
@@ -469,8 +493,8 @@ INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
     ],
     ids=[
         "title-holds-hint-delimiter", "torn-passage-line", "passage-row-not-object",
-        "passage-row-missing-hint", "passage-paragraph-zero", "torn-hint-index-row",
-        "truncated-index", "index-header-without-doc-count", "malformed-postings",
+        "passage-row-missing-hint", "passage-paragraph-zero", "truncated-index",
+        "index-header-without-doc-count", "malformed-postings",
     ],
 )
 def test_corrupt_corpus_or_index_exits_3(
@@ -491,6 +515,20 @@ def test_corrupt_corpus_or_index_exits_3(
     assert re.match(f"data error: {located}", capsys.readouterr().err)
 
 
+def test_index_build_ignores_a_hint_index_left_by_an_older_build(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dump.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8"
+    )
+    assert main(BUILD_CORPUS) == EXIT_OK
+    assert main(INDEX_BUILD) == EXIT_OK
+    index = (tmp_path / "idx.jsonl").read_bytes()
+    # Older builds wrote this file beside passages.jsonl; it is not read.
+    (tmp_path / "corpus" / "hints.idx.jsonl").write_bytes(b'{"hint": \xff\n')
+    assert main(INDEX_BUILD) == EXIT_OK
+    assert (tmp_path / "idx.jsonl").read_bytes() == index
+
+
 RUN = ["run", "--config", "config.json"]
 
 
@@ -500,7 +538,6 @@ RUN = ["run", "--config", "config.json"]
         ("questions.jsonl", RUN, EXIT_DATA, "data"),
         ("runs/main/run.json", ["analyze", "runs/main", "--out", "out"], EXIT_DATA, "data"),
         ("corpus/passages.jsonl", INDEX_BUILD, EXIT_DATA, "data"),
-        ("corpus/hints.idx.jsonl", INDEX_BUILD, EXIT_DATA, "data"),
         ("idx.jsonl", INDEX_QUERY, EXIT_DATA, "data"),
         ("config.json", RUN, EXIT_CONFIG, "config"),
         ("prompts/manifest.json", RUN, EXIT_CONFIG, "config"),
@@ -510,7 +547,7 @@ RUN = ["run", "--config", "config.json"]
         ("dump.txt", BUILD_HEADINGS, EXIT_DATA, "data"),
     ],
     ids=[
-        "dataset", "run-json", "passages", "hint-index", "bm25-index", "config",
+        "dataset", "run-json", "passages", "bm25-index", "config",
         "prompt-manifest", "prompt-exemplar-file", "script", "dump", "heading-dump",
     ],
 )
@@ -685,3 +722,25 @@ def test_demo_run_reproduces_committed_outputs(tmp_path, capsys):
     assert main(["analyze", str(run_dir), "--paths", "1,2,4"]) == EXIT_OK
     for name in ("category_table.txt", "quadrant_table.txt", "curve.csv"):
         assert (run_dir / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_demo_script_and_seed_sweep_regenerate_byte_for_byte(tmp_path):
+    demo = tmp_path / "demo"
+    shutil.copytree(DEMO_DIR, demo, ignore=shutil.ignore_patterns("runs", "__pycache__"))
+    (demo / "script.json").unlink()
+    paths = [str(DEMO_DIR.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run(
+        [sys.executable, "make_script.py"], cwd=demo, env=env, check=True, capture_output=True,
+        timeout=120,
+    )
+    assert (demo / "script.json").read_bytes() == (DEMO_DIR / "script.json").read_bytes()
+    config = str(demo / "config.json")
+    assert main(["seed-sweep", "--config", config, "--seeds", "1", "2", "3"]) == EXIT_OK
+    # meta.json holds timings, so it is not compared.
+    names = ["summary.json"] + [
+        f"seed-{seed}/{name}" for seed in (1, 2, 3) for name in ("records.jsonl", "report.json")
+    ]
+    for name in names:
+        expected = (DEMO_DIR / "runs" / "demo" / name).read_bytes()
+        assert (demo / "runs" / "demo" / name).read_bytes() == expected, name

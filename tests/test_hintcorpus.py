@@ -149,19 +149,7 @@ def test_corpus_save_load_round_trip(tmp_path):
     corpus.save(tmp_path / "corpus")
     loaded = Corpus.load(tmp_path / "corpus")
     assert list(loaded) == list(corpus)
-    index_lines = (tmp_path / "corpus" / "hints.idx.jsonl").read_text().splitlines()
-    assert len(index_lines) == 3
-
-
-def test_corpus_load_detects_stale_index(tmp_path):
-    corpus = build_corpus([fixture_doc()])
-    corpus.save(tmp_path / "corpus")
-    index_path = tmp_path / "corpus" / "hints.idx.jsonl"
-    rows = [json.loads(l) for l in index_path.read_text().splitlines()]
-    rows[1]["offset"] += 3
-    index_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    with pytest.raises(CorpusError):
-        Corpus.load(tmp_path / "corpus")
+    assert [p.name for p in (tmp_path / "corpus").iterdir()] == ["passages.jsonl"]
 
 
 def test_corpus_load_names_the_line_of_a_repeated_hint(tmp_path):
@@ -169,7 +157,6 @@ def test_corpus_load_names_the_line_of_a_repeated_hint(tmp_path):
     passages = tmp_path / "corpus" / "passages.jsonl"
     lines = passages.read_text(encoding="utf-8").splitlines(keepends=True)
     passages.write_text("".join(lines + lines[:1]), encoding="utf-8")
-    (tmp_path / "corpus" / "hints.idx.jsonl").unlink()
     with pytest.raises(CorpusError, match=r"passages\.jsonl:4: duplicate passage hint"):
         Corpus.load(tmp_path / "corpus")
 

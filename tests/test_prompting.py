@@ -496,17 +496,30 @@ def test_load_prompt_set_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "manifest",
+    "manifest, entry",
     [
-        {"exemplars": [{"question": "q"}]},
-        {"hint_exemplars": [{"question": "q", "hint": "A --- Paragraph #1"}]},
-        {"question_gen": [{"evidence": "e"}]},
-        ["not", "an", "object"],
+        ({"exemplars": [{"question": "q"}]}, "exemplars[0]"),
+        ({"hint_exemplars": [{"question": "q", "hint": "A --- Paragraph #1"}]},
+         "hint_exemplars[0]"),
+        ({"question_gen": [{"evidence": "e"}]}, "question_gen[0]"),
+        (["not", "an", "object"], ""),
+        ({"exemplars": [5]}, "exemplars[0]"),
+        ({"exemplars": {"a": 1}}, "exemplars"),
+        ({"hint_exemplars": ["x"]}, "hint_exemplars[0]"),
+        ({"exemplars": [{"question": "q", "answer": "a", "recitations": "abc"}]},
+         "exemplars[0]"),
+        ({"cot_anchor": 5}, "cot_anchor"),
+        ({"cot_anchor": ""}, "cot_anchor"),
+        ({"exemplars": [{"question": "q", "answer": "a", "recitations": ["r"],
+                         "rationale": "because"}]}, "exemplars[0]"),
     ],
     ids=["exemplar-without-answer", "hint-exemplar-without-passage", "question-gen-without-question",
-         "array-manifest"],
+         "array-manifest", "number-exemplar", "object-exemplars", "string-hint-exemplar",
+         "string-recitations", "number-cot-anchor", "empty-cot-anchor",
+         "recitations-and-rationale"],
 )
-def test_load_prompt_set_malformed_manifest_raises_prompt_error(tmp_path, manifest):
+def test_load_prompt_set_malformed_manifest_raises_prompt_error(tmp_path, manifest, entry):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(PromptError):
+    # The message leads with the manifest and the entry it rejects.
+    with pytest.raises(PromptError, match=rf"manifest\.json: {re.escape(entry)}"):
         load_prompt_set(tmp_path)

@@ -4,6 +4,7 @@ plus bounded-concurrency batch dispatch, retries, and a disk cache."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -16,6 +17,7 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -139,26 +141,53 @@ def cache_key(backend_id: str, request: GenerationRequest) -> str:
 
     Sorted keys put "prompt" last, so the hashed bytes are a head, the
     canonical JSON of the other three fields up to its closing brace and
-    then ',"prompt":', followed by the JSON-escaped prompt and "}". A batch
-    computes each distinct head and prompt tail once."""
+    then ',"prompt":', followed by the JSON-escaped prompt and "}". Each
+    head is rendered once per run. CachingBackend.generate_batch escapes
+    and hashes the prefix its prompts share once per batch shape; this
+    function is the reference its keys equal."""
     return hashlib.sha256(
-        _key_head(backend_id, request) + _prompt_tail(request.prompt)
+        _key_head(backend_id, request.params, request.n_samples) + _prompt_tail(request.prompt)
     ).hexdigest()
 
 
-def _key_head(backend_id: str, request: GenerationRequest) -> bytes:
+def _key_head(backend_id: str, params: SamplingParams, n_samples: int) -> bytes:
+    # Equal params can render differently (temperature 1 and 1.0), so the
+    # memo also keys on the types of their numbers.
+    return _render_key_head(
+        backend_id, params, n_samples, params.seed, params.max_tokens, params.k, params.temperature
+    )
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _render_key_head(backend_id: str, params: SamplingParams, n_samples: int, *numbers) -> bytes:
     head = canonical_json(
-        {
-            "backend": backend_id,
-            "n_samples": request.n_samples,
-            "params": params_to_dict(request.params),
-        }
+        {"backend": backend_id, "n_samples": n_samples, "params": params_to_dict(params)}
     )
     return f'{head[:-1]},"prompt":'.encode("utf-8")
 
 
 def _prompt_tail(prompt: str) -> bytes:
     return (json.dumps(prompt, ensure_ascii=False) + "}").encode("utf-8")
+
+
+def _escaped(text: str) -> bytes:
+    """text as a quoted JSON string, as json.dumps(text, ensure_ascii=False)
+    writes it. Escaping goes code point by code point, so the escapes of
+    two pieces of a string, less the quotes between them, join to the
+    escape of the whole."""
+    return encode_basestring(text).encode("utf-8")
+
+
+def _shared_length(low: str, high: str) -> int:
+    """Length of the common prefix of two strings, by binary search."""
+    same, differs = 0, min(len(low), len(high)) + 1
+    while differs - same > 1:
+        mid = (same + differs) // 2
+        if high.startswith(low[same:mid], same):
+            same = mid
+        else:
+            differs = mid
+    return same
 
 
 class Backend(ABC):
@@ -840,23 +869,34 @@ class CachingBackend(Backend):
         executor: Executor,
     ) -> list[GenerationResult | BackendError]:
         """Backend.generate_batch, with the hits answered first on the
-        calling thread: the keys share the head of each distinct params and
-        n_samples and the escaped tail of each distinct prompt, and every
-        hit is read under one lock. Only the misses go through
-        Backend.generate_batch, as lanes, to generate; an all-hit batch
-        submits nothing to the executor."""
+        calling thread and every hit read under one lock. Only the misses
+        go through Backend.generate_batch, as lanes, to generate; an all-hit
+        batch submits nothing to the executor.
+
+        The batch's distinct prompts share a prefix, the common prefix of
+        the least and the greatest of them. That prefix is escaped once,
+        and it is hashed once per distinct params and n_samples, after their
+        head, which is rendered once per run. Each key extends a copy of
+        that hasher state by its prompt's escaped remainder."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        heads: dict[tuple[SamplingParams, int], bytes] = {}
-        tails: dict[str, bytes] = {}
+        if not requests_list:
+            return []
+        prompts = {request.prompt for request in requests_list}
+        low = min(prompts)
+        shared = _shared_length(low, max(prompts))
+        prefix = _escaped(low[:shared])[:-1]
+        remainders = {prompt: _escaped(prompt[shared:])[1:] + b"}" for prompt in prompts}
+        states = {}
         keys = []
         for request in requests_list:
             shape = (request.params, request.n_samples)
-            head = heads.get(shape) or heads.setdefault(shape, _key_head(self.backend_id, request))
-            tail = tails.get(request.prompt) or tails.setdefault(
-                request.prompt, _prompt_tail(request.prompt)
-            )
-            keys.append(hashlib.sha256(head + tail).hexdigest())
+            state = states.get(shape)
+            if state is None:
+                state = states[shape] = hashlib.sha256(_key_head(self.backend_id, *shape) + prefix)
+            hasher = state.copy()
+            hasher.update(remainders[request.prompt])
+            keys.append(hasher.hexdigest())
         results: list[GenerationResult | BackendError | None] = [None] * len(keys)
         misses = []
         with self._lock:

@@ -479,9 +479,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DataError(f"{records_path} holds no records")
     # A relative dataset path is relative to the run directory.
     questions = load_questions(run_dir / dataset["path"], dataset["adapter"])
-    profile = _profile_from_config(
-        run_info.get("normalization"), f"{run_info_path}: normalization"
-    )
+    try:
+        profile = _profile_from_config(
+            run_info.get("normalization"), f"{run_info_path}: normalization"
+        )
+    except ConfigError as exc:
+        # run.json is a run's output, not configuration.
+        raise DataError(str(exc)) from None
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -8,11 +8,13 @@ import socket
 import ssl
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
 from concurrent.futures import Executor, ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -278,8 +280,10 @@ def test_batch_reraises_an_unexpected_error_once_every_lane_has_stopped():
     assert [r.texts[0] for r in results] == [f"echo:b{i}" for i in range(6)]
 
 
-def test_batch_empty(pool):
+def test_batch_empty(pool, tmp_path):
     assert FlakyBackend().generate_batch([], max_in_flight=3, executor=pool) == []
+    cached = CachingBackend(FlakyBackend(), tmp_path / "cache.jsonl")
+    assert cached.generate_batch([], max_in_flight=3, executor=RefusingExecutor()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +449,17 @@ def test_cache_key_is_the_hash_of_the_canonical_payload(
     ).hexdigest()
 
 
+def test_cache_key_tells_apart_equal_params_that_render_differently():
+    whole = SamplingParams(strategy=Strategy.TOP_K, k=40, temperature=1, max_tokens=32)
+    point_zero = SamplingParams(strategy=Strategy.TOP_K, k=40, temperature=1.0, max_tokens=32)
+    assert whole == point_zero
+    for params in (whole, point_zero, whole):
+        payload = {"backend": "b", "prompt": "P", "params": params_to_dict(params), "n_samples": 1}
+        assert cache_key("b", GenerationRequest("P", params)) == hashlib.sha256(
+            canonical_json(payload).encode("utf-8")
+        ).hexdigest()
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -583,26 +598,91 @@ def test_cache_batch_escapes_a_shared_prompt_once_and_keys_each_request(
     tmp_path, monkeypatch, pool
 ):
     escaped = []
-    prompt_tail = backend_module._prompt_tail
+    escape = backend_module._escaped
 
-    def counting_tail(prompt):
-        escaped.append(prompt)
-        return prompt_tail(prompt)
+    def counting_escape(text):
+        escaped.append(text)
+        return escape(text)
 
-    monkeypatch.setattr(backend_module, "_prompt_tail", counting_tail)
+    monkeypatch.setattr(backend_module, "_escaped", counting_escape)
     path = tmp_path / "cache.jsonl"
     inner = ScriptedBackend()
     inner.register("Recite: \"x\"\u2028", [f"r{i}" for i in range(5)])
     requests = [GenerationRequest("Recite: \"x\"\u2028", sampled(seed=i)) for i in range(5)]
     cached = CachingBackend(inner, path)
     results = cached.generate_batch(requests, max_in_flight=2, executor=pool)
-    # Once for the batch's keys; the misses do not compute their keys again.
-    assert escaped == [requests[0].prompt]
+    # Once for the batch's keys, as the prefix shared by its one distinct
+    # prompt, with the empty remainder; the misses do not compute their
+    # keys again.
+    assert escaped == [requests[0].prompt, ""]
     assert [r.texts for r in results] == [(f"r{i}",) for i in range(5)]
     stored = stored_keys(path)
     monkeypatch.undo()
     assert sorted(stored) == sorted(cache_key("scripted", r) for r in requests)
     assert len(set(stored)) == len(requests)
+
+
+def test_cache_batch_renders_no_head_again_for_shapes_already_keyed(
+    tmp_path, monkeypatch, pool
+):
+    rendered = []
+    render = backend_module.canonical_json
+
+    def counting_render(obj):
+        rendered.append(obj)
+        return render(obj)
+
+    monkeypatch.setattr(backend_module, "canonical_json", counting_render)
+    # The heads are memoized module-wide; start from none.
+    backend_module._render_key_head.cache_clear()
+    cached = CachingBackend(FlakyBackend(), tmp_path / "cache.jsonl")
+    shapes = [(greedy(), 1), (sampled(seed=1), 1), (sampled(seed=2), 1), (sampled(seed=2), 3)]
+
+    def heads_rendered(prompts):
+        rendered.clear()
+        requests = [GenerationRequest(p, *shape) for p in prompts for shape in shapes]
+        results = cached.generate_batch(requests, max_in_flight=2, executor=pool)
+        assert [r.texts[0] for r in results] == [f"echo:{r.prompt}" for r in requests]
+        return sum("backend" in obj for obj in rendered)
+
+    assert heads_rendered(["Q: a\nA:", "Q: b\nA:"]) == len(shapes)
+    assert heads_rendered(["Q: c\nA:", "Q: d\nA:"]) == 0
+    monkeypatch.undo()
+    assert sorted(stored_keys(tmp_path / "cache.jsonl")) == sorted(
+        cache_key("flaky", GenerationRequest(f"Q: {q}\nA:", *shape))
+        for q in "abcd"
+        for shape in shapes
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    backend_id=st.sampled_from(["batch-keys-a", "batch-keys-b"]),
+    prefix=TRICKY_TEXT,
+    suffixes=st.lists(TRICKY_TEXT, min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
+)
+def test_cache_batch_keys_equal_cache_key(backend_id, prefix, suffixes, picks):
+    shapes = [(greedy(), 1), (greedy(stops=("\n",)), 1), (sampled(seed=1), 1), (sampled(seed=1), 3)]
+    prompts = [prefix + suffix for suffix in suffixes]
+    requests = [
+        GenerationRequest(prompts[p % len(prompts)], *shapes[s]) for p, s in picks
+    ]
+    keys = [cache_key(backend_id, r) for r in requests]
+    inner = FlakyBackend()
+    inner.backend_id = backend_id
+    with tempfile.TemporaryDirectory() as tmp:
+        # A cache holding every reference key, each answering with itself:
+        # a batch key that differs would miss and submit a task.
+        path = Path(tmp) / "cache.jsonl"
+        path.write_text(
+            "".join(canonical_json({"key": k, "texts": [k]}) + "\n" for k in set(keys)),
+            encoding="utf-8",
+        )
+        cached = CachingBackend(inner, path)
+        results = cached.generate_batch(requests, max_in_flight=2, executor=RefusingExecutor())
+    assert [r.texts for r in results] == [(k,) for k in keys]
+    assert all(r.cache_hit for r in results)
 
 
 # ---------------------------------------------------------------------------

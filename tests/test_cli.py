@@ -370,8 +370,13 @@ def test_corpus_commands_reject_counts_below_one_with_exit_1(
         '{"dataset": "../../questions.jsonl"}',
         '{"dataset": {"path": 1, "adapter": "nq"}}',
         '{"dataset": {"path": "../../questions.jsonl"}}',
+        '{"dataset": {"path": "../../questions.jsonl", "adapter": "nq"},'
+        ' "normalization": {"lowercase": "no"}}',
     ],
-    ids=["torn", "array", "no-dataset", "string-dataset", "number-path", "no-adapter"],
+    ids=[
+        "torn", "array", "no-dataset", "string-dataset", "number-path", "no-adapter",
+        "bad-normalization",
+    ],
 )
 def test_analyze_bad_run_json_exits_3_before_writing(workspace, capsys, run_json):
     assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK

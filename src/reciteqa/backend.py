@@ -40,6 +40,7 @@ __all__ = [
     "ScriptedBackend",
     "HttpBackend",
     "DEFAULT_AUTH_ENV",
+    "DEFAULT_TIMEOUT_S",
     "CachingBackend",
     "check_base_url",
     "is_header_text",
@@ -54,6 +55,7 @@ MAX_ATTEMPTS = 5
 BACKOFF_BASE_S = 0.5
 # The variable HttpBackend reads its auth token from, unless told another.
 DEFAULT_AUTH_ENV = "RECITEQA_API_KEY"
+DEFAULT_TIMEOUT_S = 60.0
 
 
 class BackendError(Exception):
@@ -657,7 +659,7 @@ class HttpBackend(Backend):
         base_url: str,
         model: str,
         auth_env: str = DEFAULT_AUTH_ENV,
-        timeout_s: float = 60.0,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
         max_attempts: int = MAX_ATTEMPTS,
         transport: Callable[[str, dict, dict, float], tuple[int, dict]] | None = None,
         sleep: Callable[[float], None] = time.sleep,

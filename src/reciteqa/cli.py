@@ -20,14 +20,14 @@ from typing import Sequence
 
 from . import hintcorpus, retrieval
 from .backend import (
-    DEFAULT_AUTH_ENV, Backend, BackendError, CachingBackend, HttpBackend, ScriptedBackend,
-    check_base_url, is_header_text,
+    DEFAULT_AUTH_ENV, DEFAULT_TIMEOUT_S, Backend, BackendError, CachingBackend, HttpBackend,
+    ScriptedBackend, check_base_url, is_header_text,
 )
 from .core import (
-    ParseError, SamplingParams, Scheme, Strategy, canonical_json, json_object, params_from_dict,
-    params_to_dict, read_text,
+    REQUIRED, Dataset, ParseError, SamplingParams, Scheme, Strategy, canonical_json, check_fields,
+    json_object, params_from_dict, params_to_dict, read_text,
 )
-from .datasets import DataError, default_shots, load_questions
+from .datasets import ADAPTERS, DataError, default_shots, load_questions
 from .evalkit import (
     DEFAULT_PROFILE,
     EvalError,
@@ -72,10 +72,49 @@ class ConfigError(ValueError):
 # Run configuration
 
 
-# Config keys that become SchemeConfig fields of the same name.
-SCHEME_KEYS = ("n_paths", "shots", "exemplar_seed", "n_hints", "recitations_per_hop")
-# Config keys that become NormProfile flags of the same name.
-NORM_KEYS = ("lowercase", "strip_articles", "strip_punct", "collapse_whitespace")
+DIALECTS = {dialect.name.value: dialect for dialect in (DEFAULT_DIALECT, UL2_DIALECT)}
+
+# Config keys that become SchemeConfig fields of the same name. An absent or
+# null one takes SchemeConfig's default; shots defaults by dataset adapter.
+SCHEME_FIELDS = {
+    key: (int, None)
+    for key in ("n_paths", "shots", "exemplar_seed", "n_hints", "recitations_per_hop")
+}
+# NormProfile flags of the same name.
+NORM_FLAG_FIELDS = {
+    key: (bool, True)
+    for key in ("lowercase", "strip_articles", "strip_punct", "collapse_whitespace")
+}
+NORMALIZATION_FIELDS = {
+    **NORM_FLAG_FIELDS,
+    "overrides": ({dataset.value: (NORM_FLAG_FIELDS, None) for dataset in Dataset}, {}),
+}
+BACKEND_FIELDS = {
+    "scripted": {"kind": (str, REQUIRED), "script": (str, REQUIRED)},
+    "http": {
+        "kind": (str, REQUIRED), "base_url": (str, REQUIRED), "model": (str, REQUIRED),
+        "auth_env": (str, DEFAULT_AUTH_ENV), "timeout_s": ((int, float), DEFAULT_TIMEOUT_S),
+    },
+}
+RUN_CONFIG_FIELDS = {
+    "dataset": ({"path": (str, REQUIRED), "adapter": (str, REQUIRED, ADAPTERS)}, REQUIRED),
+    "scheme": (str, REQUIRED, [scheme.value for scheme in Scheme]),
+    "prompt_set": (str, REQUIRED),
+    "backend": (dict, REQUIRED),
+    "run_dir": (str, REQUIRED),
+    "dialect": (str, DEFAULT_DIALECT.name.value, DIALECTS),
+    "limit": (int, None),
+    **SCHEME_FIELDS,
+    "recitation_sampling": (dict, None),
+    "answer_sampling": (dict, None),
+    "normalization": (NORMALIZATION_FIELDS, None),
+    "max_questions_in_flight": (int, 1),
+    "max_paths_in_flight": (int, 4),
+    "cache": (str, None),
+    "resume": (bool, False),
+}
+# The run.json fields analyze reads, checked as in a run config.
+RUN_JSON_FIELDS = {key: RUN_CONFIG_FIELDS[key] for key in ("dataset", "normalization")}
 
 
 @dataclass
@@ -86,7 +125,7 @@ class RunConfig:
     prompt_set: Path
     backend: dict
     run_dir: Path
-    dialect_name: str
+    dialect: PromptDialect
     limit: int | None
     normalization: dict | None
     profile: NormProfile
@@ -96,105 +135,60 @@ class RunConfig:
     resume: bool
 
 
-def _check_keys(entry: dict, allowed, name: str) -> None:
-    unknown = sorted(set(entry) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{name} has unknown keys: {', '.join(unknown)}")
-
-
-def _params_from_config(entry, default: SamplingParams, name: str) -> SamplingParams:
-    """Parse a run config's sampling entry over the default's fields; a
-    greedy entry drops the inherited k and temperature."""
+def _params_from_config(entry: dict | None, default: SamplingParams, name: str) -> SamplingParams:
+    """Parse a sampling entry merged over the default's fields, typed by
+    params_from_dict; a greedy entry inherits no k or temperature."""
     if entry is None:
         return default
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{name} must be an object")
-    merged = params_to_dict(default)
-    _check_keys(entry, merged, name)
-    merged.update(entry)
-    if merged["strategy"] == Strategy.GREEDY.value:
-        merged["k"] = merged["temperature"] = None
+    inherited = params_to_dict(default)
+    if entry.get("strategy") == Strategy.GREEDY.value:
+        inherited["k"] = inherited["temperature"] = None
+    fields = {key: (object, value) for key, value in inherited.items()}
     try:
-        return params_from_dict(merged, kind=name)
+        return params_from_dict(check_fields(entry, fields, name, ConfigError), kind=name)
     except ParseError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _profile_from_config(entry, name: str) -> NormProfile:
-    """Build the profile of a normalization entry: the NORM_KEYS flags
-    (each defaulting to true) and per-dataset `overrides` of those flags.
-    Only an absent or null entry means the default profile."""
+def _profile(entry: dict | None) -> NormProfile:
+    """The profile of a checked normalization entry; null is the default profile."""
     if entry is None:
         return DEFAULT_PROFILE
-
-    def build(obj, name: str, allowed, overrides) -> NormProfile:
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{name} must be an object")
-        _check_keys(obj, allowed, name)
-        flags = {key: obj.get(key, True) for key in NORM_KEYS}
-        for key, value in flags.items():
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}: {key} must be true or false, got {value!r}")
-        return NormProfile(**flags, overrides=overrides)
-
-    overrides = entry.get("overrides", {}) if isinstance(entry, dict) else {}
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{name}: overrides must be an object")
-    return build(
-        entry,
-        name,
-        (*NORM_KEYS, "overrides"),
-        {
-            dataset: build(sub, f"{name}: overrides[{dataset!r}]", NORM_KEYS, {})
-            for dataset, sub in overrides.items()
-        },
-    )
+    overrides = {
+        dataset: NormProfile(**flags) for dataset, flags in entry["overrides"].items() if flags
+    }
+    return NormProfile(**{**entry, "overrides": overrides})
 
 
-def _backend_from_config(entry, resolve, name: str) -> dict:
+def _backend_from_config(entry: dict, resolve, name: str) -> dict:
     """Check a backend entry; returns it with a script path resolved."""
-    kind = entry.get("kind") if isinstance(entry, dict) else None
+    kind = entry.get("kind")
+    if kind not in ("scripted", "http"):
+        raise ConfigError(f"{name}: kind must be scripted or http, got {kind!r}")
+    backend = check_fields(entry, BACKEND_FIELDS[kind], name, ConfigError)
     if kind == "scripted":
-        _check_keys(entry, ("kind", "script"), name)
-        script = entry.get("script")
-        if not script or not isinstance(script, str):
-            raise ConfigError(f"{name}: scripted backend needs a script field")
-        script_path = resolve(script)
+        script_path = resolve(backend["script"])
         if not script_path.is_file():
             raise ConfigError(f"{name}: script file {script_path} does not exist")
-        return {"kind": "scripted", "script": str(script_path)}
-    if kind == "http":
-        _check_keys(entry, ("kind", "base_url", "model", "auth_env", "timeout_s"), name)
-        for key in ("base_url", "model"):
-            if key not in entry:
-                raise ConfigError(f"{name}: http backend needs a {key!r} field")
-        for key in ("base_url", "model", "auth_env"):
-            if key in entry and not isinstance(entry[key], str):
-                raise ConfigError(f"{name}: {key} must be a string, got {entry[key]!r}")
-        if entry.get("auth_env") == "":
-            raise ConfigError(f"{name}: auth_env must name an environment variable, got ''")
-        timeout_s = entry.get("timeout_s")
-        if "timeout_s" in entry and (
-            isinstance(timeout_s, bool)
-            or not isinstance(timeout_s, (int, float))
-            or not 0 < timeout_s < math.inf
-        ):
-            raise ConfigError(f"{name}: timeout_s must be a positive number, got {timeout_s!r}")
-        try:
-            check_base_url(entry["base_url"])
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
-        # The token is checked here, once, and never echoed: HttpBackend
-        # would refuse it on the first request, after the run began.
-        auth_env = entry.get("auth_env", DEFAULT_AUTH_ENV)
-        token = os.environ.get(auth_env)
-        if token and not is_header_text(token):
-            raise ConfigError(
-                f"{name}: the token in ${auth_env} holds CR, LF or a character outside "
-                "Latin-1, so it cannot be sent as a header"
-            )
-        return entry
-    raise ConfigError(f"{name}: kind must be scripted or http, got {kind!r}")
+        return {**backend, "script": str(script_path)}
+    timeout_s = backend["timeout_s"]
+    if not 0 < timeout_s < math.inf:
+        raise ConfigError(f"{name}: timeout_s must be a positive number, got {timeout_s!r}")
+    if backend["auth_env"] == "":
+        raise ConfigError(f"{name}: auth_env must name an environment variable, got ''")
+    try:
+        check_base_url(backend["base_url"])
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    # The token is checked here, once, and never echoed: HttpBackend
+    # would refuse it on the first request, after the run began.
+    token = os.environ.get(backend["auth_env"])
+    if token and not is_header_text(token):
+        raise ConfigError(
+            f"{name}: the token in ${backend['auth_env']} holds CR, LF or a character outside "
+            "Latin-1, so it cannot be sent as a header"
+        )
+    return backend
 
 
 def load_run_config(path: str | Path, overrides: argparse.Namespace | None = None) -> RunConfig:
@@ -209,83 +203,54 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
 
-    for field_name in ("dataset", "scheme", "prompt_set", "backend", "run_dir"):
-        if field_name not in raw:
-            raise ConfigError(f"{path}: missing required field {field_name!r}")
-    for key in ("prompt_set", "run_dir"):
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"{path}: {key} must be a string, got {raw[key]!r}")
-    dataset = raw.pop("dataset")
-    if not isinstance(dataset, dict) or not all(
-        isinstance(dataset.get(key), str) for key in ("path", "adapter")
-    ):
-        raise ConfigError(f"{path}: dataset needs string path and adapter fields")
-    _check_keys(dataset, ("path", "adapter"), f"{path}: dataset")
-    scheme_name = raw.pop("scheme")
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ConfigError(f"{path}: unknown scheme {scheme_name!r}") from None
-
-    run_dir = resolve(raw.pop("run_dir"))
     if overrides is not None:
         flags = {"limit": "limit", "paths": "n_paths", "shots": "shots", "seed": "exemplar_seed"}
         for flag, key in flags.items():
             if getattr(overrides, flag, None) is not None:
                 raw[key] = getattr(overrides, flag)
+        # --scripted and --run-dir name paths relative to the working directory.
         if getattr(overrides, "scripted", None):
-            raw["backend"] = {"kind": "scripted", "script": overrides.scripted}
+            raw["backend"] = {"kind": "scripted", "script": os.path.abspath(overrides.scripted)}
         if getattr(overrides, "run_dir", None):
-            run_dir = Path(overrides.run_dir)
+            raw["run_dir"] = os.path.abspath(overrides.run_dir)
         if getattr(overrides, "resume", False):
             raw["resume"] = True
-    # Each key is popped as it is read, so the keys left over are unknown.
-    # An absent or null integer takes its default; SchemeConfig holds the
-    # defaults of its own fields.
-    int_keys = (*SCHEME_KEYS, "limit", "max_questions_in_flight", "max_paths_in_flight")
-    ints = {key: value for key in int_keys if (value := raw.pop(key, None)) is not None}
-    for key, value in ints.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
-    scheme_fields = {key: ints[key] for key in SCHEME_KEYS if key in ints}
+    fields = check_fields(raw, RUN_CONFIG_FIELDS, str(path), ConfigError)
+    dataset = fields["dataset"]
+    scheme_fields = {key: fields[key] for key in SCHEME_FIELDS if fields[key] is not None}
     scheme_fields.setdefault("shots", default_shots(dataset["adapter"]))
     scheme_cfg = SchemeConfig(
-        scheme=scheme,
+        scheme=Scheme(fields["scheme"]),
         recitation_params=_params_from_config(
-            raw.pop("recitation_sampling", None),
+            fields["recitation_sampling"],
             default_recitation_params(),
             f"{path}: recitation_sampling",
         ),
         answer_params=_params_from_config(
-            raw.pop("answer_sampling", None), default_answer_params(), f"{path}: answer_sampling"
+            fields["answer_sampling"], default_answer_params(), f"{path}: answer_sampling"
         ),
         **scheme_fields,
     )
-    normalization = raw.pop("normalization", None)
-    cache = raw.pop("cache", None)
-    if cache is not None and not (isinstance(cache, str) and cache):
-        raise ConfigError(f"{path}: cache must be a non-empty string or null, got {cache!r}")
-    resume = raw.pop("resume", False)
-    if not isinstance(resume, bool):
-        raise ConfigError(f"{path}: resume must be true or false, got {resume!r}")
+    cache = fields["cache"]
+    if cache == "":
+        raise ConfigError(f"{path}: cache must be a non-empty string or null, got ''")
     cfg = RunConfig(
         dataset_path=resolve(dataset["path"]),
         adapter=dataset["adapter"],
         scheme_cfg=scheme_cfg,
-        prompt_set=resolve(raw.pop("prompt_set")),
-        backend=_backend_from_config(raw.pop("backend"), resolve, f"{path}: backend"),
-        run_dir=run_dir,
-        dialect_name=raw.pop("dialect", "default"),
-        limit=ints.get("limit"),
-        normalization=normalization,
-        profile=_profile_from_config(normalization, f"{path}: normalization"),
-        max_questions_in_flight=ints.get("max_questions_in_flight", 1),
-        max_paths_in_flight=ints.get("max_paths_in_flight", 4),
+        prompt_set=resolve(fields["prompt_set"]),
+        backend=_backend_from_config(fields["backend"], resolve, f"{path}: backend"),
+        run_dir=resolve(fields["run_dir"]),
+        dialect=DIALECTS[fields["dialect"]],
+        limit=fields["limit"],
+        # run.json records the entry as written.
+        normalization=raw.get("normalization"),
+        profile=_profile(fields["normalization"]),
+        max_questions_in_flight=fields["max_questions_in_flight"],
+        max_paths_in_flight=fields["max_paths_in_flight"],
         cache=None if cache is None else resolve(cache),
-        resume=resume,
+        resume=fields["resume"],
     )
-    if raw:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(raw))}")
     issues = scheme_cfg.validate()
     if issues:
         raise ConfigError(f"{path}: invalid scheme configuration: {'; '.join(issues)}")
@@ -293,8 +258,6 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raise ConfigError(f"{path}: in-flight limits must be >= 1")
     if cfg.limit is not None and cfg.limit < 1:
         raise ConfigError(f"{path}: limit must be >= 1, got {cfg.limit}")
-    if cfg.dialect_name not in ("default", "ul2"):
-        raise ConfigError(f"{path}: unknown dialect {cfg.dialect_name!r}")
     if not cfg.dataset_path.is_file():
         raise ConfigError(f"{path}: dataset file {cfg.dataset_path} does not exist")
     if not cfg.prompt_set.is_dir():
@@ -309,8 +272,7 @@ def _build_backend(cfg: RunConfig) -> tuple[Backend, bool]:
         backend: Backend = ScriptedBackend.from_file(cfg.backend["script"])
         deterministic = True
     else:
-        # The entry's other keys are HttpBackend parameters of the same name;
-        # HttpBackend holds the defaults of those it leaves out.
+        # The entry's other keys are HttpBackend parameters of the same name.
         backend = HttpBackend(**{k: v for k, v in cfg.backend.items() if k != "kind"})
         deterministic = False
     if cfg.cache is not None:
@@ -361,8 +323,7 @@ def _execute_run(cfg: RunConfig) -> dict:
             f"prompt set {cfg.prompt_set} has no hint_exemplars; the "
             "diversified_recite scheme needs them"
         )
-    dialect = UL2_DIALECT if cfg.dialect_name == "ul2" else DEFAULT_DIALECT
-    exemplars = _pick_exemplars(prompt_set, scheme_cfg, dialect)
+    exemplars = _pick_exemplars(prompt_set, scheme_cfg, cfg.dialect)
     backend, deterministic = _build_backend(cfg)
     clock = (lambda: 0.0) if deterministic else time.monotonic
 
@@ -375,7 +336,7 @@ def _execute_run(cfg: RunConfig) -> dict:
             exemplars,
             backend,
             hint_exemplars=prompt_set.hint_exemplars,
-            dialect=dialect,
+            dialect=cfg.dialect,
             profile=cfg.profile,
             resume=cfg.resume,
             run_dir=cfg.run_dir,
@@ -401,9 +362,9 @@ def _execute_run(cfg: RunConfig) -> dict:
         "dataset": {"path": recorded(cfg.dataset_path), "adapter": cfg.adapter},
         "scheme": scheme_cfg.scheme.value,
         "prompt_set": recorded(cfg.prompt_set),
-        "dialect": cfg.dialect_name,
+        "dialect": cfg.dialect.name.value,
         "limit": cfg.limit,
-        **{key: getattr(scheme_cfg, key) for key in SCHEME_KEYS},
+        **{key: getattr(scheme_cfg, key) for key in SCHEME_FIELDS},
         "normalization": cfg.normalization,
         "backend": backend_info,
         # aggregate_report refused an empty run, and run_dataset re-emits
@@ -469,23 +430,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not run_info_path.is_file() or not records_path.is_file():
         raise DataError(f"{run_dir} is not a run directory (need run.json and records.jsonl)")
     run_info = json_object(
-        read_text(run_info_path, DataError), str(run_info_path), DataError, {"dataset": dict}
+        read_text(run_info_path, DataError), str(run_info_path), DataError, RUN_JSON_FIELDS
     )
     dataset = run_info["dataset"]
-    if not all(isinstance(dataset.get(key), str) for key in ("path", "adapter")):
-        raise DataError(f"{run_info_path}: dataset needs string path and adapter fields")
     records = list(load_run_records(records_path).values())
     if not records:
         raise DataError(f"{records_path} holds no records")
     # A relative dataset path is relative to the run directory.
     questions = load_questions(run_dir / dataset["path"], dataset["adapter"])
-    try:
-        profile = _profile_from_config(
-            run_info.get("normalization"), f"{run_info_path}: normalization"
-        )
-    except ConfigError as exc:
-        # run.json is a run's output, not configuration.
-        raise DataError(str(exc)) from None
+    profile = _profile(run_info["normalization"])
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -37,6 +37,8 @@ __all__ = [
     "truncate_torn_tail",
     "canonical_json",
     "json_object",
+    "check_fields",
+    "REQUIRED",
     "read_text",
     "read_lines",
     "stable_hash",
@@ -317,22 +319,60 @@ def stable_hash(obj: Any, length: int = 16) -> str:
     return digest[:length]
 
 
-def json_object(
-    text: str, where: str, error: type[Exception], fields: Mapping[str, Any] | None = None
-) -> dict:
-    """Parse outside input that must be one JSON object holding each of
-    `fields` as an instance of its type (or tuple of types); anything else
-    raises `error` with a message led by `where`."""
+# The default of a field that must be present; see check_fields.
+REQUIRED = object()
+_TYPE_NAMES = {
+    str: "a string", int: "an integer", (int, float): "a number", bool: "true or false",
+    list: "an array", dict: "an object",
+}
+
+
+def json_object(text: str, where: str, error: type[Exception], fields: dict | None = None) -> dict:
+    """Parse outside input that must be one JSON object; anything else
+    raises `error` with a message led by `where`. With a field map, returns
+    check_fields' result for the keys the map names and ignores the rest."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise error(f"{where}: expected a JSON object")
-    for name, kind in (fields or {}).items():
-        if not isinstance(obj.get(name), kind):
-            raise error(f"{where}: {name!r} is missing or mistyped: {obj.get(name)!r}")
-    return obj
+    if fields is None:
+        return obj
+    return check_fields({k: v for k, v in obj.items() if k in fields}, fields, where, error)
+
+
+def check_fields(obj: dict, fields: dict, where: str, error: type[Exception]) -> dict:
+    """Check a JSON object from outside against a field map and return each
+    field's value, an absent one's default. The map gives each key `(type,
+    default)` or `(type, default, choices)`. A type is a class, `(int,
+    float)` for a number, `object` for any value, or a nested field map;
+    `true` and `false` fit only bool and object. REQUIRED marks a key that
+    must be present. Null means absent where the default is None and is
+    mistyped elsewhere. An unknown key or any other fault raises `error`
+    with a message led by `where`."""
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise error(f"{where}: unknown keys: {', '.join(unknown)}")
+    checked = {}
+    for name, (kind, default, *choices) in fields.items():
+        value = obj.get(name)
+        if name not in obj or (value is None and default is None):
+            if default is REQUIRED:
+                raise error(f"{where}: missing required field {name!r}")
+            checked[name] = default
+            continue
+        expected = dict if isinstance(kind, Mapping) else kind
+        # JSON true/false parse as bool, which Python counts as an int.
+        is_bool = isinstance(value, bool)
+        if not isinstance(value, expected) or (is_bool and expected not in (bool, object)):
+            raise error(f"{where}: {name} must be {_TYPE_NAMES[expected]}, got {value!r}")
+        if choices and value not in choices[0]:
+            raise error(f"{where}: {name} must be one of {sorted(choices[0])}, got {value!r}")
+        if isinstance(kind, Mapping):
+            value = check_fields(value, kind, f"{where}: {name}", error)
+        checked[name] = value
+    return checked
 
 
 def read_text(path: Path, error: type[Exception]) -> str:

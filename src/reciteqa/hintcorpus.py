@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import canonical_json, derived_params, json_object, read_lines
+from .core import REQUIRED, canonical_json, derived_params, json_object, read_lines
 from .pipeline import default_recitation_params
 from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
 
@@ -168,7 +168,8 @@ def _passage_to_line(passage: HintedPassage) -> str:
 
 
 _PASSAGE_FIELDS = {
-    "page_title": str, "section_path": list, "para_index": int, "text": str, "hint": str
+    "page_title": (str, REQUIRED), "section_path": (list, REQUIRED), "para_index": (int, REQUIRED),
+    "text": (str, REQUIRED), "hint": (str, REQUIRED),
 }
 
 
@@ -408,15 +409,16 @@ def export_triples(triples: Iterable[SyntheticTriple], path: str | Path) -> int:
     return n
 
 
+_TRIPLE_FIELDS = {"question": (str, REQUIRED), "hint": (str, REQUIRED), "passage": (str, REQUIRED)}
+
+
 def load_triples(path: str | Path) -> list[SyntheticTriple]:
     path = Path(path)
     triples = []
     for lineno, line in read_lines(path, CorpusError):
         if not line.strip():
             continue
-        obj = json_object(
-            line, f"{path}:{lineno}", CorpusError, {"question": str, "hint": str, "passage": str}
-        )
+        obj = json_object(line, f"{path}:{lineno}", CorpusError, _TRIPLE_FIELDS)
         triples.append(
             SyntheticTriple(
                 question=obj["question"], hint=obj["hint"], passage=obj["passage"]

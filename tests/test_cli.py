@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from reciteqa.backend import ScriptedBackend
-from reciteqa.cli import EXIT_BACKEND, EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_run_config, main
-from reciteqa.core import Scheme
+from reciteqa.cli import (
+    BACKEND_FIELDS, EXIT_BACKEND, EXIT_CONFIG, EXIT_DATA, EXIT_OK, RUN_CONFIG_FIELDS,
+    RUN_JSON_FIELDS, load_run_config, main,
+)
+from reciteqa.core import REQUIRED, Scheme, params_to_dict
 from reciteqa.evalkit import NormProfile
 from reciteqa.pipeline import SchemeConfig, default_answer_params, default_recitation_params
 from reciteqa.prompting import build_question_generation_prompt, sample_exemplars
@@ -209,6 +212,9 @@ def test_run_bad_scheme_exits_1(workspace):
         {"normalization": False},
         {"normalization": ""},
         {"backend": {**HTTP_BACKEND, "auth_env": ""}},
+        {"dataset": {"path": "questions.jsonl", "adapter": "nqq"}},
+        {"normalization": {"overrides": {"NQ": {"lowercase": False}}}},
+        {"answer_sampling": {"strategy": "greedy", "k": "40"}},
     ],
     ids=[
         "zero-temperature", "string-seed", "unknown-sampling-key", "unknown-key",
@@ -218,6 +224,7 @@ def test_run_bad_scheme_exits_1(workspace):
         "unknown-normalization-key", "unknown-override-key", "string-normalization-flag",
         "number-prompt-set", "number-run-dir", "number-cache", "false-cache", "string-resume",
         "list-normalization", "false-normalization", "empty-normalization", "empty-auth-env",
+        "unknown-adapter", "unknown-override-dataset", "greedy-entry-string-k",
     ],
 )
 def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides):
@@ -225,6 +232,82 @@ def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides)
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (workspace / "runs").exists()
+
+
+# Wrongly typed values for each field type of the config and run.json maps.
+WRONG_VALUES = {
+    str: [5, True], int: [True, "1", 1.5], (int, float): [True, "1"], bool: ["true", 1],
+    dict: [[], "x"], list: ["x"],
+}
+# A sampling entry's fields as params_from_dict types them.
+SAMPLING_FIELDS = {
+    "strategy": (str, REQUIRED), "seed": (int, REQUIRED), "max_tokens": (int, REQUIRED),
+    "k": (int, None), "temperature": ((int, float), None), "stop_sequences": (list, REQUIRED),
+}
+
+
+def mistyped_entries(fields: dict, entry: dict):
+    """Yield (key path, entry) for each field of a field map, and of each
+    object nested in it, with that field given a wrongly typed value, and
+    null where the default is not null."""
+    for key, (kind, default, *_) in fields.items():
+        nested = isinstance(kind, dict)
+        values = WRONG_VALUES[dict if nested else kind] + ([] if default is None else [None])
+        for value in values:
+            yield key, {**entry, key: value}
+        if nested:
+            for path, inner in mistyped_entries(kind, entry.get(key) or {}):
+                yield f"{key}.{path}", {**entry, key: inner}
+
+
+def test_every_mistyped_config_field_exits_1_before_writing(workspace, capsys):
+    base = json.loads((workspace / "config.json").read_text(encoding="utf-8"))
+    cases = list(mistyped_entries(RUN_CONFIG_FIELDS, base))
+    backends = {"scripted": {"kind": "scripted", "script": "script.json"}, "http": HTTP_BACKEND}
+    assert backends.keys() == BACKEND_FIELDS.keys()
+    for kind, fields in BACKEND_FIELDS.items():
+        cases += [
+            (f"backend.{path}", {**base, "backend": entry})
+            for path, entry in mistyped_entries(fields, backends[kind])
+        ]
+    assert SAMPLING_FIELDS.keys() == params_to_dict(default_recitation_params()).keys()
+    for key in ("recitation_sampling", "answer_sampling"):
+        cases += [
+            (f"{key}.{path}", {**base, key: entry})
+            for path, entry in mistyped_entries(SAMPLING_FIELDS, {})
+        ]
+    for path, config in cases:
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(bad)]) == EXIT_CONFIG, (path, config)
+        assert "config error:" in capsys.readouterr().err, path
+        assert not (workspace / "runs").exists(), path
+
+
+def test_every_mistyped_run_json_field_exits_3_before_writing(workspace, capsys):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_dir = workspace / "runs" / "main"
+    run_info = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+    for path, entry in mistyped_entries(RUN_JSON_FIELDS, run_info):
+        (run_dir / "run.json").write_text(json.dumps(entry), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir), "--out", str(workspace / "out")]) == EXIT_DATA, path
+        assert capsys.readouterr().err.startswith(f"data error: {run_dir / 'run.json'}: "), path
+        assert not (workspace / "out").exists(), path
+
+
+def test_run_scripted_and_run_dir_flags_resolve_against_the_working_directory(
+    workspace, monkeypatch
+):
+    elsewhere = workspace / "elsewhere"
+    elsewhere.mkdir()
+    shutil.copy(workspace / "script.json", elsewhere / "my-script.json")
+    monkeypatch.chdir(elsewhere)
+    argv = ["run", "--config", "../config.json", "--scripted", "my-script.json", "--run-dir", "out"]
+    assert main(argv) == EXIT_OK
+    run_info = json.loads((elsewhere / "out" / "run.json").read_text(encoding="utf-8"))
+    assert run_info["backend"]["script"] == "../my-script.json"
+    assert run_info["dataset"]["path"] == "../../questions.jsonl"
 
 
 @pytest.mark.parametrize(
@@ -744,7 +827,9 @@ def test_demo_script_and_seed_sweep_regenerate_byte_for_byte(tmp_path):
     assert main(["seed-sweep", "--config", config, "--seeds", "1", "2", "3"]) == EXIT_OK
     # meta.json holds timings, so it is not compared.
     names = ["summary.json"] + [
-        f"seed-{seed}/{name}" for seed in (1, 2, 3) for name in ("records.jsonl", "report.json")
+        f"seed-{seed}/{name}"
+        for seed in (1, 2, 3)
+        for name in ("records.jsonl", "report.json", "run.json")
     ]
     for name in names:
         expected = (DEMO_DIR / "runs" / "demo" / name).read_bytes()

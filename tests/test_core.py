@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reciteqa.core import (
+    REQUIRED,
     Dataset,
     Exemplar,
     ParseError,
@@ -23,7 +25,9 @@ from reciteqa.core import (
     SamplingParams,
     Scheme,
     Strategy,
+    check_fields,
     deserialize,
+    json_object,
     serialize,
     validate,
 )
@@ -470,3 +474,56 @@ def test_run_round_trip_property(answers, scheme, recitation):
         wall_clock_ms=7,
     )
     assert deserialize(serialize(record)) == record
+
+
+FIELDS = {
+    "name": (str, REQUIRED),
+    "count": (int, 3),
+    "limit": (int, None),
+    "mode": (str, "a", ("a", "b")),
+    "any": (object, None),
+    "inner": ({"flag": (bool, True)}, None),
+}
+DEFAULTS = {"count": 3, "limit": None, "mode": "a", "any": None, "inner": None}
+
+
+@pytest.mark.parametrize(
+    "obj, expected",
+    [
+        ({"name": "x"}, {"name": "x", **DEFAULTS}),
+        (
+            {"name": "x", "limit": None, "any": True, "inner": {}},
+            {"name": "x", **DEFAULTS, "any": True, "inner": {"flag": True}},
+        ),
+    ],
+    ids=["defaults", "null-where-the-default-is-null"],
+)
+def test_check_fields_fills_defaults(obj, expected):
+    assert check_fields(obj, FIELDS, "where", ValueError) == expected
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({}, "missing required field 'name'"),
+        ({"name": None}, "name must be a string, got None"),
+        ({"name": "x", "count": None}, "count must be an integer, got None"),
+        ({"name": "x", "count": True}, "count must be an integer, got True"),
+        ({"name": "x", "mode": "c"}, "mode must be one of ['a', 'b'], got 'c'"),
+        ({"name": "x", "extra": 1}, "unknown keys: extra"),
+        ({"name": "x", "inner": {"flags": True}}, "inner: unknown keys: flags"),
+        ({"name": "x", "inner": {"flag": 1}}, "inner: flag must be true or false, got 1"),
+    ],
+    ids=[
+        "missing", "null-required", "null-with-default", "bool-for-int", "not-a-choice",
+        "unknown-key", "nested-unknown-key", "nested-mistyped",
+    ],
+)
+def test_check_fields_refuses(obj, message):
+    with pytest.raises(ValueError, match=f"^where: {re.escape(message)}$"):
+        check_fields(obj, FIELDS, "where", ValueError)
+
+
+def test_json_object_field_map_ignores_keys_it_does_not_name():
+    obj = json_object('{"name": "x", "extra": 1}', "where", ValueError, {"name": (str, REQUIRED)})
+    assert obj == {"name": "x"}

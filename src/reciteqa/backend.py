@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .core import (
-    SamplingParams, Strategy, canonical_json, json_object, params_to_dict, read_text,
-    truncate_torn_tail, validate,
+    REQUIRED, SamplingParams, Strategy, canonical_json, check_fields, json_object, params_to_dict,
+    read_text, truncate_torn_tail, validate,
 )
 
 __all__ = [
@@ -251,6 +251,13 @@ class Backend(ABC):
         return results
 
 
+# A script file; its "entries" map each prompt key to a response queue.
+_SCRIPT_FIELDS = {
+    "entries": (dict, {}),
+    "prompts": ([{"prompt": (str, REQUIRED), "responses": ([str], REQUIRED)}], ()),
+}
+
+
 class ScriptedBackend(Backend):
     """Deterministic backend for tests: each prompt maps to an ordered
     response queue; sample i under seed s returns queue[(s + i) % len]
@@ -282,31 +289,18 @@ class ScriptedBackend(Backend):
             text = read_text(path, MalformedResponse)
         except OSError as exc:
             raise MalformedResponse(f"cannot load script file {path}: {exc}") from None
-        data = json_object(text, str(path), MalformedResponse)
-        entries, prompts = data.get("entries", {}), data.get("prompts", [])
-        if not isinstance(entries, dict) or not isinstance(prompts, list):
-            raise MalformedResponse(f"{path}: 'entries' must be an object and 'prompts' a list")
-
-        def queue(responses, where: str) -> tuple[str, ...]:
-            if (
-                not isinstance(responses, list)
-                or not responses
-                or not all(isinstance(r, str) for r in responses)
-            ):
-                raise MalformedResponse(
-                    f"{path}: {where} must be a non-empty list of strings, got {responses!r}"
-                )
-            return tuple(responses)
-
-        backend = cls()
-        for key, responses in entries.items():
-            backend._entries[key] = queue(responses, f"entry {key!r}")
-        for i, entry in enumerate(prompts):
-            if not isinstance(entry, dict) or not isinstance(entry.get("prompt"), str):
-                raise MalformedResponse(f"{path}: prompts[{i}] needs a 'prompt' string")
-            responses = queue(entry.get("responses"), f"prompts[{i}] responses")
-            backend.register(entry["prompt"], responses)
-        return backend
+        raw = json_object(text, str(path), MalformedResponse)
+        script = check_fields(raw, _SCRIPT_FIELDS, str(path), MalformedResponse)
+        # The keys of "entries" are prompt keys, so its map names the ones given.
+        entries = script["entries"]
+        queue_fields = dict.fromkeys(entries, ([str], REQUIRED))
+        queues = check_fields(entries, queue_fields, f"{path}: entries", MalformedResponse)
+        for entry in script["prompts"]:
+            queues[prompt_key(entry["prompt"])] = entry["responses"]
+        for key, queue in queues.items():
+            if not queue:
+                raise MalformedResponse(f"{path}: the responses for prompt key {key} are empty")
+        return cls(queues)
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         _check_request(request)
@@ -760,6 +754,10 @@ class HttpBackend(Backend):
         return GenerationResult(texts=tuple(texts), meta=meta)
 
 
+# One line of the generation cache.
+_CACHE_LINE_FIELDS = {"key": (str, REQUIRED), "texts": ([str], REQUIRED), "meta": (dict, {})}
+
+
 class CachingBackend(Backend):
     """Transparent append-only disk cache around another backend.
 
@@ -807,25 +805,14 @@ class CachingBackend(Backend):
                 continue
             try:
                 # UnicodeDecodeError is a ValueError.
-                entry = json.loads(line.decode("utf-8"))
-                if not isinstance(entry, dict):
-                    raise ValueError("not a JSON object")
-                key, texts, meta = entry.get("key"), entry.get("texts"), entry.get("meta", {})
-                if (
-                    not isinstance(key, str)
-                    or not isinstance(texts, list)
-                    or not texts
-                    or not all(isinstance(t, str) for t in texts)
-                    or not isinstance(meta, dict)
-                ):
-                    raise ValueError(
-                        "needs a 'key' string, a non-empty 'texts' list of strings "
-                        "and an optional 'meta' object"
-                    )
+                entry = json_object(line.decode("utf-8"), "entry", ValueError, _CACHE_LINE_FIELDS)
+                if not entry["texts"]:
+                    raise ValueError("entry: texts must not be empty")
             except ValueError as exc:
                 logger.warning("skipping corrupt cache line %d in %s: %s", lineno, self._path, exc)
                 continue
-            self._entries.setdefault(key, (tuple(texts), {k: str(v) for k, v in meta.items()}))
+            meta = {k: str(v) for k, v in entry["meta"].items()}
+            self._entries.setdefault(entry["key"], (entry["texts"], meta))
 
     def _store(self, key: str, result: GenerationResult) -> None:
         with self._lock:

@@ -24,8 +24,8 @@ from .backend import (
     ScriptedBackend, check_base_url, is_header_text,
 )
 from .core import (
-    REQUIRED, Dataset, ParseError, SamplingParams, Scheme, Strategy, canonical_json, check_fields,
-    json_object, params_from_dict, params_to_dict, read_text,
+    RECORD_FIELDS, REQUIRED, Dataset, SamplingParams, Scheme, Strategy, canonical_json,
+    check_fields, json_object, params_from_dict, params_to_dict, read_text,
 )
 from .datasets import ADAPTERS, DataError, default_shots, load_questions
 from .evalkit import (
@@ -136,18 +136,15 @@ class RunConfig:
 
 
 def _params_from_config(entry: dict | None, default: SamplingParams, name: str) -> SamplingParams:
-    """Parse a sampling entry merged over the default's fields, typed by
-    params_from_dict; a greedy entry inherits no k or temperature."""
+    """Parse a sampling entry merged over the default's fields, checked as
+    a sampling_params record; a greedy entry inherits no k or temperature."""
     if entry is None:
         return default
     inherited = params_to_dict(default)
     if entry.get("strategy") == Strategy.GREEDY.value:
         inherited["k"] = inherited["temperature"] = None
-    fields = {key: (object, value) for key, value in inherited.items()}
-    try:
-        return params_from_dict(check_fields(entry, fields, name, ConfigError), kind=name)
-    except ParseError as exc:
-        raise ConfigError(str(exc)) from None
+    fields = RECORD_FIELDS["sampling_params"]
+    return params_from_dict(check_fields({**inherited, **entry}, fields, name, ConfigError))
 
 
 def _profile(entry: dict | None) -> NormProfile:

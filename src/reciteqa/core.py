@@ -39,6 +39,8 @@ __all__ = [
     "json_object",
     "check_fields",
     "REQUIRED",
+    "RECORD_FIELDS",
+    "PATH_FIELDS",
     "read_text",
     "read_lines",
     "stable_hash",
@@ -294,19 +296,8 @@ def validate(record: Any, *, profile=None, cot_anchor: str | None = None) -> lis
 
 
 class ParseError(ValueError):
-    """Raised by deserialize on malformed input; names the offending field
-    and, for JSON-level errors, the character offset."""
-
-    def __init__(self, message: str, field_name: str | None = None, offset: int | None = None):
-        parts = []
-        if field_name is not None:
-            parts.append(f"field {field_name!r}")
-        if offset is not None:
-            parts.append(f"offset {offset}")
-        suffix = f" ({', '.join(parts)})" if parts else ""
-        super().__init__(message + suffix)
-        self.field = field_name
-        self.offset = offset
+    """Raised by deserialize on a malformed line; the message names the
+    offending field or, for JSON-level errors, the character offset."""
 
 
 def canonical_json(obj: Any) -> str:
@@ -346,33 +337,64 @@ def check_fields(obj: dict, fields: dict, where: str, error: type[Exception]) ->
     """Check a JSON object from outside against a field map and return each
     field's value, an absent one's default. The map gives each key `(type,
     default)` or `(type, default, choices)`. A type is a class, `(int,
-    float)` for a number, `object` for any value, or a nested field map;
-    `true` and `false` fit only bool and object. REQUIRED marks a key that
-    must be present. Null means absent where the default is None and is
-    mistyped elsewhere. An unknown key or any other fault raises `error`
-    with a message led by `where`."""
-    unknown = sorted(set(obj) - set(fields))
-    if unknown:
-        raise error(f"{where}: unknown keys: {', '.join(unknown)}")
+    float)` for a number, `object` for any value, a nested field map checked
+    the same way, or `[t]` for an array each of whose items is checked as
+    type t, returned as a tuple; `true` and `false` fit only bool and
+    object. REQUIRED marks a key that must be present. Null means absent
+    where the default is None and is mistyped elsewhere. An unknown key or
+    any other fault raises `error` with a message led by `where` and the
+    field, or the array item such as `paths[3]`."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be an object, got {obj!r}")
+    if not obj.keys() <= fields.keys():
+        raise error(f"{where}: unknown keys: {', '.join(sorted(obj.keys() - fields.keys()))}")
     checked = {}
-    for name, (kind, default, *choices) in fields.items():
+    for name, spec in fields.items():
         value = obj.get(name)
-        if name not in obj or (value is None and default is None):
-            if default is REQUIRED:
-                raise error(f"{where}: missing required field {name!r}")
-            checked[name] = default
-            continue
-        expected = dict if isinstance(kind, Mapping) else kind
-        # JSON true/false parse as bool, which Python counts as an int.
-        is_bool = isinstance(value, bool)
-        if not isinstance(value, expected) or (is_bool and expected not in (bool, object)):
-            raise error(f"{where}: {name} must be {_TYPE_NAMES[expected]}, got {value!r}")
-        if choices and value not in choices[0]:
-            raise error(f"{where}: {name} must be one of {sorted(choices[0])}, got {value!r}")
-        if isinstance(kind, Mapping):
-            value = check_fields(value, kind, f"{where}: {name}", error)
+        if value is None:
+            default = spec[1]
+            if name not in obj or default is None:
+                if default is REQUIRED:
+                    raise error(f"{where}: missing required field {name!r}")
+                checked[name] = default
+                continue
+        kind = spec[0]
+        if isinstance(kind, (dict, list)):
+            value = _checked(value, kind, where, name, error)
+        elif not _fits(value, kind):
+            raise error(f"{where}: {name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if len(spec) > 2 and value not in spec[2]:
+            raise error(f"{where}: {name} must be one of {sorted(spec[2])}, got {value!r}")
         checked[name] = value
     return checked
+
+
+def _fits(value, kind) -> bool:
+    # JSON true/false parse as bool, which Python counts as an int.
+    return isinstance(value, kind) and (not isinstance(value, bool) or kind in (bool, object))
+
+
+def _checked(value, kind, where: str, name: str, error: type[Exception]):
+    """A value checked as a field map or an array type; `name` locates it
+    in errors. An array comes back as a tuple."""
+    if isinstance(kind, dict):
+        return check_fields(value, kind, f"{where}: {name}", error)
+    if not isinstance(value, list):
+        raise error(f"{where}: {name} must be an array, got {value!r}")
+    item = kind[0]
+    if isinstance(item, dict):
+        try:
+            return tuple([check_fields(v, item, where, error) for v in value])
+        except error:
+            # Check the items again, each named, so that only a failure
+            # pays for building their locations.
+            for i, v in enumerate(value):
+                check_fields(v, item, f"{where}: {name}[{i}]", error)
+            raise
+    for i, v in enumerate(value):
+        if not _fits(v, item):
+            raise error(f"{where}: {name}[{i}] must be {_TYPE_NAMES[item]}, got {v!r}")
+    return tuple(value)
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
@@ -461,126 +483,87 @@ def serialize(record: Any) -> str:
     return canonical_json(_to_dict(record))
 
 
-def _require(obj: Mapping, key: str, types, kind: str):
-    if key not in obj:
-        raise ParseError(f"{kind} record missing required field", field_name=key)
-    value = obj[key]
-    # JSON true/false parse as bool, which Python counts as an int.
-    if not isinstance(value, types) or (isinstance(value, bool) and types is int):
-        raise ParseError(
-            f"{kind} record field has wrong type {type(value).__name__}", field_name=key
-        )
-    return value
+def _values(enum_cls) -> list[str]:
+    return [member.value for member in enum_cls]
 
 
-def _optional_str(obj: Mapping, key: str, kind: str) -> str | None:
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ParseError(f"{kind} record field must be a string or null", field_name=key)
-    return value
+# The JSON formats of the records, as check_fields maps whose keys are the
+# record classes' fields: one per path object and one per record kind.
+PATH_FIELDS = {
+    "recitations": ([str], REQUIRED),
+    "raw_answer_text": (str, REQUIRED),
+    "extracted_answer": (str, REQUIRED),
+    "backend_meta": (dict, REQUIRED),
+}
+RECORD_FIELDS = {
+    "question": {
+        "id": (str, REQUIRED),
+        "dataset": (str, REQUIRED, _values(Dataset)),
+        "question": (str, REQUIRED),
+        "gold_answers": ([str], REQUIRED),
+        "gold_evidence": (str, None),
+        "hop_count": (int, REQUIRED),
+    },
+    "exemplar": {
+        "question": (str, REQUIRED),
+        "recitations": ([str], REQUIRED),
+        "answer": (str, REQUIRED),
+        "rationale": (str, None),
+    },
+    "sampling_params": {
+        "strategy": (str, REQUIRED, _values(Strategy)),
+        "seed": (int, REQUIRED),
+        "max_tokens": (int, REQUIRED),
+        "k": (int, None),
+        "temperature": ((int, float), None),
+        "stop_sequences": ([str], REQUIRED),
+    },
+    "run": {
+        "question_id": (str, REQUIRED),
+        "scheme": (str, REQUIRED, _values(Scheme)),
+        "paths": ([PATH_FIELDS], REQUIRED),
+        "voted_answer": (str, REQUIRED),
+        "config_fingerprint": (str, REQUIRED),
+        "wall_clock_ms": (int, REQUIRED),
+    },
+}
 
 
-def _str_list(obj: Mapping, key: str, kind: str) -> tuple[str, ...]:
-    value = _require(obj, key, list, kind)
-    if not all(isinstance(v, str) for v in value):
-        raise ParseError(f"{kind} record field must be a list of strings", field_name=key)
-    return tuple(value)
+def params_from_dict(fields: Mapping) -> SamplingParams:
+    """The SamplingParams of params_to_dict's mapping, once checked against
+    RECORD_FIELDS["sampling_params"]."""
+    return SamplingParams(**{**fields, "strategy": Strategy(fields["strategy"])})
 
 
-def _enum_value(obj: Mapping, key: str, enum_cls, kind: str):
-    raw = _require(obj, key, str, kind)
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        raise ParseError(
-            f"{kind} record has unknown {enum_cls.__name__} value {raw!r}", field_name=key
-        ) from None
-
-
-def params_from_dict(obj: Mapping, kind: str = "sampling_params") -> SamplingParams:
-    """Parse params_to_dict's mapping, raising ParseError (prefixed with
-    `kind`) on a missing field or a wrongly typed value."""
-    temperature = obj.get("temperature")
-    if temperature is not None and (
-        isinstance(temperature, bool) or not isinstance(temperature, (int, float))
-    ):
-        raise ParseError(f"{kind} temperature must be a number or null", field_name="temperature")
-    k = obj.get("k")
-    if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
-        raise ParseError(f"{kind} k must be an integer or null", field_name="k")
-    return SamplingParams(
-        strategy=_enum_value(obj, "strategy", Strategy, kind),
-        seed=_require(obj, "seed", int, kind),
-        max_tokens=_require(obj, "max_tokens", int, kind),
-        k=k,
-        temperature=temperature,
-        stop_sequences=_str_list(obj, "stop_sequences", kind),
-    )
-
-
-def _path_from_dict(obj: Any, field_prefix: str) -> RecitationPath:
-    if not isinstance(obj, dict):
-        raise ParseError("path entry must be an object", field_name=field_prefix)
-    meta = _require(obj, "backend_meta", dict, "path")
-    if not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
-        raise ParseError(
-            "path backend_meta must map strings to strings",
-            field_name=f"{field_prefix}.backend_meta",
-        )
-    return RecitationPath(
-        recitations=_str_list(obj, "recitations", "path"),
-        raw_answer_text=_require(obj, "raw_answer_text", str, "path"),
-        extracted_answer=_require(obj, "extracted_answer", str, "path"),
-        backend_meta=meta,
-    )
-
-
-def _from_dict(obj: Mapping) -> Any:
-    kind = _require(obj, "kind", str, "record")
+def _from_fields(kind: str, fields: dict) -> Any:
+    """The record of a kind's checked fields."""
     if kind == "question":
-        hop_count = _require(obj, "hop_count", int, kind)
-        return QuestionRecord(
-            id=_require(obj, "id", str, kind),
-            dataset=_enum_value(obj, "dataset", Dataset, kind),
-            question=_require(obj, "question", str, kind),
-            gold_answers=_str_list(obj, "gold_answers", kind),
-            gold_evidence=_optional_str(obj, "gold_evidence", kind),
-            hop_count=hop_count,
-        )
+        return QuestionRecord(**{**fields, "dataset": Dataset(fields["dataset"])})
     if kind == "exemplar":
-        return Exemplar(
-            question=_require(obj, "question", str, kind),
-            recitations=_str_list(obj, "recitations", kind),
-            answer=_require(obj, "answer", str, kind),
-            rationale=_optional_str(obj, "rationale", kind),
-        )
+        return Exemplar(**fields)
     if kind == "sampling_params":
-        return params_from_dict(obj)
-    if kind == "run":
-        raw_paths = _require(obj, "paths", list, kind)
-        paths = tuple(
-            _path_from_dict(p, f"paths[{i}]") for i, p in enumerate(raw_paths)
-        )
-        return RunRecord(
-            question_id=_require(obj, "question_id", str, kind),
-            scheme=_enum_value(obj, "scheme", Scheme, kind),
-            paths=paths,
-            voted_answer=_require(obj, "voted_answer", str, kind),
-            config_fingerprint=_require(obj, "config_fingerprint", str, kind),
-            wall_clock_ms=_require(obj, "wall_clock_ms", int, kind),
-        )
-    raise ParseError(f"unknown record kind {kind!r}", field_name="kind")
+        return params_from_dict(fields)
+    paths = []
+    for i, path in enumerate(fields["paths"]):
+        # A field map cannot name backend_meta's keys, so its values are
+        # checked here.
+        for value in path["backend_meta"].values():
+            if not isinstance(value, str):
+                raise ParseError(f"run record: paths[{i}]: backend_meta values must be strings")
+        paths.append(RecitationPath(**path))
+    return RunRecord(**{**fields, "scheme": Scheme(fields["scheme"]), "paths": tuple(paths)})
 
 
 def deserialize(line: str) -> Any:
-    """Parse one serialized line back into its record; inverse of serialize."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from None
-    if not isinstance(obj, dict):
-        raise ParseError("record line must hold a JSON object")
-    return _from_dict(obj)
+    """Parse one serialized line back into its record; inverse of serialize.
+    Top-level keys its kind's format does not name are ignored."""
+    obj = json_object(line, "record", ParseError)
+    kind = obj.get("kind")
+    fields = RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ParseError(f"record: kind must be one of {sorted(RECORD_FIELDS)}, got {kind!r}")
+    known = {key: value for key, value in obj.items() if key in fields}
+    return _from_fields(kind, check_fields(known, fields, f"{kind} record", ParseError))
 
 
 def truncate_torn_tail(path: str | Path) -> None:

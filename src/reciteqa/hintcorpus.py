@@ -168,18 +168,16 @@ def _passage_to_line(passage: HintedPassage) -> str:
 
 
 _PASSAGE_FIELDS = {
-    "page_title": (str, REQUIRED), "section_path": (list, REQUIRED), "para_index": (int, REQUIRED),
+    "page_title": (str, REQUIRED), "section_path": ([str], REQUIRED), "para_index": (int, REQUIRED),
     "text": (str, REQUIRED), "hint": (str, REQUIRED),
 }
 
 
 def _passage_from_line(line: str) -> HintedPassage:
     obj = json_object(line, "passage row", CorpusError, _PASSAGE_FIELDS)
-    if not all(isinstance(title, str) for title in obj["section_path"]):
-        raise CorpusError("passage row: section_path must hold strings")
     return HintedPassage(
         page_title=obj["page_title"],
-        section_path=tuple(obj["section_path"]),
+        section_path=obj["section_path"],
         para_index=obj["para_index"],
         text=obj["text"],
         hint=obj["hint"],

@@ -38,7 +38,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .core import Exemplar, Scheme, json_object, read_text, validate
+from .core import REQUIRED, Exemplar, Scheme, check_fields, json_object, read_text, validate
 
 __all__ = [
     "DialectName",
@@ -546,58 +546,59 @@ def _resolve_text(value, directory: Path, what: str) -> str:
     raise PromptError(f"{what}: expected a string or a file reference, got {value!r}")
 
 
+# A manifest text is an inline string or {"file": <relative path>}; see
+# _resolve_text.
+_TEXT = (object, REQUIRED)
+_EXEMPLAR_FIELDS = {
+    "question": _TEXT, "answer": _TEXT, "recitations": ([object], ()), "rationale": (object, None),
+}
+_MANIFEST_FIELDS = {
+    "exemplars": ([_EXEMPLAR_FIELDS], ()),
+    "hint_exemplars": ([{"question": _TEXT, "hint": _TEXT, "passage": _TEXT}], ()),
+    "question_gen": ([{"evidence": _TEXT, "question": _TEXT}], ()),
+    "cot_anchor": (str, COT_ANSWER_ANCHOR),
+}
+
+
 def load_prompt_set(directory: str | Path) -> PromptSet:
-    """Read a prompt set's manifest.json. Each pool must be a list of
-    objects, an exemplar's recitations a list, every exemplar valid under
-    core.validate and cot_anchor a non-empty string; a manifest that breaks
-    this raises PromptError naming manifest.json and the entry."""
+    """Read a prompt set's manifest.json, checked against _MANIFEST_FIELDS.
+    Every exemplar must also be valid under core.validate and cot_anchor a
+    non-empty string; a manifest that breaks this raises PromptError naming
+    manifest.json and the entry."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PromptError(f"prompt set {directory} has no manifest.json")
-    manifest = json_object(read_text(manifest_path, PromptError), str(manifest_path), PromptError)
+    where = str(manifest_path)
+    raw = json_object(read_text(manifest_path, PromptError), where, PromptError)
+    manifest = check_fields(raw, _MANIFEST_FIELDS, where, PromptError)
 
-    def pool(key: str) -> list[tuple[str, dict]]:
-        """The entries of a pool, each with the name its errors lead with."""
-        items = manifest.get(key, [])
-        if not isinstance(items, list):
-            raise PromptError(f"{manifest_path}: {key} must be a list, got {items!r}")
-        named = [(f"{manifest_path}: {key}[{i}]", item) for i, item in enumerate(items)]
-        for what, item in named:
-            if not isinstance(item, dict):
-                raise PromptError(f"{what}: expected an object, got {item!r}")
-        return named
-
-    def entries(key: str, names: Sequence[str]) -> tuple[tuple[str, ...], ...]:
+    def entries(key: str) -> tuple[tuple[str, ...], ...]:
+        """A pool's entries, each its texts in the order its map names them."""
         return tuple(
-            tuple(_resolve_text(entry.get(name), directory, what) for name in names)
-            for what, entry in pool(key)
+            tuple(_resolve_text(text, directory, f"{where}: {key}[{i}]") for text in entry.values())
+            for i, entry in enumerate(manifest[key])
         )
 
     exemplars = []
-    for what, entry in pool("exemplars"):
-        recitations = entry.get("recitations", [])
-        if not isinstance(recitations, list):
-            raise PromptError(f"{what}: recitations must be a list, got {recitations!r}")
-        rationale = entry.get("rationale")
+    for i, entry in enumerate(manifest["exemplars"]):
+        what = f"{where}: exemplars[{i}]"
+        rationale = entry["rationale"]
         exemplar = Exemplar(
-            question=_resolve_text(entry.get("question"), directory, what),
-            answer=_resolve_text(entry.get("answer"), directory, what),
-            recitations=tuple(_resolve_text(r, directory, what) for r in recitations),
+            question=_resolve_text(entry["question"], directory, what),
+            answer=_resolve_text(entry["answer"], directory, what),
+            recitations=tuple(_resolve_text(r, directory, what) for r in entry["recitations"]),
             rationale=None if rationale is None else _resolve_text(rationale, directory, what),
         )
         issues = validate(exemplar)
         if issues:
             raise PromptError(f"{what}: {'; '.join(issues)}")
         exemplars.append(exemplar)
-    cot_anchor = manifest.get("cot_anchor", COT_ANSWER_ANCHOR)
-    if not isinstance(cot_anchor, str) or not cot_anchor:
-        raise PromptError(
-            f"{manifest_path}: cot_anchor must be a non-empty string, got {cot_anchor!r}"
-        )
+    if not manifest["cot_anchor"]:
+        raise PromptError(f"{where}: cot_anchor must be a non-empty string, got ''")
     return PromptSet(
         exemplars=tuple(exemplars),
-        hint_exemplars=entries("hint_exemplars", ("question", "hint", "passage")),
-        question_gen=entries("question_gen", ("evidence", "question")),
-        cot_anchor=cot_anchor,
+        hint_exemplars=entries("hint_exemplars"),
+        question_gen=entries("question_gen"),
+        cot_anchor=manifest["cot_anchor"],
     )

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import json_object, read_lines
+from .core import REQUIRED, check_fields, json_object, read_lines
 
 __all__ = [
     "Bm25Params",
@@ -159,32 +159,43 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
             handle.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+# The lines of an index file: a header as save_index writes it, then doc
+# rows and term rows.
+_HEADER_FIELDS = {
+    "format": (str, REQUIRED, [INDEX_FORMAT]),
+    "version": (int, REQUIRED, [INDEX_VERSION]),
+    "doc_count": (int, REQUIRED),
+    "avg_doc_len": ((int, float), REQUIRED),
+    "k1": ((int, float), REQUIRED),
+    "b": ((int, float), REQUIRED),
+}
+_DOC_FIELDS = {"doc": (str, REQUIRED), "len": (int, REQUIRED)}
+_TERM_FIELDS = {"term": (str, REQUIRED), "postings": ([list], REQUIRED)}
+
+
 def load_index(path: str | Path) -> Bm25Index:
     path = Path(path)
     lines = read_lines(path, RetrievalError)
     first = next(lines, None)
     if first is None:
         raise RetrievalError(f"{path} is empty")
-    header = json_object(first[1], f"{path}:1", RetrievalError)
-    if header.get("format") != INDEX_FORMAT or header.get("version") != INDEX_VERSION:
-        raise RetrievalError(f"{path} is not a version-{INDEX_VERSION} {INDEX_FORMAT} file")
-    for name in ("doc_count", "avg_doc_len", "k1", "b"):
-        if not isinstance(header.get(name), (int, float)):
-            raise RetrievalError(f"{path}: header field {name!r} must be a number")
+    header = json_object(first[1], f"{path}: header", RetrievalError, _HEADER_FIELDS)
     doc_lengths: dict[str, int] = {}
     postings: dict[str, tuple[tuple[str, int], ...]] = {}
     for lineno, line in lines:
         if not line.strip():
             continue
-        row = json_object(line, f"{path}:{lineno}", RetrievalError)
-        if isinstance(row.get("doc"), str) and isinstance(row.get("len"), int):
+        where = f"{path}:{lineno}"
+        row = json_object(line, where, RetrievalError)
+        fields = _DOC_FIELDS if "doc" in row else _TERM_FIELDS
+        known = {key: value for key, value in row.items() if key in fields}
+        row = check_fields(known, fields, where, RetrievalError)
+        if "doc" in row:
             doc_lengths[row["doc"]] = row["len"]
-        elif isinstance(row.get("term"), str) and isinstance(row.get("postings"), list) and all(
-            isinstance(e, list) and [type(x) for x in e] == [str, int] for e in row["postings"]
-        ):
+        elif all([type(x) for x in e] == [str, int] for e in row["postings"]):
             postings[row["term"]] = tuple((d, tf) for d, tf in row["postings"])
         else:
-            raise RetrievalError(f"{path}:{lineno}: unrecognized index row: {line[:80]}")
+            raise RetrievalError(f"{where}: postings must be [doc, tf] pairs: {line[:80]}")
     index = Bm25Index(
         doc_count=header["doc_count"],
         avg_doc_len=header["avg_doc_len"],

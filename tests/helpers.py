@@ -9,7 +9,9 @@ import threading
 from pathlib import Path
 
 from reciteqa.backend import Backend, ScriptedBackend
-from reciteqa.core import Dataset, Exemplar, QuestionRecord, RunRecord, Scheme
+from reciteqa.core import (
+    PATH_FIELDS, RECORD_FIELDS, REQUIRED, Dataset, Exemplar, QuestionRecord, RunRecord, Scheme,
+)
 from reciteqa.pipeline import SchemeConfig, run_dataset
 from reciteqa.prompting import DEFAULT_DIALECT, PromptSpec, build_qa_prompt, build_recitation_prompt
 
@@ -160,3 +162,31 @@ def dump_script(backend: ScriptedBackend, path: Path) -> Path:
     payload = {"entries": {k: list(q) for k, q in backend._entries.items()}}
     path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     return path
+
+
+def _mistyped(fields: dict, obj: dict):
+    """Yield (key, obj) for each field of a record map, with that field
+    given a wrongly typed value, and null where the field is required."""
+    for key, (kind, default, *_) in fields.items():
+        if isinstance(kind, list):
+            values = ["x", [1]]
+        else:
+            values = {str: [5], int: [True], (int, float): [True], dict: [["x"]]}[kind]
+        for value in values + ([None] if default is REQUIRED else []):
+            yield key, {**obj, key: value}
+
+
+def mistyped_record_lines():
+    """Yield (field, line) for each field of each golden record kind, and of
+    its run's first path, given a wrongly typed value; the field is named as
+    a parse error names it, e.g. `paths[0]: raw_answer_text`."""
+    for line in golden("records.jsonl").split("\n"):
+        if not line:
+            continue
+        record = json.loads(line)
+        for key, bad in _mistyped(RECORD_FIELDS[record["kind"]], record):
+            yield key, json.dumps(bad)
+        if record["kind"] == "run":
+            first, *rest = record["paths"]
+            for key, path in _mistyped(PATH_FIELDS, first):
+                yield f"paths[0]: {key}", json.dumps({**record, "paths": [path, *rest]})

@@ -20,7 +20,10 @@ from reciteqa.evalkit import NormProfile
 from reciteqa.pipeline import SchemeConfig, default_answer_params, default_recitation_params
 from reciteqa.prompting import build_question_generation_prompt, sample_exemplars
 
-from helpers import EIFFEL_EXEMPLAR, LONDON_EXEMPLAR, dump_script, make_question, script_recite_run
+from helpers import (
+    EIFFEL_EXEMPLAR, LONDON_EXEMPLAR, dump_script, make_question, mistyped_record_lines,
+    script_recite_run,
+)
 
 POOL = (LONDON_EXEMPLAR, EIFFEL_EXEMPLAR)
 
@@ -239,7 +242,7 @@ WRONG_VALUES = {
     str: [5, True], int: [True, "1", 1.5], (int, float): [True, "1"], bool: ["true", 1],
     dict: [[], "x"], list: ["x"],
 }
-# A sampling entry's fields as params_from_dict types them.
+# A sampling entry's fields as core.RECORD_FIELDS["sampling_params"] types them.
 SAMPLING_FIELDS = {
     "strategy": (str, REQUIRED), "seed": (int, REQUIRED), "max_tokens": (int, REQUIRED),
     "k": (int, None), "temperature": ((int, float), None), "stop_sequences": (list, REQUIRED),
@@ -294,6 +297,18 @@ def test_every_mistyped_run_json_field_exits_3_before_writing(workspace, capsys)
         assert main(["analyze", str(run_dir), "--out", str(workspace / "out")]) == EXIT_DATA, path
         assert capsys.readouterr().err.startswith(f"data error: {run_dir / 'run.json'}: "), path
         assert not (workspace / "out").exists(), path
+
+
+def test_every_mistyped_record_field_exits_3_naming_it(workspace, capsys):
+    # The records adapter reads every line through core.deserialize.
+    dataset = {"path": "records.jsonl", "adapter": "records"}
+    bad = write_config(workspace / "bad.json", workspace, dataset=dataset)
+    for field, line in mistyped_record_lines():
+        (workspace / "records.jsonl").write_text(line + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad)]) == EXIT_DATA, (field, line)
+        err = capsys.readouterr().err
+        assert re.match(rf"data error: \S*records\.jsonl:1: .*: {re.escape(field)}", err), err
+        assert not (workspace / "runs").exists(), field
 
 
 def test_run_scripted_and_run_dir_flags_resolve_against_the_working_directory(
@@ -675,8 +690,12 @@ def test_non_utf8_input_exits_with_its_error_naming_the_file(
         {"prompts": [{"prompt": "x", "responses": []}]},
         {"entries": {"k": 5}},
         {"entries": {"k": "abc"}},
+        {"entrys": {"k": ["response"]}},
     ],
-    ids=["not-an-object", "no-responses", "empty-responses", "queue-not-list", "queue-string"],
+    ids=[
+        "not-an-object", "no-responses", "empty-responses", "queue-not-list", "queue-string",
+        "unknown-key",
+    ],
 )
 def test_malformed_script_exits_2_naming_the_file_before_writing(
     workspace, monkeypatch, capsys, script

@@ -512,11 +512,14 @@ def test_load_prompt_set_missing_file(tmp_path):
         ({"cot_anchor": ""}, "cot_anchor"),
         ({"exemplars": [{"question": "q", "answer": "a", "recitations": ["r"],
                          "rationale": "because"}]}, "exemplars[0]"),
+        ({"cot_anchr": "Thus the answer is"}, "unknown keys: cot_anchr"),
+        ({"exemplars": [{"question": "q", "answer": "a", "rationalee": "because"}]},
+         "exemplars[0]: unknown keys: rationalee"),
     ],
     ids=["exemplar-without-answer", "hint-exemplar-without-passage", "question-gen-without-question",
          "array-manifest", "number-exemplar", "object-exemplars", "string-hint-exemplar",
          "string-recitations", "number-cot-anchor", "empty-cot-anchor",
-         "recitations-and-rationale"],
+         "recitations-and-rationale", "misspelled-cot-anchor", "misspelled-rationale"],
 )
 def test_load_prompt_set_malformed_manifest_raises_prompt_error(tmp_path, manifest, entry):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 
@@ -194,4 +196,20 @@ def test_index_load_rejects_wrong_header(tmp_path):
     path = tmp_path / "index.jsonl"
     path.write_text('{"format":"other","version":9}\n', encoding="utf-8")
     with pytest.raises(RetrievalError):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [(0, "k1"), (1, "len")],
+    ids=["header-k1", "doc-row-len"],
+)
+def test_index_load_refuses_true_for_a_number(tmp_path, line, field):
+    # Python counts true as 1; a saved index never holds it.
+    path = tmp_path / "index.jsonl"
+    save_index(build_index([("d1", "a a b"), ("d2", "b b c")]), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line] = json.dumps({**json.loads(lines[line]), field: True})
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(RetrievalError, match=rf"^{re.escape(str(path))}.*: {field} must be "):
         load_index(path)

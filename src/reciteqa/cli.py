@@ -448,6 +448,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(category_table)
     print(quadrant_table)
 
+    curve_path = out_dir / "curve.csv"
     try:
         curve = path_subsample_curve(
             records, questions, counts, trials=args.trials, seed=args.curve_seed,
@@ -455,8 +456,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     except EvalError as exc:
         print(f"skipping subsample curve: {exc}", file=sys.stderr)
+        # An earlier analysis's curve would sit beside this report as if it
+        # were this one's.
+        if curve_path.exists():
+            curve_path.unlink()
+            print(f"removed the earlier {curve_path}", file=sys.stderr)
         return EXIT_OK
-    curve_path = out_dir / "curve.csv"
     with curve_path.open("w", encoding="utf-8") as handle:
         handle.write("path_count,mean_em,std_em,mean_f1,std_f1\n")
         for point in curve:

@@ -37,6 +37,7 @@ __all__ = [
     "truncate_torn_tail",
     "canonical_json",
     "json_object",
+    "data_row",
     "check_fields",
     "REQUIRED",
     "RECORD_FIELDS",
@@ -326,10 +327,19 @@ def json_object(text: str, where: str, error: type[Exception], fields: dict | No
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
+    if fields is None:
+        if not isinstance(obj, dict):
+            raise error(f"{where}: expected a JSON object")
+        return obj
+    return data_row(obj, fields, where, error)
+
+
+def data_row(obj, fields: dict, where: str, error: type[Exception]) -> dict:
+    """check_fields' result for the keys of a data row that the map names;
+    the row's other keys are ignored. Anything but an object raises `error`
+    with a message led by `where`."""
     if not isinstance(obj, dict):
         raise error(f"{where}: expected a JSON object")
-    if fields is None:
-        return obj
     return check_fields({k: v for k, v in obj.items() if k in fields}, fields, where, error)
 
 

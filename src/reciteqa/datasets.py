@@ -8,6 +8,9 @@ Adapters:
             "Answer": {"Value", "Aliases": [...]}}]}
   hotpotqa  official JSON array: [{"_id", "question", "answer"}], 2 hops
   records   this package's own line-delimited question records
+
+Questions and answers must be strings, checked by one field map per row;
+keys a map does not name are ignored, and ids are read as they come.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (
-    Dataset, ParseError, QuestionRecord, deserialize, json_object, read_lines, read_text,
-    validate,
+    REQUIRED, Dataset, ParseError, QuestionRecord, data_row, deserialize, json_object,
+    read_lines, read_text, validate,
 )
 
 __all__ = ["DataError", "ADAPTERS", "load_questions", "default_shots"]
@@ -26,6 +29,12 @@ __all__ = ["DataError", "ADAPTERS", "load_questions", "default_shots"]
 
 class DataError(ValueError):
     pass
+
+
+_NQ_ROW = {"question": (str, REQUIRED), "answer": ([str], REQUIRED), "long_answer": (str, None)}
+_TRIVIAQA_ITEM = {"Question": (str, REQUIRED), "Answer": (dict, REQUIRED)}
+_TRIVIAQA_ANSWER = {"Value": (str, ""), "Aliases": ([str], ())}
+_HOTPOTQA_ITEM = {"question": (str, REQUIRED), "answer": (str, REQUIRED)}
 
 
 def _check(record: QuestionRecord, where: str) -> QuestionRecord:
@@ -42,21 +51,23 @@ def read_nq(path: Path) -> list[QuestionRecord]:
             continue
         where = f"{path}:{lineno}"
         obj = json_object(line, where, DataError)
-        if "question" not in obj or "answer" not in obj:
-            raise DataError(f"{where}: record needs question and answer fields")
-        answers = obj["answer"]
-        if isinstance(answers, str):
-            answers = [answers]
-        if not isinstance(answers, list):
-            raise DataError(f"{where}: answer must be a string or a list, got {answers!r}")
+        # "answer" is one alias or an array of them.
+        answer = obj.get("answer")
+        if isinstance(answer, str):
+            obj["answer"] = [answer]
+        elif answer is not None and not isinstance(answer, list):
+            raise DataError(
+                f"{where}: answer must be a string or an array of strings, got {answer!r}"
+            )
+        row = data_row(obj, _NQ_ROW, where, DataError)
         records.append(
             _check(
                 QuestionRecord(
                     id=str(obj.get("id", f"nq-{lineno}")),
                     dataset=Dataset.NQ,
-                    question=str(obj["question"]).strip(),
-                    gold_answers=tuple(str(a) for a in answers),
-                    gold_evidence=obj.get("long_answer"),
+                    question=row["question"].strip(),
+                    gold_answers=row["answer"],
+                    gold_evidence=row["long_answer"],
                     hop_count=1,
                 ),
                 where,
@@ -66,24 +77,21 @@ def read_nq(path: Path) -> list[QuestionRecord]:
 
 
 def read_triviaqa(path: Path) -> list[QuestionRecord]:
-    data = json_object(read_text(path, DataError), str(path), DataError)
-    items = data.get("Data")
-    if not isinstance(items, list):
-        raise DataError(f"{path}: expected a top-level Data array")
+    items = json_object(
+        read_text(path, DataError), str(path), DataError, {"Data": (list, REQUIRED)}
+    )["Data"]
     records = []
     for i, item in enumerate(items):
         where = f"{path}: Data[{i}]"
-        answer = item.get("Answer", {}) if isinstance(item, dict) else None
-        if not isinstance(answer, dict) or not isinstance(answer.get("Aliases", []), list):
-            raise DataError(f"{where}: an item and its Answer must be objects, Aliases a list")
-        aliases = [answer.get("Value", "")] + list(answer.get("Aliases", []))
-        aliases = [a for a in dict.fromkeys(aliases) if a]
+        row = data_row(item, _TRIVIAQA_ITEM, where, DataError)
+        answer = data_row(row["Answer"], _TRIVIAQA_ANSWER, f"{where}: Answer", DataError)
+        aliases = [a for a in dict.fromkeys((answer["Value"], *answer["Aliases"])) if a]
         records.append(
             _check(
                 QuestionRecord(
                     id=str(item.get("QuestionId", f"tqa-{i}")),
                     dataset=Dataset.TRIVIA_QA,
-                    question=str(item.get("Question", "")).strip(),
+                    question=row["Question"].strip(),
                     gold_answers=tuple(aliases),
                     gold_evidence=None,
                     hop_count=1,
@@ -104,15 +112,14 @@ def read_hotpotqa(path: Path) -> list[QuestionRecord]:
     records = []
     for i, item in enumerate(data):
         where = f"{path}: [{i}]"
-        if not isinstance(item, dict):
-            raise DataError(f"{where}: an item must be a JSON object")
+        row = data_row(item, _HOTPOTQA_ITEM, where, DataError)
         records.append(
             _check(
                 QuestionRecord(
                     id=str(item.get("_id", f"hqa-{i}")),
                     dataset=Dataset.HOTPOT_QA,
-                    question=str(item.get("question", "")).strip(),
-                    gold_answers=(str(item.get("answer", "")),),
+                    question=row["question"].strip(),
+                    gold_answers=(row["answer"],),
                     gold_evidence=None,
                     hop_count=2,
                 ),

@@ -2,14 +2,18 @@
 per-path error classification, report aggregation, and the path-count
 subsampling analysis.
 
-`aggregate_report` and `path_subsample_curve` normalize each text once per
-record: a `_ScoredRecord` holds the record's gold aliases and path answers
-in normalized form, under the profile of the question's dataset, and the
-report normalizes each recitation at most once. The curve re-votes every
-subset by counting those normalized answers and scores each distinct
-answer once per record, from a raw answer of its group, so a trial costs no
-normalization at all. Every normalization goes through the module attribute
-`normalize`, looked up at call time, so one replacement of it sees them all.
+`aggregate_report` and `path_subsample_curve` score each record's answers
+once. A `_ScoredRecord` normalizes each distinct gold alias and path answer
+text once per record, under the profile of the question's dataset. The
+report scores a voted answer that is one of the path answers from that
+answer's normalized key, and normalizes each path's recitations only up to
+its first gold hit. The curve re-votes every subset by counting the
+normalized answers and scores each winning key once per record, so a trial
+costs no normalization at all. A path count equal to every record's path
+count picks every path in every trial, so that point is scored in one pass
+and draws no random subsets. Every normalization goes through the module
+attribute `normalize`, looked up at call time, so one replacement of it
+sees them all.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .core import QuestionRecord, RecitationPath, RunRecord
 
@@ -47,6 +51,10 @@ __all__ = [
 ]
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b", re.IGNORECASE)
+# No code point but ASCII A, N, T, H and E matches a, n, t, h or e under
+# IGNORECASE, and lowercasing removes those five, so on lowercased text this
+# case-sensitive pattern matches exactly where _ARTICLE_RE does, and faster.
+_LOWER_ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
 # string.punctuation is ASCII, so non-ASCII punctuation is kept.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -124,7 +132,7 @@ def normalize(text: str, profile: NormProfile = DEFAULT_PROFILE) -> str:
     if profile.strip_punct:
         text = text.translate(_PUNCT_TABLE)
     if profile.strip_articles:
-        text = _ARTICLE_RE.sub(" ", text)
+        text = (_LOWER_ARTICLE_RE if profile.lowercase else _ARTICLE_RE).sub(" ", text)
     if profile.collapse_whitespace:
         text = " ".join(text.split())
     return text
@@ -259,16 +267,14 @@ def per_path_quadrant(
 
 class _ScoredRecord:
     """One run record with its question's gold aliases and its paths'
-    answers normalized once, under the profile of the question's dataset.
+    answers normalized under the profile of the question's dataset, each
+    distinct text once.
 
     `vote_score` re-votes on a subset of the paths by counting normalized
-    answers; each distinct answer is scored once, from its first raw form,
-    when it first wins.
+    answers; each winning key is scored once, when it first wins.
     """
 
-    __slots__ = (
-        "record", "profile", "norm_golds", "answer_keys", "_vote_keys", "_first", "_scores"
-    )
+    __slots__ = ("record", "profile", "norm_golds", "answer_keys", "_vote_keys", "_scores")
 
     def __init__(
         self, record: RunRecord, by_id: Mapping[str, QuestionRecord], profile: NormProfile
@@ -277,32 +283,43 @@ class _ScoredRecord:
         if question is None:
             raise EvalError(f"run record references unknown question {record.question_id!r}")
         self.record = record
-        self.profile = profile.for_dataset(question.dataset.value)
-        self.norm_golds = [normalize(g, self.profile) for g in question.gold_answers]
-        # Equal keys share one string, which keeps the curve's views small.
+        self.profile = profile = profile.for_dataset(question.dataset.value)
+        # Equal texts are normalized once, and equal keys share one string,
+        # which keeps the curve's views small.
+        keys: dict[str, str] = {}
         distinct: dict[str, str] = {}
-        self.answer_keys = [
-            distinct.setdefault(key, key)
-            for key in (normalize(p.extracted_answer, self.profile) for p in record.paths)
-        ]
+
+        def key_of(text: str) -> str:
+            key = keys.get(text)
+            if key is None:
+                key = normalize(text, profile)
+                key = keys[text] = distinct.setdefault(key, key)
+            return key
+
+        self.norm_golds = [key_of(g) for g in question.gold_answers]
+        self.answer_keys = [key_of(p.extracted_answer) for p in record.paths]
         # Failed paths do not vote.
         self._vote_keys = [
             None if path.failed else key for path, key in zip(record.paths, self.answer_keys)
         ]
-        self._first: dict[str, str] = {}
-        for path, key in zip(record.paths, self._vote_keys):
-            if key is not None:
-                self._first.setdefault(key, path.extracted_answer)
         self._scores: dict[str, tuple[bool, float]] = {}
 
     def score(self, answer: str) -> tuple[bool, float]:
-        """EM and token F1 of one raw answer."""
+        """EM and token F1 of one raw answer; one of the path answers is
+        scored from its key."""
+        for path, key in zip(self.record.paths, self.answer_keys):
+            if path.extracted_answer == answer:
+                break
+        else:
+            key = normalize(answer, self.profile)
+        return self._score_key(key)
+
+    def _score_key(self, key: str) -> tuple[bool, float]:
         if not self.norm_golds:
             raise EvalError(
                 f"question {self.record.question_id!r} has no gold answer to score against"
             )
-        norm_answer = normalize(answer, self.profile)
-        return norm_answer in self.norm_golds, _f1(norm_answer, self.norm_golds)
+        return key in self.norm_golds, _f1(key, self.norm_golds)
 
     def vote_score(self, chosen: Iterable[int]) -> tuple[bool, float] | None:
         """EM and F1 of the plurality vote over the chosen paths, in the
@@ -313,7 +330,7 @@ class _ScoredRecord:
         winner, _ = _plurality(keys)
         score = self._scores.get(winner)
         if score is None:
-            score = self._scores[winner] = self.score(self._first[winner])
+            score = self._scores[winner] = self._score_key(winner)
         return score
 
 
@@ -394,6 +411,21 @@ class CurvePoint:
     std_f1: float
 
 
+def _vote_means(
+    views: Sequence[_ScoredRecord], choose: Callable[[int], Iterable[int]]
+) -> tuple[float, float]:
+    """EM and F1, averaged over the records, of each record's vote on the
+    paths `choose` picks from its path count."""
+    em_hits = 0
+    f1_total = 0.0
+    for view in views:
+        score = view.vote_score(choose(len(view.answer_keys)))
+        if score is not None:
+            em_hits += int(score[0])
+            f1_total += score[1]
+    return em_hits / len(views), f1_total / len(views)
+
+
 def path_subsample_curve(
     run_records: Sequence[RunRecord],
     questions: Iterable[QuestionRecord],
@@ -422,21 +454,22 @@ def path_subsample_curve(
     if not path_counts:
         return []
     views = [_ScoredRecord(record, by_id, profile) for record in run_records]
+    full_k = max(len(r.paths) for r in run_records)
     points = []
     for count in path_counts:
-        em_means, f1_means = [], []
-        for trial in range(trials):
-            rng = random.Random(f"{seed}:{count}:{trial}")
-            em_hits = 0
-            f1_total = 0.0
-            for view in views:
-                chosen = sorted(rng.sample(range(len(view.answer_keys)), count))
-                score = view.vote_score(chosen)
-                if score is not None:
-                    em_hits += int(score[0])
-                    f1_total += score[1]
-            em_means.append(em_hits / len(run_records))
-            f1_means.append(f1_total / len(run_records))
+        if count == full_k:
+            # Every record has exactly `count` paths, so every trial's subset
+            # is all of them: score it once, with no draws, and repeat it per
+            # trial so that the mean and stdev are what the trials give.
+            em, f1 = _vote_means(views, range)
+            em_means, f1_means = [em] * trials, [f1] * trials
+        else:
+            em_means, f1_means = [], []
+            for trial in range(trials):
+                rng = random.Random(f"{seed}:{count}:{trial}")
+                em, f1 = _vote_means(views, lambda n: sorted(rng.sample(range(n), count)))
+                em_means.append(em)
+                f1_means.append(f1)
         points.append(
             CurvePoint(
                 path_count=count,

@@ -392,6 +392,22 @@ def test_run_corrupt_dataset_exits_3(workspace):
     assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_a_non_string_question_in_the_dataset_exits_3(workspace, capsys, command):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    dataset = workspace / "questions.jsonl"
+    dataset.write_text('{"question": null, "answer": ["x"]}\n', encoding="utf-8")
+    capsys.readouterr()
+    argv = {
+        "run": ["run", "--config", str(workspace / "config.json")],
+        "analyze": ["analyze", str(workspace / "runs" / "main"), "--out", str(workspace / "out")],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    # analyze names the dataset by its path relative to the run directory.
+    assert err.startswith("data error: ") and "questions.jsonl:1: question must be a string" in err
+
+
 def test_analyze(workspace, capsys):
     config = str(workspace / "config.json")
     assert main(["run", "--config", config]) == EXIT_OK
@@ -404,6 +420,21 @@ def test_analyze(workspace, capsys):
     curve = (run_dir / "curve.csv").read_text().splitlines()
     assert curve[0] == "path_count,mean_em,std_em,mean_f1,std_f1"
     assert len(curve) == 4
+
+
+def test_analyze_skipping_the_curve_removes_an_earlier_curve(workspace, capsys):
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_dir, out = workspace / "runs" / "main", workspace / "out"
+    assert main(["analyze", str(run_dir), "--out", str(out), "--paths", "1,2,4"]) == EXIT_OK
+    assert (out / "curve.csv").is_file()
+    capsys.readouterr()
+    # 9 paths is more than the run holds, so this analysis has no curve.
+    assert main(["analyze", str(run_dir), "--out", str(out), "--paths", "9"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "skipping subsample curve" in err
+    assert f"removed the earlier {out / 'curve.csv'}" in err
+    assert not (out / "curve.csv").exists()
+    assert (out / "report.json").is_file()
 
 
 def test_analyze_empty_dir_exits_3(tmp_path):

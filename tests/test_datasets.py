@@ -114,6 +114,85 @@ def test_malformed_item_raises_data_error_naming_file_and_item(tmp_path, adapter
     assert str(err.value).startswith(str(tmp_path / where))
 
 
+@pytest.mark.parametrize(
+    "adapter, content, where, field",
+    [
+        ("nq", '{"question": null, "answer": ["x"]}\n', "data.json:1", "question"),
+        ("nq", '{"question": 7, "answer": ["x"]}\n', "data.json:1", "question"),
+        ("nq", '{"question": "q", "answer": [5, true]}\n', "data.json:1", "answer[0]"),
+        ("nq", '{"question": "q", "answer": ["x", null]}\n', "data.json:1", "answer[1]"),
+        (
+            "nq",
+            '{"question": "q", "answer": "x", "long_answer": 3}\n',
+            "data.json:1",
+            "long_answer",
+        ),
+        (
+            "triviaqa",
+            '{"Data": [{"Question": null, "Answer": {"Value": "Bob"}}]}',
+            "data.json: Data[0]",
+            "Question",
+        ),
+        (
+            "triviaqa",
+            '{"Data": [{"Question": "q", "Answer": {"Value": 5}}]}',
+            "data.json: Data[0]: Answer",
+            "Value",
+        ),
+        (
+            "triviaqa",
+            '{"Data": [{"Question": "q", "Answer": {"Value": "Bob", "Aliases": ["Rob", true]}}]}',
+            "data.json: Data[0]: Answer",
+            "Aliases[1]",
+        ),
+        ("hotpotqa", '[{"question": "q", "answer": 5}]', "data.json: [0]", "answer"),
+    ],
+    ids=[
+        "nq-null-question", "nq-number-question", "nq-number-alias", "nq-null-alias",
+        "nq-number-long-answer", "triviaqa-null-question", "triviaqa-number-value",
+        "triviaqa-boolean-alias", "hotpotqa-number-answer",
+    ],
+)
+def test_a_question_or_answer_that_is_not_a_string_is_refused_naming_it(
+    tmp_path, adapter, content, where, field
+):
+    path = tmp_path / "data.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_questions(path, adapter)
+    assert str(err.value).startswith(f"{tmp_path / where}: {field} must be ")
+
+
+@pytest.mark.parametrize("answer", ["5", "true", '{"text": "a"}'], ids=["number", "boolean", "object"])
+def test_an_nq_answer_of_neither_accepted_form_names_both(tmp_path, answer):
+    path = tmp_path / "data.json"
+    path.write_text(f'{{"question": "q", "answer": {answer}}}\n', encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_questions(path, "nq")
+    assert str(err.value) == (
+        f"{path}:1: answer must be a string or an array of strings, got {json.loads(answer)!r}"
+    )
+
+
+def test_adapters_ignore_keys_they_do_not_read_and_keep_ids_as_given(tmp_path):
+    nq = tmp_path / "nq.jsonl"
+    nq.write_text('{"id": 5, "question": "q", "answer": "a", "extra": [1]}\n', encoding="utf-8")
+    assert load_questions(nq, "nq")[0].id == "5"
+    item = {
+        "QuestionId": 7, "Question": "q", "QuestionSource": "x",
+        "Answer": {"Value": "Bob", "Aliases": ["Bob", "Rob"], "Type": "WikipediaEntity"},
+    }
+    tqa = tmp_path / "tqa.json"
+    tqa.write_text(json.dumps({"Data": [item], "Version": 1.0}), encoding="utf-8")
+    [record] = load_questions(tqa, "triviaqa")
+    assert (record.id, record.gold_answers) == ("7", ("Bob", "Rob"))
+    hqa = tmp_path / "hqa.json"
+    hqa.write_text(
+        '[{"_id": "h", "question": "q", "answer": "a", "level": "hard"}]', encoding="utf-8"
+    )
+    assert load_questions(hqa, "hotpotqa")[0].gold_answers == ("a",)
+
+
 def test_native_records_adapter(tmp_path):
     record = make_question("c1", "a question", ("an answer",))
     path = tmp_path / "native.jsonl"

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import string
+import sys
+from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reciteqa.core import RecitationPath, RunRecord, Scheme
@@ -88,10 +91,23 @@ PUNCTUATED_TEXT = st.text(
 
 
 @given(PUNCTUATED_TEXT)
+@example("THE An A")
+@example("İstanbul")
+@example("\u212a")  # KELVIN SIGN, which lowercases to ASCII k
+@example("\u017f")  # LATIN SMALL LETTER LONG S, which matches s ignoring case
+@example("\ufb00")  # LATIN SMALL LIGATURE FF
 @settings(max_examples=300)
 def test_normalize_matches_the_per_character_oracle(text):
     for flags in FLAG_SETTINGS:
         assert normalize(text, NormProfile(**flags)) == oracle_normalize(text, **flags), flags
+
+
+def test_only_ascii_letters_match_the_article_letters_ignoring_case():
+    # normalize strips articles from lowercased text with a case-sensitive
+    # pattern; that matches where the IGNORECASE one does only if no code
+    # point but ASCII A, N, T, H and E matches a, n, t, h or e ignoring case.
+    every = "".join(chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF)
+    assert set(re.findall("(?i)[anthe]", every)) == set("antheANTHE")
 
 
 def test_normalize_keeps_non_ascii_punctuation():
@@ -381,6 +397,65 @@ def test_subsample_scores_each_distinct_answer_once(monkeypatch):
     # Per record: one gold, eight answers, and one scoring per distinct
     # answer ("gold i" and "wrong" at most), however many trials vote.
     assert len(calls) <= 5 * (1 + 8 + 2)
+
+
+def count_normalize(monkeypatch) -> Counter:
+    """Count evalkit's normalize calls by text, through the module attribute."""
+    calls = Counter()
+    real = evalkit.normalize
+
+    def counted(text, profile=evalkit.DEFAULT_PROFILE):
+        calls[text] += 1
+        return real(text, profile)
+
+    monkeypatch.setattr(evalkit, "normalize", counted)
+    return calls
+
+
+def test_report_normalizes_each_distinct_answer_once_per_record(monkeypatch):
+    # Every text names its question, so a count over the run is a count per
+    # record. The paths recite nothing, so only gold aliases and answers,
+    # the voted one among them, are normalized.
+    questions, runs = [], []
+    for i in range(3):
+        questions.append(make_question(f"q{i}", "q", (f"gold {i}",)))
+        answers = [f"Gold {i}", f"gold {i}", f"Gold {i}", f"rome {i}", f"Gold {i}", f"rome {i}"]
+        runs.append(make_run(f"q{i}", answers))
+    calls = count_normalize(monkeypatch)
+    report = aggregate_report(runs, questions)
+    assert report.em == 1.0
+    expected = {text for i in range(3) for text in (f"gold {i}", f"Gold {i}", f"rome {i}")}
+    assert calls == dict.fromkeys(expected, 1)
+
+
+def count_samples(monkeypatch) -> list[int]:
+    """The subset size of each random.Random.sample call."""
+    sizes = []
+    real = random.Random.sample
+
+    def counted(self, population, k, **kwargs):
+        sizes.append(k)
+        return real(self, population, k, **kwargs)
+
+    monkeypatch.setattr(random.Random, "sample", counted)
+    return sizes
+
+
+def test_subsample_full_count_draws_no_subsets(monkeypatch):
+    questions, runs = subsample_fixture(k=8)
+    samples = count_samples(monkeypatch)
+    [point] = path_subsample_curve(runs, questions, [8], trials=5, seed=0)
+    assert samples == []
+    assert point.mean_em == aggregate_report(runs, questions).em
+    assert point.std_em == point.std_f1 == 0.0
+
+
+def test_subsample_draws_when_a_record_has_more_paths_than_the_count(monkeypatch):
+    questions, runs = subsample_fixture(k=8)
+    runs[0] = make_run("q0", [p.extracted_answer for p in runs[0].paths] + ["wrong"])
+    samples = count_samples(monkeypatch)
+    path_subsample_curve(runs, questions, [8], trials=5, seed=0)
+    assert samples == [8] * (5 * len(runs))
 
 
 def test_report_and_curve_normalize_through_the_module_attribute(monkeypatch):

@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .core import (
-    REQUIRED, SamplingParams, Strategy, canonical_json, check_fields, json_object, params_to_dict,
-    read_text, truncate_torn_tail, validate,
+    REQUIRED, AppendLog, SamplingParams, Strategy, canonical_json, check_fields, json_object,
+    params_to_dict, read_log, read_text, validate,
 )
 
 __all__ = [
@@ -326,8 +326,12 @@ class ScriptedBackend(Backend):
 
 def check_base_url(base_url: str) -> None:
     """Raise ValueError unless base_url is an http or https URL with a host,
-    if given a numeric port, and a path and query that a request line can
-    carry: ASCII with no space or control character."""
+    if given a numeric port, and a path that a request line can carry:
+    ASCII with no space or control character. It takes "/completions" at
+    its end, so a query or fragment is refused, and so is a user:password@
+    that would never be sent, without echoing it."""
+    if "@" in base_url.partition("//")[2].partition("/")[0]:
+        raise ValueError("base_url must not carry user:password@; the token comes from auth_env")
     try:
         parts = urlsplit(base_url)
         parts.port
@@ -335,8 +339,9 @@ def check_base_url(base_url: str) -> None:
         raise ValueError(f"invalid base_url {base_url!r}: {exc}") from None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"base_url must be an http or https URL with a host, got {base_url!r}")
-    target = parts.path + parts.query
-    if not target.isascii() or any(ch <= " " or ch == "\x7f" for ch in target):
+    if "?" in base_url or "#" in base_url:
+        raise ValueError(f"base_url must carry no query or fragment, got {base_url!r}")
+    if not parts.path.isascii() or any(ch <= " " or ch == "\x7f" for ch in parts.path):
         raise ValueError(
             f"base_url path must be ASCII with no space or control character, got {base_url!r}"
         )
@@ -377,13 +382,12 @@ def _route(url: str) -> tuple[tuple[str, str, int], str]:
     parts = urlsplit(url)
     scheme, host = parts.scheme, parts.hostname
     port = parts.port or _DEFAULT_PORTS[scheme]
-    target = parts.path + (f"?{parts.query}" if parts.query else "")
     name = host if host.isascii() else host.encode("idna").decode("ascii")
     if ":" in name:
         name = f"[{name}]"
     if port != _DEFAULT_PORTS[scheme]:
         name = f"{name}:{port}"
-    head = f"POST {target} HTTP/1.1\r\nHost: {name}\r\nAccept-Encoding: identity\r\n"
+    head = f"POST {parts.path} HTTP/1.1\r\nHost: {name}\r\nAccept-Encoding: identity\r\n"
     return (scheme, host, port), head
 
 
@@ -758,18 +762,25 @@ class HttpBackend(Backend):
 _CACHE_LINE_FIELDS = {"key": (str, REQUIRED), "texts": ([str], REQUIRED), "meta": (dict, {})}
 
 
+def _cache_entry(line: str) -> tuple[str, tuple[str, ...], dict[str, str]]:
+    """(key, texts, meta) of one cache line; ValueError if it is corrupt."""
+    entry = json_object(line, "entry", ValueError, _CACHE_LINE_FIELDS)
+    if not entry["texts"]:
+        raise ValueError("entry: texts must not be empty")
+    return entry["key"], entry["texts"], {k: str(v) for k, v in entry["meta"].items()}
+
+
 class CachingBackend(Backend):
     """Transparent append-only disk cache around another backend.
 
-    Entries are one JSON object per line keyed by cache_key; the first entry
-    for a key wins, so retries can never install divergent values. A torn
-    last line left by a crash is cut off on load, so the next append starts
-    on a fresh line. A line that is not a JSON object with a "key" string, a
-    non-empty "texts" list of strings and, if present, a "meta" object is
-    corrupt. Corrupt lines and cache I/O failures degrade to misses with a
-    logged warning. Entries are appended through one handle, opened on the
-    first miss and flushed after each entry, so an interrupted run loses no
-    stored entry; close() or dropping the backend closes it.
+    The cache file is a core.AppendLog of one JSON object per entry, keyed
+    by cache_key and loaded on construction; the first entry for a key wins,
+    so retries can never install divergent values. A line that is not a
+    JSON object with a "key" string, a non-empty "texts" list of strings
+    and, if present, a "meta" object is corrupt. Corrupt lines and cache
+    I/O failures degrade to misses with a logged warning. A miss's entry is
+    flushed as it is stored, so an interrupted run loses none; close() or
+    dropping the backend closes the log's handle.
 
     generate_batch answers a batch's hits on the calling thread, with no
     task on the executor, and sends only its misses through
@@ -778,7 +789,6 @@ class CachingBackend(Backend):
 
     def __init__(self, inner: Backend, path: str | Path):
         self._lock = threading.Lock()
-        self._handle = None
         self.inner = inner
         self.backend_id = inner.backend_id
         self._path = Path(path)
@@ -787,32 +797,13 @@ class CachingBackend(Backend):
         # does not hash them again. Equal requests have equal keys, so
         # concurrent batches that share a request cannot disagree.
         self._miss_keys: dict[GenerationRequest, str] = {}
-        self._load()
-
-    def _load(self) -> None:
-        if not self._path.exists():
-            return
+        self._log = None  # until the file opens; each store tries again
         try:
-            truncate_torn_tail(self._path)
-            # Lines end at "\n" only: canonical JSON writes U+2028 and its
-            # kin unescaped inside an entry.
-            lines = self._path.read_bytes().split(b"\n")
+            self._log = AppendLog(self._path)
+            for key, texts, meta in read_log(self._path, _cache_entry):
+                self._entries.setdefault(key, (texts, meta))
         except OSError as exc:
             logger.warning("cannot read cache %s: %s", self._path, exc)
-            return
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                # UnicodeDecodeError is a ValueError.
-                entry = json_object(line.decode("utf-8"), "entry", ValueError, _CACHE_LINE_FIELDS)
-                if not entry["texts"]:
-                    raise ValueError("entry: texts must not be empty")
-            except ValueError as exc:
-                logger.warning("skipping corrupt cache line %d in %s: %s", lineno, self._path, exc)
-                continue
-            meta = {k: str(v) for k, v in entry["meta"].items()}
-            self._entries.setdefault(entry["key"], (entry["texts"], meta))
 
     def _store(self, key: str, result: GenerationResult) -> None:
         with self._lock:
@@ -823,21 +814,17 @@ class CachingBackend(Backend):
                 {"key": key, "texts": list(result.texts), "meta": dict(result.meta)}
             )
             try:
-                if self._handle is None:
-                    self._handle = self._path.open("a", encoding="utf-8")
-                self._handle.write(line + "\n")
-                self._handle.flush()
+                if self._log is None:
+                    self._log = AppendLog(self._path)
+                self._log.append(line)
             except OSError as exc:
                 logger.warning("cannot append to cache %s: %s", self._path, exc)
 
     def close(self) -> None:
         """Close the append handle; a later miss opens it again."""
         with self._lock:
-            handle, self._handle = self._handle, None
-        if handle is not None:
-            handle.close()
-
-    __del__ = close
+            if self._log is not None:
+                self._log.close()
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         key = self._miss_keys.get(request) or cache_key(self.backend_id, request)

@@ -510,11 +510,13 @@ def cmd_gen_questions(args: argparse.Namespace) -> int:
 
 
 def cmd_index_build(args: argparse.Namespace) -> int:
+    try:
+        params = retrieval.Bm25Params(k1=args.k1, b=args.b)
+    except retrieval.RetrievalError as exc:
+        raise ConfigError(str(exc)) from None
     corpus = hintcorpus.Corpus.load(args.corpus)
     passages = [(p.hint, p.text) for p in corpus]
-    index = retrieval.build_index(
-        passages, retrieval.Bm25Params(k1=args.k1, b=args.b)
-    )
+    index = retrieval.build_index(passages, params)
     retrieval.save_index(index, args.out)
     print(f"indexed {index.doc_count} passages -> {args.out}")
     return EXIT_OK

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "Dataset",
@@ -34,7 +34,6 @@ __all__ = [
     "params_to_dict",
     "params_from_dict",
     "derived_params",
-    "truncate_torn_tail",
     "canonical_json",
     "json_object",
     "data_row",
@@ -44,6 +43,8 @@ __all__ = [
     "PATH_FIELDS",
     "read_text",
     "read_lines",
+    "read_log",
+    "AppendLog",
     "stable_hash",
 ]
 
@@ -576,28 +577,72 @@ def deserialize(line: str) -> Any:
     return _from_fields(kind, check_fields(known, fields, f"{kind} record", ParseError))
 
 
-def truncate_torn_tail(path: str | Path) -> None:
-    """Cut a line-delimited append log back to its last newline, logging a
-    warning when a torn tail is dropped; a missing file is left alone.
+# ---------------------------------------------------------------------------
+# Append-only logs: records.jsonl and the generation cache
 
-    A crash mid-append leaves a partial last line; without this cut the
-    next append would be glued onto it and lost with it. Only the tail is
-    read, so the cost does not grow with the file.
-    """
+
+def read_log(path: str | Path, parse: Callable[[str], Any]) -> Iterator[Any]:
+    """parse's value for each line of an append-only log, as the file is
+    read; a missing file has none. Lines end at "\\n" only, as in
+    read_lines. Blank lines are skipped, and so, with a warning naming the
+    file and line, is a line that is not UTF-8 or that parse refuses with
+    ValueError, such as a torn last line."""
     try:
-        handle = open(path, "r+b")
+        handle = open(path, "rb")
     except FileNotFoundError:
         return
     with handle:
-        size = end = handle.seek(0, os.SEEK_END)
-        while end > 0:
-            start = max(end - 4096, 0)
-            handle.seek(start)
-            newline = handle.read(end - start).rfind(b"\n")
-            if newline != -1:
-                end = start + newline + 1
-                break
-            end = start
-        if end < size:
-            handle.truncate(end)
-            logger.warning("dropped a torn %d-byte tail from %s", size - end, path)
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                # UnicodeDecodeError is a ValueError.
+                value = parse(line.removesuffix(b"\n").decode("utf-8"))
+            except ValueError as exc:
+                logger.warning("skipping unreadable line %s:%d: %s", path, lineno, exc)
+                continue
+            yield value
+
+
+class AppendLog:
+    """The writer of an append-only log. Construction cuts a torn last line,
+    left by a crash mid-append, back to the last "\\n" with a warning, so
+    the next append starts a fresh line; only the tail is read. Lines go
+    out through one handle, opened on the first append and flushed after
+    each line. close(), also run when the log is dropped, closes it, and a
+    later append opens it again. Threads that share a log hold a lock."""
+
+    def __init__(self, path: str | Path):
+        self._handle = None
+        self._path = Path(path)
+        try:
+            handle = open(self._path, "r+b")
+        except FileNotFoundError:
+            return
+        with handle:
+            size = end = handle.seek(0, os.SEEK_END)
+            while end > 0:
+                start = max(end - 4096, 0)
+                handle.seek(start)
+                newline = handle.read(end - start).rfind(b"\n")
+                if newline != -1:
+                    end = start + newline + 1
+                    break
+                end = start
+            if end < size:
+                handle.truncate(end)
+                logger.warning("dropped a torn %d-byte tail from %s", size - end, self._path)
+
+    def append(self, line: str) -> None:
+        """Write one line, which holds no "\\n", and flush it."""
+        if self._handle is None:
+            self._handle = self._path.open("a", encoding="utf-8")
+        self._handle.write(line + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    __del__ = close

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -155,16 +155,7 @@ class Corpus:
 
 
 def _passage_to_line(passage: HintedPassage) -> str:
-    return canonical_json(
-        {
-            "kind": "passage",
-            "page_title": passage.page_title,
-            "section_path": list(passage.section_path),
-            "para_index": passage.para_index,
-            "text": passage.text,
-            "hint": passage.hint,
-        }
-    )
+    return canonical_json({"kind": "passage", **asdict(passage)})
 
 
 _PASSAGE_FIELDS = {
@@ -174,14 +165,7 @@ _PASSAGE_FIELDS = {
 
 
 def _passage_from_line(line: str) -> HintedPassage:
-    obj = json_object(line, "passage row", CorpusError, _PASSAGE_FIELDS)
-    return HintedPassage(
-        page_title=obj["page_title"],
-        section_path=obj["section_path"],
-        para_index=obj["para_index"],
-        text=obj["text"],
-        hint=obj["hint"],
-    )
+    return HintedPassage(**json_object(line, "passage row", CorpusError, _PASSAGE_FIELDS))
 
 
 def _normalize_paragraph(text: str) -> str:
@@ -392,17 +376,7 @@ def export_triples(triples: Iterable[SyntheticTriple], path: str | Path) -> int:
     n = 0
     with path.open("w", encoding="utf-8") as handle:
         for triple in triples:
-            handle.write(
-                canonical_json(
-                    {
-                        "kind": "triple",
-                        "question": triple.question,
-                        "hint": triple.hint,
-                        "passage": triple.passage,
-                    }
-                )
-                + "\n"
-            )
+            handle.write(canonical_json({"kind": "triple", **asdict(triple)}) + "\n")
             n += 1
     return n
 
@@ -417,9 +391,5 @@ def load_triples(path: str | Path) -> list[SyntheticTriple]:
         if not line.strip():
             continue
         obj = json_object(line, f"{path}:{lineno}", CorpusError, _TRIPLE_FIELDS)
-        triples.append(
-            SyntheticTriple(
-                question=obj["question"], hint=obj["hint"], passage=obj["passage"]
-            )
-        )
+        triples.append(SyntheticTriple(**obj))
     return triples

@@ -54,6 +54,7 @@ from typing import Callable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest, GenerationResult
 from .core import (
+    AppendLog,
     Exemplar,
     QuestionRecord,
     RecitationPath,
@@ -64,9 +65,9 @@ from .core import (
     derived_params,
     deserialize,
     params_to_dict,
+    read_log,
     serialize,
     stable_hash,
-    truncate_torn_tail,
     validate,
 )
 from .evalkit import DEFAULT_PROFILE, NormProfile, plurality_vote
@@ -448,26 +449,12 @@ def check_exemplar_prompts(
 
 
 def load_run_records(path: str | Path) -> dict[str, RunRecord]:
-    """Read a records file keeping the last record per question id; trailing
-    partial lines (from an interrupted run) and lines that are not UTF-8 are
-    skipped with a warning. Lines end at "\\n" only: canonical JSON writes
-    U+2028 and its kin unescaped inside a record."""
-    path = Path(path)
-    records: dict[str, RunRecord] = {}
-    if not path.exists():
-        return records
-    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            # UnicodeDecodeError is a ValueError.
-            record = deserialize(line.decode("utf-8"))
-        except ValueError as exc:
-            logger.warning("skipping unreadable record at %s:%d: %s", path, lineno, exc)
-            continue
-        if isinstance(record, RunRecord):
-            records[record.question_id] = record
-    return records
+    """Read a records file, as core.read_log reads a log, keeping the last
+    record per question id."""
+    # deserialize is looked up at call time, so a patched module attribute
+    # sees every record.
+    records = read_log(path, deserialize)
+    return {r.question_id: r for r in records if isinstance(r, RunRecord)}
 
 
 def run_dataset(
@@ -512,16 +499,16 @@ def run_dataset(
     if limit is not None:
         records = records[:limit]
     existing: dict[str, RunRecord] = {}
-    records_path = None
+    log = None
     if run_dir is not None:
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         records_path = run_dir / "records.jsonl"
-        if resume:
-            truncate_torn_tail(records_path)
-            existing = load_run_records(records_path)
-        else:
+        if not resume:
             records_path.write_text("", encoding="utf-8")
+        # A resumed run's log is cut back to its last whole record first.
+        log = AppendLog(records_path)
+        existing = load_run_records(records_path)
 
     # One executor for every model request of the run: its worker count is
     # the run-wide in-flight cap. Each batch runs as that many lanes, so a
@@ -554,14 +541,12 @@ def run_dataset(
             return cached, False
         return answer(question), True
 
-    handle = records_path.open("a", encoding="utf-8") if records_path else None
     try:
         with ThreadPoolExecutor(max_workers=max_questions_in_flight) as questions:
             try:
                 for record, fresh in questions.map(process, records):
-                    if handle and fresh:
-                        handle.write(serialize(record) + "\n")
-                        handle.flush()
+                    if log and fresh:
+                        log.append(serialize(record))
                     yield record
             except KeyboardInterrupt:
                 # Clean drain: running questions finish, queued ones are
@@ -570,5 +555,5 @@ def run_dataset(
                 raise
     finally:
         requests.shutdown()
-        if handle:
-            handle.close()
+        if log:
+            log.close()

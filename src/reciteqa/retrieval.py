@@ -44,6 +44,11 @@ class Bm25Params:
     k1: float = 0.9
     b: float = 0.4
 
+    def __post_init__(self):
+        # Else a term weight's denominator can reach 0, or every score is NaN.
+        if not (math.isfinite(self.k1) and self.k1 >= 0 and 0 <= self.b <= 1):
+            raise RetrievalError(f"need a finite k1 >= 0 and b in [0, 1], got {self}")
+
 
 @dataclass(frozen=True)
 class Bm25Index:
@@ -180,6 +185,10 @@ def load_index(path: str | Path) -> Bm25Index:
     if first is None:
         raise RetrievalError(f"{path} is empty")
     header = json_object(first[1], f"{path}: header", RetrievalError, _HEADER_FIELDS)
+    try:
+        params = Bm25Params(k1=header["k1"], b=header["b"])
+    except RetrievalError as exc:
+        raise RetrievalError(f"{path}: header: {exc}") from None
     doc_lengths: dict[str, int] = {}
     postings: dict[str, tuple[tuple[str, int], ...]] = {}
     for lineno, line in lines:
@@ -201,7 +210,7 @@ def load_index(path: str | Path) -> Bm25Index:
         avg_doc_len=header["avg_doc_len"],
         postings=postings,
         doc_lengths=doc_lengths,
-        params=Bm25Params(k1=header["k1"], b=header["b"]),
+        params=params,
     )
     if index.doc_count != len(doc_lengths):
         raise RetrievalError(

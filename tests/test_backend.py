@@ -376,7 +376,7 @@ def test_cache_line_that_is_not_utf8_is_skipped_with_a_warning(tmp_path, caplog)
     revived = CachingBackend(ScriptedBackend(), path)
     assert revived.generate(GenerationRequest("P", greedy())).texts == ("A",)
     assert revived.generate(GenerationRequest("Q", greedy())).texts == ("B",)
-    assert f"corrupt cache line 2 in {path}" in caplog.text
+    assert f"skipping unreadable line {path}:2: " in caplog.text
 
 
 def test_cache_first_write_wins(tmp_path):
@@ -482,7 +482,7 @@ def test_cache_line_with_a_mistyped_field_is_skipped_with_a_warning(tmp_path, ca
     result = CachingBackend(inner, path).generate(request)
     assert result.cache_hit is False
     assert result.texts == ("A",)
-    assert f"corrupt cache line 1 in {path}" in caplog.text
+    assert f"skipping unreadable line {path}:1: " in caplog.text
 
 
 def test_cache_appends_through_one_flushed_handle(tmp_path, monkeypatch):
@@ -1009,6 +1009,20 @@ def test_http_dropping_the_backend_closes_its_idle_connections(local_server):
 def test_http_rejects_a_base_url_that_is_not_http(base_url):
     with pytest.raises(ValueError):
         HttpBackend(base_url=base_url, model="m1")
+
+
+@pytest.mark.parametrize(
+    "base_url",
+    ["https://h/v1?x=1", "https://h/v1#frag", "https://h/v1?", "https://user:s3cret@h/v1"],
+    ids=["query", "fragment", "empty-query", "userinfo"],
+)
+def test_http_rejects_a_base_url_its_completions_url_would_not_keep(base_url):
+    # "/completions" would land in the query or be dropped with the
+    # fragment, and user:password@ is never sent but would be written to
+    # run.json and into every cache key.
+    with pytest.raises(ValueError) as caught:
+        HttpBackend(base_url=base_url, model="m1")
+    assert "s3cret" not in str(caught.value)
 
 
 @pytest.mark.parametrize("token", [None, "tok"])

@@ -265,6 +265,38 @@ def test_no_module_splits_file_text_with_splitlines():
     assert calls == []
 
 
+def test_only_core_appends_to_or_truncates_a_file():
+    # records.jsonl and the generation cache share core's append-only log:
+    # it alone cuts a torn tail and appends, so the two logs cannot drift
+    # apart in how they survive a crash.
+    def writes(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Attribute) and child.attr in ("truncate", "O_APPEND"):
+                yield child.lineno
+            if not isinstance(child, ast.Call):
+                continue
+            func = child.func
+            if not (isinstance(func, ast.Name) and func.id == "open" or
+                    isinstance(func, ast.Attribute) and func.attr == "open"):
+                continue
+            modes = [*child.args, *(k.value for k in child.keywords if k.arg == "mode")]
+            if any(
+                isinstance(m, ast.Constant) and isinstance(m.value, str)
+                and re.fullmatch(r"[rwxbt+]*a[rwxbt+]*", m.value)
+                for m in modes
+            ):
+                yield child.lineno
+
+    package = Path(reciteqa.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        lines = list(writes(ast.parse(path.read_text(encoding="utf-8"))))
+        if lines:
+            found[path.stem] = len(lines)
+    # AppendLog.append's open and _cut_torn_tail's truncate.
+    assert found == {"core": 2}
+
+
 def test_json_is_parsed_only_by_json_object_and_two_readers():
     # core.json_object hands what it parses to core.check_fields; a reader
     # that called json.loads itself would grow its own type checks. An HTTP

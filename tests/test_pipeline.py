@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from reciteqa.backend import (
-    Backend, CachingBackend, MalformedResponse, ScriptedBackend, prompt_key,
+    Backend, CachingBackend, GenerationRequest, MalformedResponse, ScriptedBackend, prompt_key,
 )
 from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, validate
 from reciteqa.hintcorpus import build_corpus, Document
@@ -725,7 +725,89 @@ def test_load_run_records_skips_a_line_that_is_not_utf8(tmp_path, caplog):
     first, second = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(first + b"\xff\xfe" + first + second)
     assert load_run_records(path) == {r.question_id: r for r in records}
-    assert f"skipping unreadable record at {path}:2" in caplog.text
+    assert f"skipping unreadable line {path}:2: " in caplog.text
+
+
+def records_log(tmp_path):
+    """A records.jsonl of two whole records, q0 and q1, and a resume of it
+    that returns the indices of the questions answered from the file."""
+    questions, cfg, backend = dataset_fixture(2)
+    run_dir = tmp_path / "run"
+    list(run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=run_dir, clock=ZERO_CLOCK))
+
+    def reopen():
+        counting = CountingBackend(backend)
+        run = dict(run_dir=run_dir, resume=True, clock=ZERO_CLOCK)
+        list(run_dataset(questions, cfg, EXEMPLARS, counting, **run))
+        asked = " ".join(r.prompt for r in counting.requests)
+        return {i for i in (0, 1) if f"question number {i}" not in asked}
+
+    return run_dir / "records.jsonl", reopen
+
+
+def cache_log(tmp_path):
+    """A generation cache of two entries, for P0 and P1, and a backend on it
+    that returns the indices of the prompts answered from the file."""
+    path = tmp_path / "cache.jsonl"
+    inner = ScriptedBackend()
+    requests_list = [GenerationRequest(f"P{i}", default_answer_params()) for i in (0, 1)]
+    for request in requests_list:
+        inner.register(request.prompt, [request.prompt.lower()])
+    first = CachingBackend(inner, path)
+    for request in requests_list:
+        first.generate(request)
+    first.close()
+
+    def reopen():
+        counting = CountingBackend(inner)
+        cache = CachingBackend(counting, path)
+        for request in requests_list:
+            cache.generate(request)
+        cache.close()
+        asked = {r.prompt for r in counting.requests}
+        return {i for i, r in enumerate(requests_list) if r.prompt not in asked}
+
+    return path, reopen
+
+
+# Each fault turns the log's two whole lines a and b into the bytes on
+# disk, and gives the indices of the entries read back, the bytes left once
+# the log is open (None: the damaged bytes) and the warning, given the
+# log's path and b, that names the fault.
+LOG_FAULTS = {
+    "torn-tail": (
+        lambda a, b: a + b + b[:40], {0, 1}, lambda a, b: a + b,
+        lambda path, b: f"dropped a torn 40-byte tail from {path}",
+    ),
+    "not-utf8": (
+        lambda a, b: a + b"\xff\xfe" + b + b, {0, 1}, None,
+        lambda path, b: f"skipping unreadable line {path}:2: ",
+    ),
+    "refused": (
+        lambda a, b: a + b[:40] + b"\n" + b, {0, 1}, None,
+        lambda path, b: f"skipping unreadable line {path}:2: ",
+    ),
+    "no-final-newline": (
+        lambda a, b: a + b[:-1], {0}, lambda a, b: a,
+        lambda path, b: f"dropped a torn {len(b) - 1}-byte tail from {path}",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", LOG_FAULTS)
+@pytest.mark.parametrize("log", [records_log, cache_log], ids=["records", "cache"])
+def test_records_and_cache_logs_meet_faults_alike(tmp_path, caplog, log, fault):
+    damage, kept, opened, warning = LOG_FAULTS[fault]
+    path, reopen = log(tmp_path)
+    a, b = path.read_bytes().splitlines(keepends=True)
+    damaged = damage(a, b)
+    path.write_bytes(damaged)
+    assert reopen() == kept
+    # A lost entry is asked for again and appended after what the open left.
+    left = damaged if opened is None else opened(a, b)
+    lost = b"".join(line for i, line in enumerate((a, b)) if i not in kept)
+    assert path.read_bytes() == left + lost
+    assert warning(path, b) in caplog.text
 
 
 def test_run_dataset_resume_retries_all_failed_question(tmp_path):

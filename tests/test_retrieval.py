@@ -213,3 +213,27 @@ def test_index_load_refuses_true_for_a_number(tmp_path, line, field):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(RetrievalError, match=rf"^{re.escape(str(path))}.*: {field} must be "):
         load_index(path)
+
+
+@pytest.mark.parametrize(
+    "k1, b",
+    [(-1.0, 0.0), (float("nan"), 0.4), (float("inf"), 0.4), (0.9, -0.1), (0.9, 1.5),
+     (0.9, float("nan"))],
+    ids=["negative-k1", "nan-k1", "infinite-k1", "negative-b", "b-over-1", "nan-b"],
+)
+def test_bm25_params_refuse_a_k1_or_b_whose_weights_break(k1, b):
+    # k1 = -1 with b = 0 makes a term weight's denominator 0 at tf = 1, and
+    # a NaN scores every document NaN, which top_k never returns.
+    with pytest.raises(RetrievalError):
+        Bm25Params(k1=k1, b=b)
+
+
+@pytest.mark.parametrize("bad", ['"k1": -1', '"k1": NaN', '"b": 2'])
+def test_load_index_refuses_a_header_with_bad_params(tmp_path, bad):
+    path = tmp_path / "idx.jsonl"
+    save_index(build_index([("d1", "a a b"), ("d2", "b b")]), path)
+    name = bad.split(":")[0]
+    text = re.sub(f"{name}: [^,}}]+", bad, path.read_text(encoding="utf-8"), count=1)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RetrievalError, match=f"{re.escape(str(path))}: header: "):
+        load_index(path)

@@ -25,7 +25,7 @@ from .backend import (
 )
 from .core import (
     RECORD_FIELDS, REQUIRED, Dataset, SamplingParams, Scheme, Strategy, canonical_json,
-    check_fields, json_object, params_from_dict, params_to_dict, read_text,
+    check_fields, json_object, params_from_dict, params_to_dict, read_text, write_atomic,
 )
 from .datasets import ADAPTERS, DataError, default_shots, load_questions
 from .evalkit import (
@@ -305,8 +305,8 @@ def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, dialect: Pr
 
 
 def _write_report(report: EvalReport, out_dir: Path) -> EvalReport:
-    (out_dir / "report.json").write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    write_atomic(
+        out_dir / "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     )
     return report
 
@@ -368,17 +368,15 @@ def _execute_run(cfg: RunConfig) -> dict:
         # only stored records that carry the current fingerprint.
         "config_fingerprint": records[0].config_fingerprint,
     }
-    (cfg.run_dir / "run.json").write_text(
-        canonical_json(run_info) + "\n", encoding="utf-8"
-    )
+    write_atomic(cfg.run_dir / "run.json", canonical_json(run_info) + "\n")
     # Timings live apart from the byte-reproducible outputs.
-    (cfg.run_dir / "meta.json").write_text(
+    write_atomic(
+        cfg.run_dir / "meta.json",
         json.dumps(
             {"started_at": started, "finished_at": finished, "wall_s": finished - started},
             indent=2,
         )
         + "\n",
-        encoding="utf-8",
     )
     return {
         "em": report.em,
@@ -442,8 +440,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _write_report(aggregate_report(records, questions, profile), out_dir)
     category_table = format_category_table(report)
     quadrant_table = format_quadrant_table(report)
-    (out_dir / "category_table.txt").write_text(category_table + "\n", encoding="utf-8")
-    (out_dir / "quadrant_table.txt").write_text(quadrant_table + "\n", encoding="utf-8")
+    write_atomic(out_dir / "category_table.txt", category_table + "\n")
+    write_atomic(out_dir / "quadrant_table.txt", quadrant_table + "\n")
     print(f"EM={report.em:.4f} F1={report.f1:.4f} n={report.n_questions}")
     print(category_table)
     print(quadrant_table)
@@ -462,13 +460,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             curve_path.unlink()
             print(f"removed the earlier {curve_path}", file=sys.stderr)
         return EXIT_OK
-    with curve_path.open("w", encoding="utf-8") as handle:
-        handle.write("path_count,mean_em,std_em,mean_f1,std_f1\n")
-        for point in curve:
-            handle.write(
-                f"{point.path_count},{point.mean_em:.6f},{point.std_em:.6f},"
-                f"{point.mean_f1:.6f},{point.std_f1:.6f}\n"
-            )
+    write_atomic(
+        curve_path,
+        "path_count,mean_em,std_em,mean_f1,std_f1\n"
+        + "".join(
+            f"{point.path_count},{point.mean_em:.6f},{point.std_em:.6f},"
+            f"{point.mean_f1:.6f},{point.std_f1:.6f}\n"
+            for point in curve
+        ),
+    )
     print(f"curve -> {curve_path}")
     return EXIT_OK
 
@@ -560,9 +560,7 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
         "std_f1": statistics.stdev(f1s) if len(f1s) > 1 else 0.0,
     }
     base_cfg.run_dir.mkdir(parents=True, exist_ok=True)
-    (base_cfg.run_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(base_cfg.run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(
         f"mean EM={summary['mean_em']:.4f} (+/- {summary['std_em']:.4f}) "
         f"F1={summary['mean_f1']:.4f} (+/- {summary['std_f1']:.4f})"

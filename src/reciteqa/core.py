@@ -45,6 +45,7 @@ __all__ = [
     "read_lines",
     "read_log",
     "AppendLog",
+    "write_atomic",
     "stable_hash",
 ]
 
@@ -394,18 +395,59 @@ def _checked(value, kind, where: str, name: str, error: type[Exception]):
         raise error(f"{where}: {name} must be an array, got {value!r}")
     item = kind[0]
     if isinstance(item, dict):
-        try:
-            return tuple([check_fields(v, item, where, error) for v in value])
-        except error:
-            # Check the items again, each named, so that only a failure
-            # pays for building their locations.
-            for i, v in enumerate(value):
-                check_fields(v, item, f"{where}: {name}[{i}]", error)
-            raise
+        flat = _flat_spec(item)
+        rows = []
+        for i, v in enumerate(value):
+            row = None if flat is None else _flat_row(v, flat)
+            if row is None:
+                # check_fields walks an item the flat pass refuses, or any
+                # item of a map the pass cannot take, under its own name.
+                row = check_fields(v, item, f"{where}: {name}[{i}]", error)
+            rows.append(row)
+        return tuple(rows)
     for i, v in enumerate(value):
         if not _fits(v, item):
             raise error(f"{where}: {name}[{i}] must be {_TYPE_NAMES[item]}, got {v!r}")
     return tuple(value)
+
+
+def _flat_spec(fields: dict) -> list | None:
+    """`(name, class, item class or None)` per field when every field of
+    the map is REQUIRED, has no choices, and has as its type a class other
+    than object or an array of one, so that an item can be checked in one
+    flat pass; else None."""
+    spec = []
+    for name, (kind, default, *choices) in fields.items():
+        element = None
+        if isinstance(kind, list):
+            element, kind = kind[0], list
+        kinds = [kind] if element is None else [kind, element]
+        if default is not REQUIRED or choices or not all(
+            isinstance(k, type) and k is not object for k in kinds
+        ):
+            return None
+        spec.append((name, kind, element))
+    return spec
+
+
+def _flat_row(obj, spec: list) -> dict | None:
+    """check_fields' result for an object with exactly the spec's keys, each
+    value of exactly its JSON type; None for anything else, which may still
+    pass check_fields."""
+    if type(obj) is not dict or len(obj) != len(spec):
+        return None
+    row = {}
+    for name, kind, element in spec:
+        value = obj.get(name)
+        if type(value) is not kind:
+            return None
+        if element is not None:
+            for v in value:
+                if type(v) is not element:
+                    return None
+            value = tuple(value)
+        row[name] = value
+    return row
 
 
 def read_text(path: Path, error: type[Exception]) -> str:
@@ -575,6 +617,20 @@ def deserialize(line: str) -> Any:
         raise ParseError(f"record: kind must be one of {sorted(RECORD_FIELDS)}, got {kind!r}")
     known = {key: value for key, value in obj.items() if key in fields}
     return _from_fields(kind, check_fields(known, fields, f"{kind} record", ParseError))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write a whole UTF-8 file through a temporary file in its directory
+    and os.replace, so that a process killed mid-write leaves the old file
+    or the new one, never a part; on failure the temporary file is
+    removed."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,23 @@ count picks every path in every trial, so that point is scored in one pass
 and draws no random subsets. Every normalization goes through the module
 attribute `normalize`, looked up at call time, so one replacement of it
 sees them all.
+
+Three shortcuts keep every result exact:
+- *ASCII text.* When a profile both lowercases and strips punctuation and
+  the text is ASCII, `normalize` does those two steps on bytes
+  (`bytes.lower` and `bytes.translate`), which for ASCII give the same
+  characters as `str.lower` and the punctuation table.
+- *Recitation pre-filter.* `_path_hits` first normalizes a recitation
+  under the profile's coarse form, with article stripping and whitespace
+  collapsing off, and normalizes it in full only when every whitespace
+  token of some gold alias occurs in that coarse text. Stripping an
+  article only puts a space in its place, and collapsing only rewrites
+  runs of whitespace, so each whitespace-free stretch of the full text is
+  a stretch of the coarse text: a gold alias found in the full text has
+  every token in the coarse one. An alias with no tokens, only
+  whitespace, always passes the filter.
+- *Exact match.* A key that is a gold alias scores F1 1.0 without
+  counting tokens, since the F1 of a token list against itself is 1.0.
 """
 
 from __future__ import annotations
@@ -23,7 +40,8 @@ import re
 import statistics
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -52,11 +70,20 @@ __all__ = [
 
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b", re.IGNORECASE)
 # No code point but ASCII A, N, T, H and E matches a, n, t, h or e under
-# IGNORECASE, and lowercasing removes those five, so on lowercased text this
-# case-sensitive pattern matches exactly where _ARTICLE_RE does, and faster.
-_LOWER_ARTICLE_RE = re.compile(r"\b(?:a|an|the)\b")
+# IGNORECASE, and lowercasing removes those five, so on lowercased text a
+# case-sensitive pattern for a, an and the matches exactly where _ARTICLE_RE
+# does. This one is \b(?:a|an|the)\b led by a character set, so the engine
+# skips to each a or t instead of testing \b at every position:
+# - [at](?<!\w[at]) is the leading \b, since the a or t just taken is a word
+#   character and the lookbehind refuses a word character before it;
+# - (?<=t)he completes "the" after a t, and (?<=a)n? completes "a" or "an"
+#   after an a, each followed by the trailing \b;
+# - a then "n" can never end on \b where "an" does, and the reverse, so
+#   trying "an" before "a" picks the same match as the alternation does.
+_LOWER_ARTICLE_RE = re.compile(r"[at](?<!\w[at])(?:(?<=t)he|(?<=a)n?)\b")
 # string.punctuation is ASCII, so non-ASCII punctuation is kept.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT_BYTES = string.punctuation.encode()
 
 
 class EvalError(ValueError):
@@ -79,6 +106,12 @@ class NormProfile:
 
     def for_dataset(self, dataset: str) -> "NormProfile":
         return self.overrides.get(dataset, self)
+
+    @cached_property
+    def _coarse(self) -> "NormProfile":
+        """This profile without the two steps that only put in or merge
+        whitespace; the recitation pre-filter of _path_hits uses it."""
+        return replace(self, strip_articles=False, collapse_whitespace=False)
 
 
 DEFAULT_PROFILE = NormProfile()
@@ -127,10 +160,14 @@ _QUADRANT_OF = {
 def normalize(text: str, profile: NormProfile = DEFAULT_PROFILE) -> str:
     """Lowercase, remove ASCII punctuation and standalone articles, and
     collapse whitespace, in that order; idempotent."""
-    if profile.lowercase:
-        text = text.lower()
-    if profile.strip_punct:
-        text = text.translate(_PUNCT_TABLE)
+    if profile.lowercase and profile.strip_punct and text.isascii():
+        # The same two steps on ASCII bytes.
+        text = text.encode().lower().translate(None, _PUNCT_BYTES).decode()
+    else:
+        if profile.lowercase:
+            text = text.lower()
+        if profile.strip_punct:
+            text = text.translate(_PUNCT_TABLE)
     if profile.strip_articles:
         text = (_LOWER_ARTICLE_RE if profile.lowercase else _ARTICLE_RE).sub(" ", text)
     if profile.collapse_whitespace:
@@ -209,11 +246,17 @@ def _path_hits(
     """Whether a gold alias occurs, normalized, as a substring of one of the
     path's recitations, and whether the path's normalized answer
     `answer_key` is a gold alias. Recitations are normalized only up to the
-    first hit."""
+    first hit, and only those whose coarse form holds every token of some
+    gold alias (see the module docstring)."""
+    golds = [g for g in norm_golds if g]
+    gold_tokens = [g.split() for g in golds]
     recit_hit = False
     for recitation in path.recitations:
+        coarse = normalize(recitation, profile._coarse)
+        if not any(all(t in coarse for t in tokens) for tokens in gold_tokens):
+            continue
         norm_recitation = normalize(recitation, profile)
-        if any(g and g in norm_recitation for g in norm_golds):
+        if any(g in norm_recitation for g in golds):
             recit_hit = True
             break
     return recit_hit, answer_key in norm_golds
@@ -319,7 +362,10 @@ class _ScoredRecord:
             raise EvalError(
                 f"question {self.record.question_id!r} has no gold answer to score against"
             )
-        return key in self.norm_golds, _f1(key, self.norm_golds)
+        if key in self.norm_golds:
+            # _f1_single(t, t) is exactly 1.0.
+            return True, 1.0
+        return False, _f1(key, self.norm_golds)
 
     def vote_score(self, chosen: Iterable[int]) -> tuple[bool, float] | None:
         """EM and F1 of the plurality vote over the chosen paths, in the

@@ -18,6 +18,7 @@ from .core import REQUIRED, check_fields, json_object, read_lines
 
 __all__ = [
     "Bm25Params",
+    "K1_MAX",
     "Bm25Index",
     "RetrievalError",
     "tokenize",
@@ -39,15 +40,20 @@ class RetrievalError(ValueError):
     """Index construction or lookup error."""
 
 
+# The largest k1 accepted; BM25's usual range is 0.5 to 2.
+K1_MAX = 1000.0
+
+
 @dataclass(frozen=True)
 class Bm25Params:
     k1: float = 0.9
     b: float = 0.4
 
     def __post_init__(self):
-        # Else a term weight's denominator can reach 0, or every score is NaN.
-        if not (math.isfinite(self.k1) and self.k1 >= 0 and 0 <= self.b <= 1):
-            raise RetrievalError(f"need a finite k1 >= 0 and b in [0, 1], got {self}")
+        # Else a term weight's denominator can reach 0, or it and the
+        # numerator overflow to inf, or a NaN makes every score NaN.
+        if not (0 <= self.k1 <= K1_MAX and 0 <= self.b <= 1):
+            raise RetrievalError(f"need k1 in [0, {K1_MAX:g}] and b in [0, 1], got {self}")
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,29 @@ def test_analyze_reads_past_a_torn_last_record_and_leaves_the_file_alone(workspa
     assert report["n_questions"] == 3
 
 
+@pytest.mark.parametrize("failing", ["report.json", "quadrant_table.txt", "curve.csv"])
+def test_analyze_that_cannot_replace_a_file_leaves_the_run_directory_as_it_was(
+    workspace, monkeypatch, failing
+):
+    # A kill mid-write is an exception mid-write to the files on disk.
+    assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
+    run_dir = workspace / "runs" / "main"
+    assert main(["analyze", str(run_dir), "--paths", "1,4"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    replace = os.replace
+
+    def refuse(src, dst):
+        if Path(dst).name == failing:
+            raise OSError("killed")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="killed"):
+        main(["analyze", str(run_dir), "--paths", "1,4", "--curve-seed", "7"])
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()}.keys() == before.keys()
+    assert (run_dir / failing).read_bytes() == before[failing]
+
+
 def test_analyze_empty_dir_exits_3(tmp_path):
     assert main(["analyze", str(tmp_path)]) == EXIT_DATA
 
@@ -684,8 +707,9 @@ def test_corrupt_corpus_or_index_exits_3(
 
 
 @pytest.mark.parametrize(
-    "flags", [["--k1", "-1", "--b", "0"], ["--k1", "nan"], ["--b", "1.5"]],
-    ids=["negative-k1", "nan-k1", "b-over-1"],
+    "flags",
+    [["--k1", "-1", "--b", "0"], ["--k1", "nan"], ["--b", "1.5"], ["--k1", "1e308", "--b", "1"]],
+    ids=["negative-k1", "nan-k1", "b-over-1", "overflowing-k1"],
 )
 def test_index_build_refuses_bm25_params_that_break_scoring(tmp_path, monkeypatch, capsys, flags):
     monkeypatch.chdir(tmp_path)

@@ -32,6 +32,7 @@ from reciteqa.core import (
     json_object,
     serialize,
     validate,
+    write_atomic,
 )
 
 import reciteqa
@@ -295,6 +296,41 @@ def test_only_core_appends_to_or_truncates_a_file():
             found[path.stem] = len(lines)
     # AppendLog.append's open and _cut_torn_tail's truncate.
     assert found == {"core": 2}
+
+
+def test_write_atomic_replaces_a_file_whole(tmp_path):
+    target = tmp_path / "run.json"
+    write_atomic(target, "first\n")
+    write_atomic(target, "sécond\n")
+    assert target.read_bytes() == "sécond\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_write_atomic_keeps_the_old_file_when_the_replace_fails(tmp_path, monkeypatch):
+    target = tmp_path / "run.json"
+    target.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("no room")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="no room"):
+        write_atomic(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_cli_writes_its_files_only_through_write_atomic():
+    # run.json, report.json and the other run-directory files are replaced
+    # whole, so a killed run or analysis never leaves one cut short.
+    tree = ast.parse(Path(reciteqa.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    writes = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("open", "write_text", "write_bytes")
+    ]
+    assert writes == []
 
 
 def test_json_is_parsed_only_by_json_object_and_two_readers():
@@ -605,3 +641,71 @@ def test_check_fields_refuses(obj, message):
 def test_json_object_field_map_ignores_keys_it_does_not_name():
     obj = json_object('{"name": "x", "extra": 1}', "where", ValueError, {"name": (str, REQUIRED)})
     assert obj == {"name": "x"}
+
+
+# Values of every JSON type, "true" as a string among them.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.just("true"),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.text(max_size=3), st.none()), max_size=2),
+)
+WELL_FORMED_PATH = st.fixed_dictionaries({
+    "recitations": st.lists(st.text(max_size=4), max_size=3),
+    "raw_answer_text": st.text(max_size=4),
+    "extracted_answer": st.text(max_size=4),
+    "backend_meta": st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+})
+
+
+@st.composite
+def path_items(draw):
+    """A path object, most often well formed or one fault away from it: a
+    field of another JSON type, a missing field or an extra key."""
+    item = draw(WELL_FORMED_PATH)
+    fault = draw(st.sampled_from(["none", "retype", "drop", "extra", "other"]))
+    if fault == "retype":
+        item[draw(st.sampled_from(sorted(PATH_FIELDS)))] = draw(JSON_VALUES)
+    elif fault == "drop":
+        del item[draw(st.sampled_from(sorted(PATH_FIELDS)))]
+    elif fault == "extra":
+        item[draw(st.sampled_from(["extra", "Recitations", ""]))] = draw(JSON_VALUES)
+    elif fault == "other":
+        return draw(JSON_VALUES)
+    return item
+
+
+def _outcome(check):
+    try:
+        return repr(check())
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@given(st.lists(path_items(), max_size=4))
+@settings(max_examples=400)
+def test_an_array_of_paths_checks_as_each_path_on_its_own(items):
+    # The array check takes a flat pass over each item; the walk of each
+    # item, named by its index, is the reference for value and message.
+    def walked():
+        return tuple(
+            check_fields(item, PATH_FIELDS, f"run record: paths[{i}]", ParseError)
+            for i, item in enumerate(items)
+        )
+
+    def checked():
+        fields = {"paths": ([PATH_FIELDS], REQUIRED)}
+        return check_fields({"paths": items}, fields, "run record", ParseError)["paths"]
+
+    assert _outcome(checked) == _outcome(walked)
+
+
+def test_an_array_of_maps_with_defaults_names_the_item_at_fault():
+    # A map with a default or choices takes no flat pass; each item is
+    # walked under its own name.
+    fields = {"xs": ([{"a": (int, 0), "b": (str, "x", ("x", "y"))}], REQUIRED)}
+    assert check_fields({"xs": [{}, {"a": 2, "b": "y"}]}, fields, "where", ValueError) == {
+        "xs": ({"a": 0, "b": "x"}, {"a": 2, "b": "y"})
+    }
+    with pytest.raises(ValueError, match=r"^where: xs\[1\]: b must be one of \['x', 'y'\], got 'z'$"):
+        check_fields({"xs": [{}, {"b": "z"}, {"a": "1"}]}, fields, "where", ValueError)

@@ -102,6 +102,39 @@ def test_normalize_matches_the_per_character_oracle(text):
         assert normalize(text, NormProfile(**flags)) == oracle_normalize(text, **flags), flags
 
 
+# Text built from articles and their near misses, ASCII letters, digits,
+# punctuation, "_" and every ASCII whitespace str.split() knows, \x1c-\x1f
+# among them; MIXED_TEXT adds non-ASCII letters, punctuation and whitespace.
+_ASCII_PIECES = st.one_of(
+    st.sampled_from(["a", "an", "the", "A", "An", "THE", "ta", "then", "at", "_a", "a_", "3an"]),
+    st.text(alphabet=string.printable + "\x1c\x1d\x1e\x1f_", max_size=4),
+)
+ASCII_TEXT = st.lists(_ASCII_PIECES, max_size=12).map("".join)
+MIXED_TEXT = st.lists(
+    st.one_of(_ASCII_PIECES, st.sampled_from(["é", "İ", "ß", "Σ", "ａ", "“", "—", "\u00a0", "\u2028"])),
+    max_size=12,
+).map("".join)
+
+
+@given(st.one_of(ASCII_TEXT, MIXED_TEXT))
+@example("The_a an\x1cthe\x1fA 1a a1 (an)")
+@example("THE An A é")
+@settings(max_examples=400)
+def test_normalize_takes_the_ascii_path_to_the_same_text(text):
+    # oracle_normalize is the string path step for step: lowercase, drop
+    # ASCII punctuation, strip articles ignoring case, collapse whitespace.
+    for flags in FLAG_SETTINGS:
+        assert normalize(text, NormProfile(**flags)) == oracle_normalize(text, **flags), flags
+
+
+@given(st.one_of(ASCII_TEXT, MIXED_TEXT).map(str.lower))
+@example("a an the ta then at _a a_ 3an an3 théa ａn")
+@settings(max_examples=400)
+def test_lower_article_pattern_matches_where_the_plain_pattern_does(text):
+    plain = re.compile(r"\b(?:a|an|the)\b")
+    assert evalkit._LOWER_ARTICLE_RE.sub(" ", text) == plain.sub(" ", text)
+
+
 def test_only_ascii_letters_match_the_article_letters_ignoring_case():
     # normalize strips articles from lowercased text with a case-sensitive
     # pattern; that matches where the IGNORECASE one does only if no code
@@ -266,6 +299,36 @@ def test_quadrants():
     assert per_path_quadrant(gold, hit_miss) is PathQuadrant.RECIT_HIT_ANSWER_MISS
     assert per_path_quadrant(gold, miss_hit) is PathQuadrant.RECIT_MISS_ANSWER_HIT
     assert per_path_quadrant(gold, miss_miss) is PathQuadrant.RECIT_MISS_ANSWER_MISS
+
+
+@st.composite
+def recitations_and_golds(draw):
+    """Recitations, gold aliases (about half of them cut from a recitation,
+    so that hits are common) and a profile."""
+    recitations = draw(st.lists(MIXED_TEXT, max_size=3))
+    golds = []
+    for _ in range(draw(st.integers(1, 3))):
+        if recitations and draw(st.booleans()):
+            text = draw(st.sampled_from(recitations))
+            start = draw(st.integers(0, len(text)))
+            golds.append(text[start:draw(st.integers(start, len(text)))])
+        else:
+            golds.append(draw(MIXED_TEXT))
+    return recitations, golds, NormProfile(**draw(st.sampled_from(FLAG_SETTINGS)))
+
+
+@given(recitations_and_golds())
+@example((["the new-york  times"], ["newyork times"], NormProfile()))
+@example((["new york"], ["the new york"], NormProfile()))
+@example((["a  b"], ["  "], NormProfile(collapse_whitespace=False)))
+@example((["ab"], ["", "b"], NormProfile()))
+@settings(max_examples=400)
+def test_path_hits_prefilter_finds_every_hit_a_full_normalization_finds(case):
+    recitations, golds, profile = case
+    norm_golds = [normalize(g, profile) for g in golds]
+    path = RecitationPath(tuple(recitations), "Answer: x", "x", {})
+    plain = any(g and g in normalize(r, profile) for r in recitations for g in norm_golds)
+    assert evalkit._path_hits(norm_golds, path, "x", profile) == (plain, "x" in norm_golds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 
 import pytest
 
 from reciteqa.retrieval import (
+    K1_MAX,
     Bm25Params,
     RetrievalError,
     build_index,
@@ -218,17 +220,28 @@ def test_index_load_refuses_true_for_a_number(tmp_path, line, field):
 @pytest.mark.parametrize(
     "k1, b",
     [(-1.0, 0.0), (float("nan"), 0.4), (float("inf"), 0.4), (0.9, -0.1), (0.9, 1.5),
-     (0.9, float("nan"))],
-    ids=["negative-k1", "nan-k1", "infinite-k1", "negative-b", "b-over-1", "nan-b"],
+     (0.9, float("nan")), (1e308, 1.0), (K1_MAX * 1.000001, 0.4)],
+    ids=["negative-k1", "nan-k1", "infinite-k1", "negative-b", "b-over-1", "nan-b",
+         "overflowing-k1", "k1-over-cap"],
 )
 def test_bm25_params_refuse_a_k1_or_b_whose_weights_break(k1, b):
     # k1 = -1 with b = 0 makes a term weight's denominator 0 at tf = 1, and
-    # a NaN scores every document NaN, which top_k never returns.
+    # a NaN scores every document NaN, which top_k never returns. With
+    # k1 = 1e308 and b = 1 a long document's weight is inf / inf, NaN.
     with pytest.raises(RetrievalError):
         Bm25Params(k1=k1, b=b)
 
 
-@pytest.mark.parametrize("bad", ['"k1": -1', '"k1": NaN', '"b": 2'])
+@pytest.mark.parametrize("b", [0.0, 0.4, 1.0])
+def test_bm25_scores_stay_finite_up_to_the_k1_cap(b):
+    docs = [("d1", "a b c d e f"), ("d2", "a"), ("d3", "a a")]
+    index = build_index(docs, Bm25Params(k1=K1_MAX, b=b))
+    scores = [score(index, "a", doc_id) for doc_id, _ in docs]
+    assert all(math.isfinite(s) and s > 0 for s in scores)
+    assert {doc for doc, _ in top_k(index, "a", 3)} == {"d1", "d2", "d3"}
+
+
+@pytest.mark.parametrize("bad", ['"k1": -1', '"k1": NaN', '"b": 2', '"k1": 1e308'])
 def test_load_index_refuses_a_header_with_bad_params(tmp_path, bad):
     path = tmp_path / "idx.jsonl"
     save_index(build_index([("d1", "a a b"), ("d2", "b b")]), path)

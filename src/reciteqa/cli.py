@@ -15,6 +15,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -33,6 +34,7 @@ from .evalkit import (
     EvalError,
     EvalReport,
     NormProfile,
+    ScoredRecord,
     aggregate_report,
     format_category_table,
     format_quadrant_table,
@@ -428,12 +430,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         read_text(run_info_path, DataError), str(run_info_path), DataError, RUN_JSON_FIELDS
     )
     dataset = run_info["dataset"]
-    records = list(load_run_records(records_path).values())
-    if not records:
-        raise DataError(f"{records_path} holds no records")
+    profile = _profile(run_info["normalization"])
     # A relative dataset path is relative to the run directory.
     questions = load_questions(run_dir / dataset["path"], dataset["adapter"])
-    profile = _profile(run_info["normalization"])
+    # Each record is scored into its view as it is read and then dropped,
+    # so no recitation of the run stays in memory.
+    to_view = partial(ScoredRecord, by_id={q.id: q for q in questions}, profile=profile)
+    records = list(load_run_records(records_path, to_view).values())
+    if not records:
+        raise DataError(f"{records_path} holds no records")
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 

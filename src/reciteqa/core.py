@@ -664,8 +664,9 @@ class AppendLog:
     """The writer of an append-only log. Construction cuts a torn last line,
     left by a crash mid-append, back to the last "\\n" with a warning, so
     the next append starts a fresh line; only the tail is read. Lines go
-    out through one handle, opened on the first append and flushed after
-    each line. close(), also run when the log is dropped, closes it, and a
+    out through one handle, opened on the first append and flushed, not
+    fsynced, after each line: a line survives a killed process, not a power
+    loss. close(), also run when the log is dropped, closes it, and a
     later append opens it again. Threads that share a log hold a lock."""
 
     def __init__(self, path: str | Path):

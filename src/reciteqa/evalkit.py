@@ -3,17 +3,18 @@ per-path error classification, report aggregation, and the path-count
 subsampling analysis.
 
 `aggregate_report` and `path_subsample_curve` score each record's answers
-once. A `_ScoredRecord` normalizes each distinct gold alias and path answer
-text once per record, under the profile of the question's dataset. The
-report scores a voted answer that is one of the path answers from that
-answer's normalized key, and normalizes each path's recitations only up to
-its first gold hit. The curve re-votes every subset by counting the
-normalized answers and scores each winning key once per record, so a trial
-costs no normalization at all. A path count equal to every record's path
-count picks every path in every trial, so that point is scored in one pass
-and draws no random subsets. Every normalization goes through the module
-attribute `normalize`, looked up at call time, so one replacement of it
-sees them all.
+once. A `ScoredRecord` normalizes each distinct gold alias, path answer and
+voted answer text once per record, under the profile of the question's
+dataset, and normalizes each path's recitations only up to its first gold
+hit. It keeps the keys and hits, not the record, so a caller that builds
+each record's view as the record is read holds no recitation; both scorers
+take such views as they are. The curve re-votes every subset by counting
+the normalized answers and scores each winning key once per record, so a
+trial costs no normalization at all. A path count equal to every record's
+path count picks every path in every trial, so that point is scored in one
+pass and draws no random subsets. Every normalization goes through the
+module attribute `normalize`, looked up at call time, so one replacement of
+it sees them all.
 
 Three shortcuts keep every result exact:
 - *ASCII text.* When a profile both lowercases and strips punctuation and
@@ -43,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .core import QuestionRecord, RecitationPath, RunRecord
 
@@ -55,6 +56,7 @@ __all__ = [
     "EvalReport",
     "CurvePoint",
     "EvalError",
+    "ScoredRecord",
     "normalize",
     "exact_match",
     "token_f1",
@@ -308,27 +310,38 @@ def per_path_quadrant(
     return _QUADRANT_OF[_path_hits(norm_golds, path, answer_key, profile)]
 
 
-class _ScoredRecord:
-    """One run record with its question's gold aliases and its paths'
-    answers normalized under the profile of the question's dataset, each
-    distinct text once.
+class ScoredRecord:
+    """What the report and the curve score of one run record, kept without
+    the record or its recitations.
+
+    The question's gold aliases and the paths' answers are normalized under
+    the profile of the question's dataset, each distinct text once. The view
+    also holds the stored vote's EM and F1, the question's error category
+    and each path's quadrant, unless it is built with hits=False, which
+    skips the recitations (the curve alone needs none of these).
 
     `vote_score` re-votes on a subset of the paths by counting normalized
     answers; each winning key is scored once, when it first wins.
     """
 
-    __slots__ = ("record", "profile", "norm_golds", "answer_keys", "_vote_keys", "_scores")
+    __slots__ = ("question_id", "norm_golds", "voted_score", "category", "quadrants",
+                 "_vote_keys", "_scores")
 
     def __init__(
-        self, record: RunRecord, by_id: Mapping[str, QuestionRecord], profile: NormProfile
+        self,
+        record: RunRecord,
+        by_id: Mapping[str, QuestionRecord],
+        profile: NormProfile,
+        *,
+        hits: bool = True,
     ):
         question = by_id.get(record.question_id)
         if question is None:
             raise EvalError(f"run record references unknown question {record.question_id!r}")
-        self.record = record
-        self.profile = profile = profile.for_dataset(question.dataset.value)
+        self.question_id = record.question_id
+        profile = profile.for_dataset(question.dataset.value)
         # Equal texts are normalized once, and equal keys share one string,
-        # which keeps the curve's views small.
+        # which keeps the views small.
         keys: dict[str, str] = {}
         distinct: dict[str, str] = {}
 
@@ -340,32 +353,44 @@ class _ScoredRecord:
             return key
 
         self.norm_golds = [key_of(g) for g in question.gold_answers]
-        self.answer_keys = [key_of(p.extracted_answer) for p in record.paths]
+        answer_keys = [key_of(p.extracted_answer) for p in record.paths]
         # Failed paths do not vote.
         self._vote_keys = [
-            None if path.failed else key for path, key in zip(record.paths, self.answer_keys)
+            None if path.failed else key for path, key in zip(record.paths, answer_keys)
         ]
         self._scores: dict[str, tuple[bool, float]] = {}
+        self.voted_score = self.category = self.quadrants = None
+        if hits:
+            self.voted_score = self._score_key(key_of(record.voted_answer))
+            path_hits = [
+                _path_hits(self.norm_golds, path, key, profile)
+                for path, key in zip(record.paths, answer_keys)
+            ]
+            self.category = _category(self.voted_score[0], path_hits)
+            self.quadrants = tuple(_QUADRANT_OF[hit] for hit in path_hits)
 
-    def score(self, answer: str) -> tuple[bool, float]:
-        """EM and token F1 of one raw answer; one of the path answers is
-        scored from its key."""
-        for path, key in zip(self.record.paths, self.answer_keys):
-            if path.extracted_answer == answer:
-                break
-        else:
-            key = normalize(answer, self.profile)
-        return self._score_key(key)
+    @property
+    def n_paths(self) -> int:
+        return len(self._vote_keys)
+
+    @property
+    def all_failed(self) -> bool:
+        """True iff every path failed."""
+        return all(key is None for key in self._vote_keys)
 
     def _score_key(self, key: str) -> tuple[bool, float]:
+        """EM and token F1 of a normalized answer, memoized per key."""
+        score = self._scores.get(key)
+        if score is not None:
+            return score
         if not self.norm_golds:
             raise EvalError(
-                f"question {self.record.question_id!r} has no gold answer to score against"
+                f"question {self.question_id!r} has no gold answer to score against"
             )
-        if key in self.norm_golds:
-            # _f1_single(t, t) is exactly 1.0.
-            return True, 1.0
-        return False, _f1(key, self.norm_golds)
+        # _f1_single(t, t) is exactly 1.0.
+        score = (True, 1.0) if key in self.norm_golds else (False, _f1(key, self.norm_golds))
+        self._scores[key] = score
+        return score
 
     def vote_score(self, chosen: Iterable[int]) -> tuple[bool, float] | None:
         """EM and F1 of the plurality vote over the chosen paths, in the
@@ -374,10 +399,22 @@ class _ScoredRecord:
         if not keys:
             return None
         winner, _ = _plurality(keys)
-        score = self._scores.get(winner)
-        if score is None:
-            score = self._scores[winner] = self._score_key(winner)
-        return score
+        return self._score_key(winner)
+
+
+def _views(
+    run_records: Iterable[RunRecord | ScoredRecord],
+    questions: Iterable[QuestionRecord],
+    profile: NormProfile,
+    hits: bool,
+) -> Iterator[ScoredRecord]:
+    """Each record's view: a ScoredRecord is taken as it is, and a RunRecord
+    is scored against the questions."""
+    by_id = {q.id: q for q in questions}
+    for record in run_records:
+        yield record if isinstance(record, ScoredRecord) else ScoredRecord(
+            record, by_id, profile, hits=hits
+        )
 
 
 @dataclass(frozen=True)
@@ -401,13 +438,13 @@ class EvalReport:
 
 
 def aggregate_report(
-    run_records: Sequence[RunRecord],
+    run_records: Sequence[RunRecord | ScoredRecord],
     questions: Iterable[QuestionRecord],
     profile: NormProfile = DEFAULT_PROFILE,
 ) -> EvalReport:
     """Score a run: EM/F1 means and category fractions over questions,
-    quadrant fractions over all paths."""
-    by_id = {q.id: q for q in questions}
+    quadrant fractions over all paths. A record may come as its
+    ScoredRecord, which is scored as it is."""
     if not run_records:
         raise EvalError("aggregate_report requires at least one run record")
     em_hits = 0
@@ -416,23 +453,18 @@ def aggregate_report(
     quadrant_counts = {q: 0 for q in PathQuadrant}
     n_failed = 0
     path_counts = set()
-    for record in run_records:
-        view = _ScoredRecord(record, by_id, profile)
-        em, f1 = view.score(record.voted_answer)
+    for view in _views(run_records, questions, profile, hits=True):
+        em, f1 = view.voted_score
         em_hits += int(em)
         f1_total += f1
-        if not record.paths:
-            raise EvalError(f"run record {record.question_id!r} has no paths")
-        hits = [
-            _path_hits(view.norm_golds, path, key, view.profile)
-            for path, key in zip(record.paths, view.answer_keys)
-        ]
-        category_counts[_category(em, hits)] += 1
-        for hit in hits:
-            quadrant_counts[_QUADRANT_OF[hit]] += 1
-        if all(p.failed for p in record.paths):
+        if not view.n_paths:
+            raise EvalError(f"run record {view.question_id!r} has no paths")
+        category_counts[view.category] += 1
+        for quadrant in view.quadrants:
+            quadrant_counts[quadrant] += 1
+        if view.all_failed:
             n_failed += 1
-        path_counts.add(len(record.paths))
+        path_counts.add(view.n_paths)
     n_questions = len(run_records)
     n_paths = sum(quadrant_counts.values())
     return EvalReport(
@@ -458,14 +490,14 @@ class CurvePoint:
 
 
 def _vote_means(
-    views: Sequence[_ScoredRecord], choose: Callable[[int], Iterable[int]]
+    views: Sequence[ScoredRecord], choose: Callable[[int], Iterable[int]]
 ) -> tuple[float, float]:
     """EM and F1, averaged over the records, of each record's vote on the
     paths `choose` picks from its path count."""
     em_hits = 0
     f1_total = 0.0
     for view in views:
-        score = view.vote_score(choose(len(view.answer_keys)))
+        score = view.vote_score(choose(view.n_paths))
         if score is not None:
             em_hits += int(score[0])
             f1_total += score[1]
@@ -473,7 +505,7 @@ def _vote_means(
 
 
 def path_subsample_curve(
-    run_records: Sequence[RunRecord],
+    run_records: Sequence[RunRecord | ScoredRecord],
     questions: Iterable[QuestionRecord],
     path_counts: Sequence[int],
     trials: int = 5,
@@ -481,17 +513,19 @@ def path_subsample_curve(
     profile: NormProfile = DEFAULT_PROFILE,
 ) -> list[CurvePoint]:
     """Re-vote on random path subsets of each size and report the mean and
-    sample standard deviation of EM/F1 over the trials.
+    sample standard deviation of EM/F1 over the trials. A record may come as
+    its ScoredRecord, which is scored as it is; a RunRecord's recitations
+    are not read.
 
     Subsets are drawn without replacement per question and kept in canonical
     path order, so the full-size subset reproduces the stored vote exactly.
     """
-    by_id = {q.id: q for q in questions}
     if not run_records:
         raise EvalError("path_subsample_curve requires at least one run record")
     if trials < 1:
         raise EvalError(f"path_subsample_curve requires at least one trial, got {trials}")
-    stored_k = min(len(r.paths) for r in run_records)
+    views = list(_views(run_records, questions, profile, hits=False))
+    stored_k = min(view.n_paths for view in views)
     for count in path_counts:
         if count < 1 or count > stored_k:
             raise EvalError(
@@ -499,8 +533,7 @@ def path_subsample_curve(
             )
     if not path_counts:
         return []
-    views = [_ScoredRecord(record, by_id, profile) for record in run_records]
-    full_k = max(len(r.paths) for r in run_records)
+    full_k = max(view.n_paths for view in views)
     points = []
     for count in path_counts:
         if count == full_k:

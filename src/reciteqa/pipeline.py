@@ -50,12 +50,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest, GenerationResult
 from .core import (
     AppendLog,
     Exemplar,
+    ParseError,
     QuestionRecord,
     RecitationPath,
     RunRecord,
@@ -448,13 +449,29 @@ def check_exemplar_prompts(
 # Dataset runs
 
 
-def load_run_records(path: str | Path) -> dict[str, RunRecord]:
-    """Read a records file, as core.read_log reads a log, keeping the last
-    record per question id."""
+def _run_record(line: str) -> RunRecord:
+    """The run record of a records.jsonl line; a record of another kind is
+    refused with ParseError."""
     # deserialize is looked up at call time, so a patched module attribute
     # sees every record.
-    records = read_log(path, deserialize)
-    return {r.question_id: r for r in records if isinstance(r, RunRecord)}
+    record = deserialize(line)
+    if not isinstance(record, RunRecord):
+        raise ParseError(f"not a run record: a {type(record).__name__}")
+    return record
+
+
+def load_run_records(
+    path: str | Path, convert: Callable[[RunRecord], Any] | None = None
+) -> dict[str, Any]:
+    """Read a records file as core.read_log reads a log, so that a line
+    holding another kind of record is skipped with its warning. The result
+    keeps the last record per question id, in the order of each id's first
+    line. With `convert`, each record is replaced by convert(record) as it
+    is read, and only that value is kept."""
+    records: dict[str, Any] = {}
+    for record in read_log(path, _run_record):
+        records[record.question_id] = record if convert is None else convert(record)
+    return records
 
 
 def run_dataset(

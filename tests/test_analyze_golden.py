@@ -17,6 +17,7 @@ import random
 from reciteqa.core import Dataset, RecitationPath, RunRecord, Scheme
 from reciteqa.evalkit import (
     NormProfile,
+    ScoredRecord,
     aggregate_report,
     path_subsample_curve,
     plurality_vote,
@@ -118,8 +119,14 @@ def build_run(seed: int = 5):
     return questions, records
 
 
-def analyze_outputs() -> dict:
+def analyze_outputs(views: bool = False) -> dict:
+    """The report and curves of the synthetic run; with views, both scorers
+    take each record's ScoredRecord, built once, as `reciteqa analyze`
+    passes them."""
     questions, records = build_run()
+    if views:
+        by_id = {q.id: q for q in questions}
+        records = [ScoredRecord(record, by_id, PROFILE) for record in records]
     report = aggregate_report(records, questions, PROFILE)
     curves = {
         "trials5_seed3": path_subsample_curve(
@@ -152,6 +159,12 @@ def test_analyze_outputs_match_golden():
     got = json.loads(json.dumps(analyze_outputs()))
     assert got["report"] == want["report"]
     assert got["curves"] == want["curves"]
+
+
+def test_prebuilt_views_match_golden():
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    got = json.loads(json.dumps(analyze_outputs(views=True)))
+    assert got == want
 
 
 def test_golden_run_covers_the_edge_cases():

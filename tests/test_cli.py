@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,10 @@ from reciteqa.cli import (
     BACKEND_FIELDS, EXIT_BACKEND, EXIT_CONFIG, EXIT_DATA, EXIT_OK, RUN_CONFIG_FIELDS,
     RUN_JSON_FIELDS, load_run_config, main,
 )
-from reciteqa.core import REQUIRED, Scheme, params_to_dict
-from reciteqa.evalkit import NormProfile
+from reciteqa.core import (
+    REQUIRED, RecitationPath, RunRecord, Scheme, params_to_dict, serialize,
+)
+from reciteqa.evalkit import NormProfile, plurality_vote
 from reciteqa.pipeline import SchemeConfig, default_answer_params, default_recitation_params
 from reciteqa.prompting import build_question_generation_prompt, sample_exemplars
 
@@ -622,6 +626,100 @@ def test_analyze_calls_hooks_through_module_attributes(workspace, monkeypatch):
         count(name)
     assert main(["analyze", str(workspace / "runs" / "main"), "--paths", "1,4"]) == EXIT_OK
     assert calls == dict.fromkeys(names, 1)
+
+
+def write_run_dir(run_dir: Path, golds: dict[str, str], records) -> Path:
+    """A run directory written by hand: one nq question per id with its one
+    gold answer, a run.json naming them, and `records` in order."""
+    run_dir.mkdir(parents=True)
+    (run_dir / "questions.jsonl").write_text(
+        "".join(
+            json.dumps({"id": qid, "question": f"question {qid}", "answer": [gold]}) + "\n"
+            for qid, gold in golds.items()
+        ),
+        encoding="utf-8",
+    )
+    (run_dir / "run.json").write_text(
+        json.dumps({"dataset": {"path": "questions.jsonl", "adapter": "nq"}}), encoding="utf-8"
+    )
+    (run_dir / "records.jsonl").write_text(
+        "".join(serialize(record) + "\n" for record in records), encoding="utf-8"
+    )
+    return run_dir
+
+
+def recited_record(qid: str, answers, recitations=None) -> RunRecord:
+    """A record with one path per answer; a path whose answer is None failed."""
+    paths = tuple(
+        RecitationPath((), "", "", {"error": "Timeout: x"}) if answer is None
+        else RecitationPath(
+            (f"{answer} is named here.",) if recitations is None else (recitations[i],),
+            f" {answer}", answer, {},
+        )
+        for i, answer in enumerate(answers)
+    )
+    voted = [a for a in answers if a is not None]
+    return RunRecord(qid, Scheme.RECITE_ANSWER, paths, plurality_vote(voted)[0] if voted else "", "f" * 16)
+
+
+def test_analyze_of_a_resumed_records_file_keeps_the_last_record_per_id_in_first_order(tmp_path):
+    golds = {"q1": "Berlin", "q2": "Cairo", "q3": "Oslo", "q4": "Rome"}
+    records = {
+        "q1": recited_record("q1", ["Berlin", "Rome", "Rome", "Berlin", "Oslo", "Berlin"]),
+        "q2": recited_record("q2", ["Cairo", "Lima", "Cairo", "Lima", "Lima", "Quito"]),
+        "q3": recited_record("q3", ["Oslo", "Bern", None, "Oslo", "Bern", "Bern"]),
+        "q4": recited_record("q4", ["Rome", "Rome", "Pisa", "Pisa", "Rome", "Pisa"]),
+    }
+    # Resume appends a fresh record for a question whose stored one failed
+    # every path.
+    stale = recited_record("q1", [None] * 6)
+    resumed = [stale, records["q2"], records["q3"], records["q4"], records["q1"]]
+    files = {
+        "resumed": resumed,
+        "clean": list(records.values()),
+        "stale-wins": [records["q1"], records["q2"], records["q3"], records["q4"], stale],
+        "last-order": resumed[1:],
+    }
+    outputs = {}
+    for name, lines in files.items():
+        run_dir = write_run_dir(tmp_path / name, golds, lines)
+        assert main(["analyze", str(run_dir), "--paths", "1,2,3,6", "--trials", "4"]) == EXIT_OK
+        outputs[name] = [(run_dir / f).read_bytes() for f in ("report.json", "curve.csv")]
+    assert outputs["resumed"] == outputs["clean"]
+    # The test can tell which record won and in which order the views are.
+    assert outputs["stale-wins"][0] != outputs["clean"][0]
+    assert outputs["last-order"][0] == outputs["clean"][0]
+    assert outputs["last-order"][1] != outputs["clean"][1]
+
+
+def test_analyze_holds_no_recitation_of_the_run_in_memory(tmp_path):
+    rng = random.Random(22)
+    words = ["river", "city", "founded", "capital", "north", "the", "century", "museum",
+             "bridge", "writer", "painted", "mountain", "harbour", "empire", "treaty"]
+    n_questions, k = 200, 20
+    golds = {f"q{i:03d}": f"Name{i}" for i in range(n_questions)}
+    records = []
+    for qid, gold in golds.items():
+        answers = [gold if rng.random() < 0.5 else f"Other{rng.randrange(5)}" for _ in range(k)]
+        recitations = []
+        for answer in answers:
+            text = " ".join(rng.choices(words, k=120))
+            recitations.append(f"{text} {answer} {text[:100]}.")
+        records.append(recited_record(qid, answers, recitations))
+    run_dir = write_run_dir(tmp_path / "run", golds, records)
+    del records, recitations
+    size = (run_dir / "records.jsonl").stat().st_size
+    assert size > 200 * 20 * 850
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        code = main(["analyze", str(run_dir), "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["n_questions"] == 200
+    assert peak < size / 2, (peak, size)
 
 
 DUMP_ROWS = [

@@ -10,7 +10,7 @@ import pytest
 from reciteqa.backend import (
     Backend, CachingBackend, GenerationRequest, MalformedResponse, ScriptedBackend, prompt_key,
 )
-from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, validate
+from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, serialize, validate
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
     SchemeConfig,
@@ -726,6 +726,26 @@ def test_load_run_records_skips_a_line_that_is_not_utf8(tmp_path, caplog):
     path.write_bytes(first + b"\xff\xfe" + first + second)
     assert load_run_records(path) == {r.question_id: r for r in records}
     assert f"skipping unreadable line {path}:2: " in caplog.text
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        make_question("q9", "a question line", ("gold",)),
+        LONDON_EXEMPLAR,
+        default_answer_params(),
+    ],
+    ids=["question", "exemplar", "sampling-params"],
+)
+def test_load_run_records_skips_a_record_of_another_kind_with_a_warning(tmp_path, caplog, other):
+    # analyze and resume both read records.jsonl through load_run_records.
+    questions, cfg, backend = dataset_fixture(1)
+    run_dir = tmp_path / "run"
+    [record] = run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=run_dir, clock=ZERO_CLOCK)
+    path = run_dir / "records.jsonl"
+    path.write_text(serialize(other) + "\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_run_records(path) == {"q0": record}
+    assert f"skipping unreadable line {path}:1: not a run record" in caplog.text
 
 
 def records_log(tmp_path):

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "Dataset",
@@ -615,18 +615,20 @@ def deserialize(line: str) -> Any:
     fields = RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ParseError(f"record: kind must be one of {sorted(RECORD_FIELDS)}, got {kind!r}")
-    known = {key: value for key, value in obj.items() if key in fields}
-    return _from_fields(kind, check_fields(known, fields, f"{kind} record", ParseError))
+    return _from_fields(kind, data_row(obj, fields, f"{kind} record", ParseError))
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write a whole UTF-8 file through a temporary file in its directory
-    and os.replace, so that a process killed mid-write leaves the old file
-    or the new one, never a part; on failure the temporary file is
-    removed."""
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write a whole UTF-8 file, given as one string or as pieces written
+    as they come, through a temporary file in its directory and
+    os.replace, so that a process killed mid-write leaves the old file or
+    the new one, never a part. This is the package's one writer of whole
+    files. On failure, also one raised while the pieces are made, the
+    temporary file is removed."""
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temp.write_text(text, encoding="utf-8")
+        with temp.open("w", encoding="utf-8") as handle:
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .backend import Backend, BackendError, GenerationRequest
-from .core import REQUIRED, canonical_json, derived_params, json_object, read_lines
+from .core import REQUIRED, canonical_json, derived_params, json_object, read_lines, write_atomic
 from .pipeline import default_recitation_params
 from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
 
@@ -35,7 +35,6 @@ __all__ = [
     "read_heading_dump",
     "generate_synthetic_triples",
     "export_triples",
-    "load_triples",
 ]
 
 class CorpusError(ValueError):
@@ -125,12 +124,12 @@ class Corpus:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write passages.jsonl, one passage row per line."""
+        """Replace passages.jsonl whole, one passage row per line."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with (directory / "passages.jsonl").open("w", encoding="utf-8") as handle:
-            for passage in self._passages:
-                handle.write(_passage_to_line(passage) + "\n")
+        write_atomic(
+            directory / "passages.jsonl", (_passage_to_line(p) + "\n" for p in self._passages)
+        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "Corpus":
@@ -372,24 +371,10 @@ def generate_synthetic_triples(
 
 
 def export_triples(triples: Iterable[SyntheticTriple], path: str | Path) -> int:
-    path = Path(path)
-    n = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for triple in triples:
-            handle.write(canonical_json({"kind": "triple", **asdict(triple)}) + "\n")
-            n += 1
-    return n
-
-
-_TRIPLE_FIELDS = {"question": (str, REQUIRED), "hint": (str, REQUIRED), "passage": (str, REQUIRED)}
-
-
-def load_triples(path: str | Path) -> list[SyntheticTriple]:
-    path = Path(path)
-    triples = []
-    for lineno, line in read_lines(path, CorpusError):
-        if not line.strip():
-            continue
-        obj = json_object(line, f"{path}:{lineno}", CorpusError, _TRIPLE_FIELDS)
-        triples.append(SyntheticTriple(**obj))
-    return triples
+    """Replace the file at path whole with one triple row per line, for
+    use outside this package; returns the number of triples."""
+    triples = tuple(triples)
+    write_atomic(
+        Path(path), (canonical_json({"kind": "triple", **asdict(t)}) + "\n" for t in triples)
+    )
+    return len(triples)

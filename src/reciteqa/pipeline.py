@@ -70,6 +70,7 @@ from .core import (
     serialize,
     stable_hash,
     validate,
+    write_atomic,
 )
 from .evalkit import DEFAULT_PROFILE, NormProfile, plurality_vote
 from .prompting import (
@@ -522,7 +523,7 @@ def run_dataset(
         run_dir.mkdir(parents=True, exist_ok=True)
         records_path = run_dir / "records.jsonl"
         if not resume:
-            records_path.write_text("", encoding="utf-8")
+            write_atomic(records_path, "")
         # A resumed run's log is cut back to its last whole record first.
         log = AppendLog(records_path)
         existing = load_run_records(records_path)

@@ -12,9 +12,10 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
-from .core import REQUIRED, check_fields, json_object, read_lines
+from .core import REQUIRED, data_row, json_object, read_lines, write_atomic
 
 __all__ = [
     "Bm25Params",
@@ -108,34 +109,10 @@ def _weight(index: Bm25Index, idf: float, tf: int, doc_len: int) -> float:
     return idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * doc_len / index.avg_doc_len))
 
 
-def score(index: Bm25Index, query: str, doc_id: str) -> float:
-    """BM25 score of one document for a query; 0 when no query term occurs
-    in the document."""
-    if doc_id not in index.doc_lengths:
-        raise RetrievalError(f"unknown doc id {doc_id!r}")
-    doc_len = index.doc_lengths[doc_id]
-    total = 0.0
-    for term in tokenize(query):
-        entries = index.postings.get(term)
-        if not entries:
-            continue
-        tf = 0
-        for entry_id, entry_tf in entries:
-            if entry_id == doc_id:
-                tf = entry_tf
-                break
-        if tf == 0:
-            continue
-        total += _weight(index, _idf(index, len(entries)), tf, doc_len)
-    return total
-
-
-def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
-    """Best k documents by descending score, ties by ascending doc id;
-    documents scoring 0 are never returned."""
-    if k < 1:
-        raise RetrievalError(f"k must be >= 1, got {k}")
-    accumulator: dict[str, float] = {}
+def _scores(index: Bm25Index, query: str) -> dict[str, float]:
+    """The BM25 score of each document in which a query term occurs, its
+    term weights added in query order."""
+    scores: dict[str, float] = {}
     for term in tokenize(query):
         entries = index.postings.get(term)
         if not entries:
@@ -143,31 +120,44 @@ def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
         idf = _idf(index, len(entries))
         for doc_id, tf in entries:
             weight = _weight(index, idf, tf, index.doc_lengths[doc_id])
-            accumulator[doc_id] = accumulator.get(doc_id, 0.0) + weight
-    ranked = [(doc_id, s) for doc_id, s in accumulator.items() if s > 0.0]
+            scores[doc_id] = scores.get(doc_id, 0.0) + weight
+    return scores
+
+
+def score(index: Bm25Index, query: str, doc_id: str) -> float:
+    """BM25 score of one document for a query; 0 when no query term occurs
+    in the document."""
+    if doc_id not in index.doc_lengths:
+        raise RetrievalError(f"unknown doc id {doc_id!r}")
+    return _scores(index, query).get(doc_id, 0.0)
+
+
+def top_k(index: Bm25Index, query: str, k: int) -> list[tuple[str, float]]:
+    """Best k documents by descending score, ties by ascending doc id;
+    documents scoring 0 are never returned."""
+    if k < 1:
+        raise RetrievalError(f"k must be >= 1, got {k}")
+    ranked = [(doc_id, s) for doc_id, s in _scores(index, query).items() if s > 0.0]
     ranked.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranked[:k]
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    """Persist as line-delimited JSON with a version header."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "doc_count": index.doc_count,
-            "avg_doc_len": index.avg_doc_len,
-            "k1": index.params.k1,
-            "b": index.params.b,
-        }
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for doc_id in sorted(index.doc_lengths):
-            row = {"doc": doc_id, "len": index.doc_lengths[doc_id]}
-            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
-        for term in sorted(index.postings):
-            row = {"term": term, "postings": [list(e) for e in index.postings[term]]}
-            handle.write(json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n")
+    """Replace the file at path whole with line-delimited JSON: a version
+    header, then doc rows and term rows."""
+    header = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "doc_count": index.doc_count,
+        "avg_doc_len": index.avg_doc_len,
+        "k1": index.params.k1,
+        "b": index.params.b,
+    }
+    docs = ({"doc": d, "len": index.doc_lengths[d]} for d in sorted(index.doc_lengths))
+    terms = ({"term": t, "postings": [list(e) for e in p]} for t, p in sorted(index.postings.items()))
+    rows = chain([header], docs, terms)
+    lines = (json.dumps(row, sort_keys=True, ensure_ascii=False) + "\n" for row in rows)
+    write_atomic(Path(path), lines)
 
 
 # The lines of an index file: a header as save_index writes it, then doc
@@ -202,9 +192,7 @@ def load_index(path: str | Path) -> Bm25Index:
             continue
         where = f"{path}:{lineno}"
         row = json_object(line, where, RetrievalError)
-        fields = _DOC_FIELDS if "doc" in row else _TERM_FIELDS
-        known = {key: value for key, value in row.items() if key in fields}
-        row = check_fields(known, fields, where, RetrievalError)
+        row = data_row(row, _DOC_FIELDS if "doc" in row else _TERM_FIELDS, where, RetrievalError)
         if "doc" in row:
             doc_lengths[row["doc"]] = row["len"]
         elif all([type(x) for x in e] == [str, int] for e in row["postings"]):
@@ -222,4 +210,9 @@ def load_index(path: str | Path) -> Bm25Index:
         raise RetrievalError(
             f"header doc_count {index.doc_count} != {len(doc_lengths)} doc rows"
         )
+    # Scoring looks up the length of every document a posting names.
+    for term, entries in postings.items():
+        for doc_id, _ in entries:
+            if doc_id not in doc_lengths:
+                raise RetrievalError(f"{path}: term {term!r} posts unknown doc {doc_id!r}")
     return index

@@ -779,11 +779,13 @@ INDEX_QUERY = ["index", "query", "--index", "idx.jsonl", "--query", "nile"]
          r"idx\.jsonl: "),
         ("idx.jsonl", lambda t: t + '{"term": "nile", "postings": [["x"]]}\n', INDEX_QUERY,
          r"idx\.jsonl:\d+: "),
+        ("idx.jsonl", lambda t: t + '{"term": "nile", "postings": [["x", 1]]}\n', INDEX_QUERY,
+         r"idx\.jsonl: "),
     ],
     ids=[
         "title-holds-hint-delimiter", "torn-passage-line", "passage-row-not-object",
         "passage-row-missing-hint", "passage-paragraph-zero", "truncated-index",
-        "index-header-without-doc-count", "malformed-postings",
+        "index-header-without-doc-count", "malformed-postings", "posting-of-unknown-doc",
     ],
 )
 def test_corrupt_corpus_or_index_exits_3(

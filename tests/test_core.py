@@ -37,6 +37,9 @@ from reciteqa.core import (
 
 import reciteqa
 from reciteqa.evalkit import NormProfile
+from reciteqa.hintcorpus import Corpus, HintedPassage, SyntheticTriple, export_triples
+from reciteqa.prompting import make_hint
+from reciteqa.retrieval import Bm25Index, save_index
 
 from helpers import GOLDEN_DIR, mistyped_record_lines
 
@@ -321,16 +324,79 @@ def test_write_atomic_keeps_the_old_file_when_the_replace_fails(tmp_path, monkey
 
 
 def test_cli_writes_its_files_only_through_write_atomic():
-    # run.json, report.json and the other run-directory files are replaced
-    # whole, so a killed run or analysis never leaves one cut short.
-    tree = ast.parse(Path(reciteqa.__file__).with_name("cli.py").read_text(encoding="utf-8"))
-    writes = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
-        and getattr(node.func, "attr", getattr(node.func, "id", None))
-        in ("open", "write_text", "write_bytes")
+    # core is the one writer of files: write_atomic replaces a whole file,
+    # so a killed run, analysis, build-corpus, index build or gen-questions
+    # never leaves one cut short, and AppendLog appends to the two logs. No
+    # other module, cli among them, opens, writes or truncates a file.
+    def writes(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Attribute) and child.attr == "truncate":
+                yield child.lineno
+            if not isinstance(child, ast.Call):
+                continue
+            name = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if name in ("write_text", "write_bytes"):
+                yield child.lineno
+            modes = [*child.args, *(k.value for k in child.keywords if k.arg == "mode")]
+            if name == "open" and any(
+                isinstance(m, ast.Constant) and isinstance(m.value, str)
+                and re.fullmatch(r"[rwaxbt+]*[wax+][rwaxbt+]*", m.value)
+                for m in modes
+            ):
+                yield child.lineno
+
+    package = Path(reciteqa.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "core":
+            lines = list(writes(ast.parse(path.read_text(encoding="utf-8"))))
+            if lines:
+                found[path.stem] = lines
+    assert found == {}
+
+
+def _passages_file(path: Path, last_text) -> None:
+    passages = [
+        HintedPassage("Page", (), i, text, make_hint("Page", (), i))
+        for i, text in enumerate(["one", last_text], 1)
     ]
-    assert writes == []
+    Corpus(passages).save(path.parent)
+
+
+def _triples_file(path: Path, last_passage) -> None:
+    export_triples(
+        [
+            SyntheticTriple("q one", "Page --- Paragraph #1", "one"),
+            SyntheticTriple("q two", "Page --- Paragraph #2", last_passage),
+        ],
+        path,
+    )
+
+
+def _index_file(path: Path, last_tf) -> None:
+    postings = {"a": (("d1", 1),), "b": (("d1", 1), ("d2", last_tf))}
+    save_index(Bm25Index(2, 2.0, postings, {"d1": 2, "d2": 2}), path)
+
+
+@pytest.mark.parametrize(
+    "name, write, good",
+    [
+        ("passages.jsonl", _passages_file, "two"),
+        ("triples.jsonl", _triples_file, "two"),
+        ("index.jsonl", _index_file, 1),
+    ],
+    ids=["corpus", "triples", "index"],
+)
+def test_a_rewrite_that_fails_midway_keeps_the_old_file(tmp_path, name, write, good):
+    # The last row of the rewrite holds a value JSON cannot serialize, so
+    # it raises after the rows before it are written.
+    path = tmp_path / name
+    write(path, good)
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        write(path, object())
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_json_is_parsed_only_by_json_object_and_two_readers():

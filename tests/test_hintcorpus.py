@@ -14,7 +14,6 @@ from reciteqa.hintcorpus import (
     build_corpus,
     export_triples,
     generate_synthetic_triples,
-    load_triples,
     read_dump,
     read_heading_dump,
 )
@@ -358,18 +357,14 @@ def test_generate_synthetic_isolates_backend_failures():
 
 
 def test_export_round_trip(tmp_path):
+    golden = (GOLDEN_DIR / "corpus_records.jsonl").read_text(encoding="utf-8").split("\n")[1]
     triples = [
-        SyntheticTriple("q one", "Page 1 --- Paragraph #1", "text one"),
+        load_triples_line(golden),
         SyntheticTriple("q two", "Page 2 --- Paragraph #1", "text two"),
     ]
     path = tmp_path / "triples.jsonl"
-    assert export_triples(triples, path) == 2
-    assert load_triples(path) == triples
-
-
-def test_load_triples_not_utf8_names_the_file(tmp_path):
-    path = tmp_path / "triples.jsonl"
-    export_triples([SyntheticTriple("q", "Page 1 --- Paragraph #1", "text")], path)
-    path.write_bytes(b"\xff\xfe" + path.read_bytes())
-    with pytest.raises(CorpusError, match=r"triples\.jsonl:1: not UTF-8 text"):
-        load_triples(path)
+    assert export_triples(iter(triples), path) == 2
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == golden
+    assert lines[2:] == [""]
+    assert [load_triples_line(line) for line in lines[:2]] == triples

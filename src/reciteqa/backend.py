@@ -329,7 +329,8 @@ def check_base_url(base_url: str) -> None:
     if given a numeric port, and a path that a request line can carry:
     ASCII with no space or control character. It takes "/completions" at
     its end, so a query or fragment is refused, and so is a user:password@
-    that would never be sent, without echoing it."""
+    that would never be sent, without echoing it. The host must render as a
+    request renders it, so a non-ASCII host must encode as IDNA."""
     if "@" in base_url.partition("//")[2].partition("/")[0]:
         raise ValueError("base_url must not carry user:password@; the token comes from auth_env")
     try:
@@ -345,6 +346,10 @@ def check_base_url(base_url: str) -> None:
         raise ValueError(
             f"base_url path must be ASCII with no space or control character, got {base_url!r}"
         )
+    try:
+        _route(base_url)
+    except UnicodeError as exc:
+        raise ValueError(f"base_url host must encode as IDNA, got {base_url!r}: {exc}") from None
 
 
 # Caps on one reply line and on a reply's header count, as in http.client.
@@ -452,7 +457,8 @@ def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
     while True:
         if len(line) > _MAX_LINE:
             raise _BadReply(f"a reply line is longer than {_MAX_LINE} bytes")
-        version, code = (line.split(None, 2) + [b""])[:2]
+        # A line of fewer than two fields pads to an empty version or code.
+        version, code = (line.split(None, 2) + [b"", b""])[:2]
         if (
             not version.startswith(b"HTTP/1.")
             or len(code) != 3

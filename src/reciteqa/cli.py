@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -44,6 +45,7 @@ from .evalkit import (
 from .pipeline import (
     SchemeConfig,
     check_exemplar_prompts,
+    config_fingerprint,
     default_answer_params,
     default_recitation_params,
     load_run_records,
@@ -306,6 +308,12 @@ def _pick_exemplars(prompt_set: PromptSet, scheme_cfg: SchemeConfig, dialect: Pr
     return exemplars
 
 
+def _scorer(questions: Sequence, profile: NormProfile) -> partial:
+    """Scores a run record of the questions into its ScoredRecord view, so
+    that the record, with its recitations, can be dropped at once."""
+    return partial(ScoredRecord, by_id={q.id: q for q in questions}, profile=profile)
+
+
 def _write_report(report: EvalReport, out_dir: Path) -> EvalReport:
     write_atomic(
         out_dir / "report.json", json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
@@ -328,26 +336,29 @@ def _execute_run(cfg: RunConfig) -> dict:
 
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    records = list(
-        run_dataset(
-            questions,
-            scheme_cfg,
-            exemplars,
-            backend,
-            hint_exemplars=prompt_set.hint_exemplars,
-            dialect=cfg.dialect,
-            profile=cfg.profile,
-            resume=cfg.resume,
-            run_dir=cfg.run_dir,
-            limit=cfg.limit,
-            max_questions_in_flight=cfg.max_questions_in_flight,
-            max_paths_in_flight=cfg.max_paths_in_flight,
-            clock=clock,
-        )
+    # Each record is scored into its view as the run yields it, then dropped.
+    # Every question passed load_questions, so that cannot raise; an
+    # interrupt that lands in it still closes the run and its queued questions.
+    records = run_dataset(
+        questions,
+        scheme_cfg,
+        exemplars,
+        backend,
+        hint_exemplars=prompt_set.hint_exemplars,
+        dialect=cfg.dialect,
+        profile=cfg.profile,
+        resume=cfg.resume,
+        run_dir=cfg.run_dir,
+        limit=cfg.limit,
+        max_questions_in_flight=cfg.max_questions_in_flight,
+        max_paths_in_flight=cfg.max_paths_in_flight,
+        clock=clock,
     )
+    with closing(records):
+        views = list(map(_scorer(questions, cfg.profile), records))
     finished = time.time()
 
-    report = _write_report(aggregate_report(records, questions, cfg.profile), cfg.run_dir)
+    report = _write_report(aggregate_report(views), cfg.run_dir)
 
     def recorded(path: Path) -> str:
         # run.json names files relative to the run directory, so a run
@@ -366,9 +377,10 @@ def _execute_run(cfg: RunConfig) -> dict:
         **{key: getattr(scheme_cfg, key) for key in SCHEME_FIELDS},
         "normalization": cfg.normalization,
         "backend": backend_info,
-        # aggregate_report refused an empty run, and run_dataset re-emits
-        # only stored records that carry the current fingerprint.
-        "config_fingerprint": records[0].config_fingerprint,
+        # The fingerprint run_dataset stamps on every record it emits.
+        "config_fingerprint": config_fingerprint(
+            scheme_cfg, exemplars, cfg.dialect, prompt_set.hint_exemplars
+        ),
     }
     write_atomic(cfg.run_dir / "run.json", canonical_json(run_info) + "\n")
     # Timings live apart from the byte-reproducible outputs.
@@ -435,14 +447,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     questions = load_questions(run_dir / dataset["path"], dataset["adapter"])
     # Each record is scored into its view as it is read and then dropped,
     # so no recitation of the run stays in memory.
-    to_view = partial(ScoredRecord, by_id={q.id: q for q in questions}, profile=profile)
-    records = list(load_run_records(records_path, to_view).values())
-    if not records:
+    views = list(load_run_records(records_path, _scorer(questions, profile)).values())
+    if not views:
         raise DataError(f"{records_path} holds no records")
     out_dir = Path(args.out) if args.out else run_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    report = _write_report(aggregate_report(records, questions, profile), out_dir)
+    report = _write_report(aggregate_report(views), out_dir)
     category_table = format_category_table(report)
     quadrant_table = format_quadrant_table(report)
     write_atomic(out_dir / "category_table.txt", category_table + "\n")
@@ -453,10 +464,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     curve_path = out_dir / "curve.csv"
     try:
-        curve = path_subsample_curve(
-            records, questions, counts, trials=args.trials, seed=args.curve_seed,
-            profile=profile,
-        )
+        curve = path_subsample_curve(views, counts, trials=args.trials, seed=args.curve_seed)
     except EvalError as exc:
         print(f"skipping subsample curve: {exc}", file=sys.stderr)
         # An earlier analysis's curve would sit beside this report as if it
@@ -541,8 +549,8 @@ def cmd_index_query(args: argparse.Namespace) -> int:
 
 def cmd_seed_sweep(args: argparse.Namespace) -> int:
     seeds = args.seeds
-    if len(seeds) < 2:
-        raise ConfigError("seed sweeps need at least 2 seeds")
+    if len(set(seeds)) < max(len(seeds), 2):
+        raise ConfigError(f"seed sweeps need at least 2 distinct seeds, got {seeds}")
     base_cfg = load_run_config(args.config, None)
     results = []
     for seed in seeds:
@@ -560,9 +568,9 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
         "seeds": seeds,
         "per_seed": results,
         "mean_em": statistics.mean(ems),
-        "std_em": statistics.stdev(ems) if len(ems) > 1 else 0.0,
+        "std_em": statistics.stdev(ems),
         "mean_f1": statistics.mean(f1s),
-        "std_f1": statistics.stdev(f1s) if len(f1s) > 1 else 0.0,
+        "std_f1": statistics.stdev(f1s),
     }
     base_cfg.run_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(base_cfg.run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")

@@ -2,15 +2,15 @@
 per-path error classification, report aggregation, and the path-count
 subsampling analysis.
 
-`aggregate_report` and `path_subsample_curve` score each record's answers
-once. A `ScoredRecord` normalizes each distinct gold alias, path answer and
+`aggregate_report` and `path_subsample_curve` take one `ScoredRecord` view
+per record. A view normalizes each distinct gold alias, path answer and
 voted answer text once per record, under the profile of the question's
 dataset, and normalizes each path's recitations only up to its first gold
-hit. It keeps the keys and hits, not the record, so a caller that builds
-each record's view as the record is read holds no recitation; both scorers
-take such views as they are. The curve re-votes every subset by counting
-the normalized answers and scores each winning key once per record, so a
-trial costs no normalization at all. A path count equal to every record's
+hit. It keeps the keys and hits, not the record, so `reciteqa run` and
+`reciteqa analyze` score each record into its view as the record streams
+in and hold no recitation of the run. The curve re-votes every subset by
+counting the normalized answers and scores each winning key once per
+record, so a trial costs no normalization at all. A path count equal to every record's
 path count picks every path in every trial, so that point is scored in one
 pass and draws no random subsets. Every normalization goes through the
 module attribute `normalize`, looked up at call time, so one replacement of
@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .core import QuestionRecord, RecitationPath, RunRecord
 
@@ -317,8 +317,7 @@ class ScoredRecord:
     The question's gold aliases and the paths' answers are normalized under
     the profile of the question's dataset, each distinct text once. The view
     also holds the stored vote's EM and F1, the question's error category
-    and each path's quadrant, unless it is built with hits=False, which
-    skips the recitations (the curve alone needs none of these).
+    and each path's quadrant.
 
     `vote_score` re-votes on a subset of the paths by counting normalized
     answers; each winning key is scored once, when it first wins.
@@ -332,8 +331,6 @@ class ScoredRecord:
         record: RunRecord,
         by_id: Mapping[str, QuestionRecord],
         profile: NormProfile,
-        *,
-        hits: bool = True,
     ):
         question = by_id.get(record.question_id)
         if question is None:
@@ -359,15 +356,13 @@ class ScoredRecord:
             None if path.failed else key for path, key in zip(record.paths, answer_keys)
         ]
         self._scores: dict[str, tuple[bool, float]] = {}
-        self.voted_score = self.category = self.quadrants = None
-        if hits:
-            self.voted_score = self._score_key(key_of(record.voted_answer))
-            path_hits = [
-                _path_hits(self.norm_golds, path, key, profile)
-                for path, key in zip(record.paths, answer_keys)
-            ]
-            self.category = _category(self.voted_score[0], path_hits)
-            self.quadrants = tuple(_QUADRANT_OF[hit] for hit in path_hits)
+        self.voted_score = self._score_key(key_of(record.voted_answer))
+        path_hits = [
+            _path_hits(self.norm_golds, path, key, profile)
+            for path, key in zip(record.paths, answer_keys)
+        ]
+        self.category = _category(self.voted_score[0], path_hits)
+        self.quadrants = tuple(_QUADRANT_OF[hit] for hit in path_hits)
 
     @property
     def n_paths(self) -> int:
@@ -402,21 +397,6 @@ class ScoredRecord:
         return self._score_key(winner)
 
 
-def _views(
-    run_records: Iterable[RunRecord | ScoredRecord],
-    questions: Iterable[QuestionRecord],
-    profile: NormProfile,
-    hits: bool,
-) -> Iterator[ScoredRecord]:
-    """Each record's view: a ScoredRecord is taken as it is, and a RunRecord
-    is scored against the questions."""
-    by_id = {q.id: q for q in questions}
-    for record in run_records:
-        yield record if isinstance(record, ScoredRecord) else ScoredRecord(
-            record, by_id, profile, hits=hits
-        )
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Aggregate EM/F1 plus error-category and per-path-quadrant fractions.
@@ -437,15 +417,10 @@ class EvalReport:
     n_failed_questions: int = 0
 
 
-def aggregate_report(
-    run_records: Sequence[RunRecord | ScoredRecord],
-    questions: Iterable[QuestionRecord],
-    profile: NormProfile = DEFAULT_PROFILE,
-) -> EvalReport:
-    """Score a run: EM/F1 means and category fractions over questions,
-    quadrant fractions over all paths. A record may come as its
-    ScoredRecord, which is scored as it is."""
-    if not run_records:
+def aggregate_report(views: Sequence[ScoredRecord]) -> EvalReport:
+    """Score a run from its records' views: EM/F1 means and category
+    fractions over questions, quadrant fractions over all paths."""
+    if not views:
         raise EvalError("aggregate_report requires at least one run record")
     em_hits = 0
     f1_total = 0.0
@@ -453,7 +428,7 @@ def aggregate_report(
     quadrant_counts = {q: 0 for q in PathQuadrant}
     n_failed = 0
     path_counts = set()
-    for view in _views(run_records, questions, profile, hits=True):
+    for view in views:
         em, f1 = view.voted_score
         em_hits += int(em)
         f1_total += f1
@@ -465,7 +440,7 @@ def aggregate_report(
         if view.all_failed:
             n_failed += 1
         path_counts.add(view.n_paths)
-    n_questions = len(run_records)
+    n_questions = len(views)
     n_paths = sum(quadrant_counts.values())
     return EvalReport(
         em=em_hits / n_questions,
@@ -505,26 +480,22 @@ def _vote_means(
 
 
 def path_subsample_curve(
-    run_records: Sequence[RunRecord | ScoredRecord],
-    questions: Iterable[QuestionRecord],
+    views: Sequence[ScoredRecord],
     path_counts: Sequence[int],
     trials: int = 5,
     seed: int = 0,
-    profile: NormProfile = DEFAULT_PROFILE,
 ) -> list[CurvePoint]:
-    """Re-vote on random path subsets of each size and report the mean and
-    sample standard deviation of EM/F1 over the trials. A record may come as
-    its ScoredRecord, which is scored as it is; a RunRecord's recitations
-    are not read.
+    """Re-vote on random path subsets of each size, over the records'
+    views, and report the mean and sample standard deviation of EM/F1 over
+    the trials.
 
     Subsets are drawn without replacement per question and kept in canonical
     path order, so the full-size subset reproduces the stored vote exactly.
     """
-    if not run_records:
+    if not views:
         raise EvalError("path_subsample_curve requires at least one run record")
     if trials < 1:
         raise EvalError(f"path_subsample_curve requires at least one trial, got {trials}")
-    views = list(_views(run_records, questions, profile, hits=False))
     stored_k = min(view.n_paths for view in views)
     for count in path_counts:
         if count < 1 or count > stored_k:

@@ -194,22 +194,33 @@ def load_index(path: str | Path) -> Bm25Index:
         row = json_object(line, where, RetrievalError)
         row = data_row(row, _DOC_FIELDS if "doc" in row else _TERM_FIELDS, where, RetrievalError)
         if "doc" in row:
+            if row["len"] < 0:
+                raise RetrievalError(f"{where}: doc {row['doc']!r} has a negative len")
             doc_lengths[row["doc"]] = row["len"]
         elif all([type(x) for x in e] == [str, int] for e in row["postings"]):
             postings[row["term"]] = tuple((d, tf) for d, tf in row["postings"])
         else:
             raise RetrievalError(f"{where}: postings must be [doc, tf] pairs: {line[:80]}")
+    # The header must agree with the doc rows, its average computed as
+    # build_index computes it; scoring divides by that average.
+    doc_count = len(doc_lengths)
+    avg_doc_len = sum(doc_lengths.values()) / doc_count if doc_count else 0.0
+    if header["doc_count"] != doc_count:
+        raise RetrievalError(
+            f"{path}: header doc_count {header['doc_count']} != {doc_count} doc rows"
+        )
+    if header["avg_doc_len"] != avg_doc_len:
+        raise RetrievalError(
+            f"{path}: header avg_doc_len {header['avg_doc_len']!r} != {avg_doc_len!r}, "
+            "the mean of the doc rows' len"
+        )
     index = Bm25Index(
-        doc_count=header["doc_count"],
-        avg_doc_len=header["avg_doc_len"],
+        doc_count=doc_count,
+        avg_doc_len=avg_doc_len,
         postings=postings,
         doc_lengths=doc_lengths,
         params=params,
     )
-    if index.doc_count != len(doc_lengths):
-        raise RetrievalError(
-            f"header doc_count {index.doc_count} != {len(doc_lengths)} doc rows"
-        )
     # Scoring looks up the length of every document a posting names.
     for term, entries in postings.items():
         for doc_id, _ in entries:

@@ -1,6 +1,6 @@
 """Shared test helpers: canonical exemplars matching the golden prompt files,
 helpers for scripting end-to-end recite-and-answer runs, answering one
-question, and a time limit for threaded tests."""
+question, scoring records into views, and a time limit for threaded tests."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from reciteqa.backend import Backend, ScriptedBackend
 from reciteqa.core import (
     PATH_FIELDS, RECORD_FIELDS, REQUIRED, Dataset, Exemplar, QuestionRecord, RunRecord, Scheme,
 )
+from reciteqa.evalkit import DEFAULT_PROFILE, NormProfile, ScoredRecord
 from reciteqa.pipeline import SchemeConfig, run_dataset
 from reciteqa.prompting import DEFAULT_DIALECT, PromptSpec, build_qa_prompt, build_recitation_prompt
 
@@ -84,6 +85,13 @@ def answer_one(
     directory."""
     [record] = run_dataset([question], cfg, exemplars, backend, **kw)
     return record
+
+
+def scored(records, questions, profile: NormProfile = DEFAULT_PROFILE) -> list[ScoredRecord]:
+    """Each run record's view, scored against the questions, as `reciteqa
+    run` and `reciteqa analyze` build them for the report and the curve."""
+    by_id = {q.id: q for q in questions}
+    return [ScoredRecord(record, by_id, profile) for record in records]
 
 
 def within(seconds, fn):

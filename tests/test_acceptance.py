@@ -53,6 +53,7 @@ from helpers import (
     MULTIHOP_EXEMPLAR,
     golden,
     make_question,
+    scored,
     script_recite_run,
 )
 
@@ -140,7 +141,7 @@ def category_fixture(n_questions: int = 200, k: int = 20, seed: int = 11):
 def test_criterion_1_error_category_partition():
     with criterion(1, 5.0, "error categories partition the question set"):
         questions, records, intended = category_fixture()
-        report = aggregate_report(records, questions)
+        report = aggregate_report(scored(records, questions))
         assert sum(report.category_counts.values()) == 200
         assert report.category_counts == intended
         assert abs(sum(report.category_fractions.values()) - 1.0) < 1e-12
@@ -166,7 +167,7 @@ def test_criterion_1_error_category_partition():
 def test_criterion_2_quadrant_partition():
     with criterion(2, 5.0, "per-path quadrants partition all paths"):
         questions, records, _ = category_fixture()
-        report = aggregate_report(records, questions)
+        report = aggregate_report(scored(records, questions))
         assert sum(report.quadrant_counts.values()) == 200 * 20
         assert abs(sum(report.quadrant_fractions.values()) - 1.0) < 1e-12
         rounded = sum(round(100 * f, 2) for f in report.quadrant_fractions.values())
@@ -249,7 +250,7 @@ def test_criterion_5_end_to_end_scripted_runs():
         records = list(
             run_dataset(questions, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
         )
-        report = aggregate_report(records, questions)
+        report = aggregate_report(scored(records, questions))
         assert report.em == 1.0
         assert all(len(r.paths) == 20 for r in records)
         for record, question in zip(records, questions):
@@ -386,7 +387,7 @@ def test_criterion_8_path_subsample_curve():
     with criterion(8, 30.0, "subsample curve is nondecreasing and clears the vote bound"):
         questions, records = vote_curve_fixture()
         points = path_subsample_curve(
-            records, questions, [1, 5, 10, 20], trials=5, seed=0
+            scored(records, questions), [1, 5, 10, 20], trials=5, seed=0
         )
         means = [p.mean_em for p in points]
         assert all(b >= a for a, b in zip(means, means[1:])), means
@@ -452,5 +453,5 @@ def test_criterion_10_live_smoke():
         ]
         cfg = scheme_config(n_paths=3)
         records = list(run_dataset(questions, cfg, EXEMPLARS, backend))
-        report = aggregate_report(records, questions)
+        report = aggregate_report(scored(records, questions))
         assert report.n_questions == 10

@@ -17,14 +17,13 @@ import random
 from reciteqa.core import Dataset, RecitationPath, RunRecord, Scheme
 from reciteqa.evalkit import (
     NormProfile,
-    ScoredRecord,
     aggregate_report,
     path_subsample_curve,
     plurality_vote,
     report_to_dict,
 )
 
-from helpers import GOLDEN_DIR, make_question
+from helpers import GOLDEN_DIR, make_question, scored
 
 GOLDEN_PATH = GOLDEN_DIR / "analyze_report.json"
 N_QUESTIONS = 200
@@ -119,22 +118,15 @@ def build_run(seed: int = 5):
     return questions, records
 
 
-def analyze_outputs(views: bool = False) -> dict:
-    """The report and curves of the synthetic run; with views, both scorers
-    take each record's ScoredRecord, built once, as `reciteqa analyze`
-    passes them."""
+def analyze_outputs() -> dict:
+    """The report and curves of the synthetic run, scored from each
+    record's view as `reciteqa analyze` builds it."""
     questions, records = build_run()
-    if views:
-        by_id = {q.id: q for q in questions}
-        records = [ScoredRecord(record, by_id, PROFILE) for record in records]
-    report = aggregate_report(records, questions, PROFILE)
+    views = scored(records, questions, PROFILE)
+    report = aggregate_report(views)
     curves = {
-        "trials5_seed3": path_subsample_curve(
-            records, questions, CURVE_COUNTS, trials=5, seed=3, profile=PROFILE
-        ),
-        "trials1_seed0": path_subsample_curve(
-            records, questions, (4,), trials=1, seed=0, profile=PROFILE
-        ),
+        "trials5_seed3": path_subsample_curve(views, CURVE_COUNTS, trials=5, seed=3),
+        "trials1_seed0": path_subsample_curve(views, (4,), trials=1, seed=0),
     }
     return {
         "report": report_to_dict(report),
@@ -159,12 +151,6 @@ def test_analyze_outputs_match_golden():
     got = json.loads(json.dumps(analyze_outputs()))
     assert got["report"] == want["report"]
     assert got["curves"] == want["curves"]
-
-
-def test_prebuilt_views_match_golden():
-    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    got = json.loads(json.dumps(analyze_outputs(views=True)))
-    assert got == want
 
 
 def test_golden_run_covers_the_edge_cases():

@@ -1004,7 +1004,10 @@ def test_http_dropping_the_backend_closes_its_idle_connections(local_server):
 
 @pytest.mark.parametrize(
     "base_url",
-    ["ftp://h/v1", "localhost:8000", "http://", "http://h:x", "http://h/v 1", "http://h/v\u00e9"],
+    [
+        "ftp://h/v1", "localhost:8000", "http://", "http://h:x", "http://h/v 1",
+        "http://h/v\u00e9", "http://\u00fc..de/v1",
+    ],
 )
 def test_http_rejects_a_base_url_that_is_not_http(base_url):
     with pytest.raises(ValueError):
@@ -1208,6 +1211,8 @@ FRAMING_FAULTS = {
     "long-header-line": raw_reply(b"X-Long: " + b"a" * 65536, b"Content-Length: 0", body=b""),
     "101-headers": raw_reply(*[b"X-H: 1"] * 100, b"Content-Length: 0", body=b""),
     "closed-in-headers": b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+    "blank-status-line": b"\r\n",
+    "closed-after-interim": b"HTTP/1.1 100 Continue\r\n\r\n",
 }
 
 

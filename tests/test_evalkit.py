@@ -31,7 +31,7 @@ from reciteqa.evalkit import (
     token_f1,
 )
 
-from helpers import DATA_DIR, make_question
+from helpers import DATA_DIR, make_question, scored
 from oracles.normalize_oracle import oracle_normalize
 
 
@@ -350,7 +350,7 @@ def fixture_questions_and_runs():
 
 def test_aggregate_all_correct():
     questions, runs = fixture_questions_and_runs()
-    report = aggregate_report(runs, questions)
+    report = aggregate_report(scored(runs, questions))
     assert report.em == 1.0
     assert report.category_fractions[ErrorCategory.HITS_AT_MAJORITY] == 1.0
     assert report.n_questions == 4
@@ -359,7 +359,7 @@ def test_aggregate_all_correct():
 
 def test_aggregate_fractions_partition():
     questions, runs = fixture_questions_and_runs()
-    report = aggregate_report(runs, questions)
+    report = aggregate_report(scored(runs, questions))
     assert sum(report.category_counts.values()) == report.n_questions
     assert abs(sum(report.category_fractions.values()) - 1.0) < 1e-12
     assert sum(report.quadrant_counts.values()) == 12
@@ -369,19 +369,19 @@ def test_aggregate_fractions_partition():
 def test_aggregate_f1_dominates_em():
     questions = [make_question("q0", "q", ("alpha beta",))]
     runs = [make_run("q0", ["alpha"])]
-    report = aggregate_report(runs, questions)
+    report = aggregate_report(scored(runs, questions))
     assert report.f1 >= report.em
 
 
 def test_aggregate_unknown_question_id():
     _, runs = fixture_questions_and_runs()
     with pytest.raises(EvalError):
-        aggregate_report(runs, [])
+        aggregate_report(scored(runs, []))
 
 
 def test_tables_render():
     questions, runs = fixture_questions_and_runs()
-    report = aggregate_report(runs, questions)
+    report = aggregate_report(scored(runs, questions))
     assert "Hits@Majority" in format_category_table(report)
     assert "100.00%" in format_category_table(report)
     assert "fraction" in format_quadrant_table(report)
@@ -405,22 +405,22 @@ def subsample_fixture(n_questions=30, k=8, p_correct=0.75, seed=3):
 
 def test_subsample_full_count_has_zero_std():
     questions, runs = subsample_fixture()
-    points = path_subsample_curve(runs, questions, [8], trials=5, seed=0)
+    points = path_subsample_curve(scored(runs, questions), [8], trials=5, seed=0)
     assert points[0].std_em == 0.0
     assert points[0].std_f1 == 0.0
 
 
 def test_subsample_full_count_matches_stored_vote():
     questions, runs = subsample_fixture()
-    report = aggregate_report(runs, questions)
-    points = path_subsample_curve(runs, questions, [8], trials=2, seed=1)
+    report = aggregate_report(scored(runs, questions))
+    points = path_subsample_curve(scored(runs, questions), [8], trials=2, seed=1)
     assert points[0].mean_em == pytest.approx(report.em)
 
 
 def test_subsample_deterministic():
     questions, runs = subsample_fixture()
-    first = path_subsample_curve(runs, questions, [1, 4, 8], trials=5, seed=42)
-    second = path_subsample_curve(runs, questions, [1, 4, 8], trials=5, seed=42)
+    first = path_subsample_curve(scored(runs, questions), [1, 4, 8], trials=5, seed=42)
+    second = path_subsample_curve(scored(runs, questions), [1, 4, 8], trials=5, seed=42)
     assert first == second
 
 
@@ -428,22 +428,22 @@ def test_subsample_deterministic():
 def test_subsample_rejects_fewer_than_one_trial(trials):
     questions, runs = subsample_fixture()
     with pytest.raises(EvalError):
-        path_subsample_curve(runs, questions, [1], trials=trials)
+        path_subsample_curve(scored(runs, questions), [1], trials=trials)
 
 
 def test_subsample_unknown_question_id():
     _, runs = subsample_fixture()
     with pytest.raises(EvalError):
-        path_subsample_curve(runs, [], [1])
+        path_subsample_curve(scored(runs, []), [1])
 
 
 def test_report_and_subsample_reject_a_question_without_golds():
     questions = [make_question("q0", "q", ())]
     runs = [make_run("q0", ["alpha", "beta"])]
     with pytest.raises(EvalError):
-        aggregate_report(runs, questions)
+        aggregate_report(scored(runs, questions))
     with pytest.raises(EvalError):
-        path_subsample_curve(runs, questions, [1])
+        path_subsample_curve(scored(runs, questions), [1])
 
 
 def test_subsample_scores_each_distinct_answer_once(monkeypatch):
@@ -456,7 +456,7 @@ def test_subsample_scores_each_distinct_answer_once(monkeypatch):
         return real(text, profile)
 
     monkeypatch.setattr(evalkit, "normalize", counted)
-    path_subsample_curve(runs, questions, [1, 2, 4, 8], trials=5, seed=0)
+    path_subsample_curve(scored(runs, questions), [1, 2, 4, 8], trials=5, seed=0)
     # Per record: one gold, eight answers, and one scoring per distinct
     # answer ("gold i" and "wrong" at most), however many trials vote.
     assert len(calls) <= 5 * (1 + 8 + 2)
@@ -485,7 +485,7 @@ def test_report_normalizes_each_distinct_answer_once_per_record(monkeypatch):
         answers = [f"Gold {i}", f"gold {i}", f"Gold {i}", f"rome {i}", f"Gold {i}", f"rome {i}"]
         runs.append(make_run(f"q{i}", answers))
     calls = count_normalize(monkeypatch)
-    report = aggregate_report(runs, questions)
+    report = aggregate_report(scored(runs, questions))
     assert report.em == 1.0
     expected = {text for i in range(3) for text in (f"gold {i}", f"Gold {i}", f"rome {i}")}
     assert calls == dict.fromkeys(expected, 1)
@@ -507,9 +507,9 @@ def count_samples(monkeypatch) -> list[int]:
 def test_subsample_full_count_draws_no_subsets(monkeypatch):
     questions, runs = subsample_fixture(k=8)
     samples = count_samples(monkeypatch)
-    [point] = path_subsample_curve(runs, questions, [8], trials=5, seed=0)
+    [point] = path_subsample_curve(scored(runs, questions), [8], trials=5, seed=0)
     assert samples == []
-    assert point.mean_em == aggregate_report(runs, questions).em
+    assert point.mean_em == aggregate_report(scored(runs, questions)).em
     assert point.std_em == point.std_f1 == 0.0
 
 
@@ -517,7 +517,7 @@ def test_subsample_draws_when_a_record_has_more_paths_than_the_count(monkeypatch
     questions, runs = subsample_fixture(k=8)
     runs[0] = make_run("q0", [p.extracted_answer for p in runs[0].paths] + ["wrong"])
     samples = count_samples(monkeypatch)
-    path_subsample_curve(runs, questions, [8], trials=5, seed=0)
+    path_subsample_curve(scored(runs, questions), [8], trials=5, seed=0)
     assert samples == [8] * (5 * len(runs))
 
 
@@ -526,7 +526,7 @@ def test_report_and_curve_normalize_through_the_module_attribute(monkeypatch):
     # attribute; a local alias or an inlined copy would bypass its counter.
     questions = [make_question(f"q{i}", "q", ("paris",)) for i in range(3)]
     runs = [make_run(f"q{i}", ["rome", "rome", "oslo"], ("Nothing relevant.",)) for i in range(3)]
-    assert aggregate_report(runs, questions).em == 0.0
+    assert aggregate_report(scored(runs, questions)).em == 0.0
     seen = set()
 
     def constant(text, profile=evalkit.DEFAULT_PROFILE):
@@ -534,21 +534,21 @@ def test_report_and_curve_normalize_through_the_module_attribute(monkeypatch):
         return "same"
 
     monkeypatch.setattr(evalkit, "normalize", constant)
-    report = aggregate_report(runs, questions)
+    views = scored(runs, questions)
+    report = aggregate_report(views)
     assert report.em == report.f1 == 1.0
     assert report.category_counts[ErrorCategory.HITS_AT_MAJORITY] == 3
     assert report.quadrant_counts[PathQuadrant.RECIT_HIT_ANSWER_HIT] == 9
-    assert seen == {"paris", "rome", "oslo", "Nothing relevant."}
-    seen.clear()
-    [point] = path_subsample_curve(runs, questions, [1], trials=3)
+    [point] = path_subsample_curve(views, [1], trials=3)
     assert point.mean_em == point.mean_f1 == 1.0
-    assert seen <= {"paris", "rome", "oslo"} and "paris" in seen
+    # Building the views normalized every text, under the patch.
+    assert seen == {"paris", "rome", "oslo", "Nothing relevant."}
 
 
 def test_subsample_rejects_excessive_count():
     questions, runs = subsample_fixture(k=4)
     with pytest.raises(EvalError):
-        path_subsample_curve(runs, questions, [5])
+        path_subsample_curve(scored(runs, questions), [5])
 
 
 def test_subsample_single_path_mean_near_path_accuracy():
@@ -559,6 +559,6 @@ def test_subsample_single_path_mean_near_path_accuracy():
         sum(1 for p in r.paths if p.extracted_answer.startswith("gold")) / len(r.paths)
         for r in runs
     ) / len(runs)
-    points = path_subsample_curve(runs, questions, [1], trials=10, seed=5)
+    points = path_subsample_curve(scored(runs, questions), [1], trials=10, seed=5)
     sigma = (per_path * (1 - per_path) / 200) ** 0.5
     assert abs(points[0].mean_em - per_path) < 3 * sigma + 0.02

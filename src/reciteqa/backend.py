@@ -144,9 +144,10 @@ def cache_key(backend_id: str, request: GenerationRequest) -> str:
     Sorted keys put "prompt" last, so the hashed bytes are a head, the
     canonical JSON of the other three fields up to its closing brace and
     then ',"prompt":', followed by the JSON-escaped prompt and "}". Each
-    head is rendered once per run. CachingBackend.generate_batch escapes
-    and hashes the prefix its prompts share once per batch shape; this
-    function is the reference its keys equal."""
+    head is rendered once per run. CachingBackend.generate_batch hashes a
+    prompt prefix shared by the requests of a whole run once per head, and
+    each request's prompt past it; this function is the reference its keys
+    equal."""
     return hashlib.sha256(
         _key_head(backend_id, request.params, request.n_samples) + _prompt_tail(request.prompt)
     ).hexdigest()
@@ -764,6 +765,10 @@ class HttpBackend(Backend):
         return GenerationResult(texts=tuple(texts), meta=meta)
 
 
+# The most key heads a CachingBackend remembers a shared prompt prefix for;
+# past it, the head remembered first is dropped.
+_MAX_PREFIX_HEADS = 256
+
 # One line of the generation cache.
 _CACHE_LINE_FIELDS = {"key": (str, REQUIRED), "texts": ([str], REQUIRED), "meta": (dict, {})}
 
@@ -803,6 +808,11 @@ class CachingBackend(Backend):
         # does not hash them again. Equal requests have equal keys, so
         # concurrent batches that share a request cannot disagree.
         self._miss_keys: dict[GenerationRequest, str] = {}
+        # Per key head, (text, state): a prefix of the prompts keyed under
+        # that head, and the SHA-256 state after the head and that prefix's
+        # escape. An entry is replaced, never changed, and its state only
+        # copied, so keys are computed from it without the lock.
+        self._prefixes: dict[bytes, tuple[str, "hashlib._Hash"]] = {}
         self._log = None  # until the file opens; each store tries again
         try:
             self._log = AppendLog(self._path)
@@ -853,32 +863,13 @@ class CachingBackend(Backend):
         """Backend.generate_batch, with the hits answered first on the
         calling thread and every hit read under one lock. Only the misses
         go through Backend.generate_batch, as lanes, to generate; an all-hit
-        batch submits nothing to the executor.
-
-        The batch's distinct prompts share a prefix, the common prefix of
-        the least and the greatest of them. That prefix is escaped once,
-        and it is hashed once per distinct params and n_samples, after their
-        head, which is rendered once per run. Each key extends a copy of
-        that hasher state by its prompt's escaped remainder."""
+        batch submits nothing to the executor. _keys says how the keys are
+        computed."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         if not requests_list:
             return []
-        prompts = {request.prompt for request in requests_list}
-        low = min(prompts)
-        shared = _shared_length(low, max(prompts))
-        prefix = _escaped(low[:shared])[:-1]
-        remainders = {prompt: _escaped(prompt[shared:])[1:] + b"}" for prompt in prompts}
-        states = {}
-        keys = []
-        for request in requests_list:
-            shape = (request.params, request.n_samples)
-            state = states.get(shape)
-            if state is None:
-                state = states[shape] = hashlib.sha256(_key_head(self.backend_id, *shape) + prefix)
-            hasher = state.copy()
-            hasher.update(remainders[request.prompt])
-            keys.append(hasher.hexdigest())
+        keys = self._keys(requests_list)
         results: list[GenerationResult | BackendError | None] = [None] * len(keys)
         misses = []
         with self._lock:
@@ -901,3 +892,44 @@ class CachingBackend(Backend):
         for i, outcome in zip(misses, outcomes):
             results[i] = outcome
         return results
+
+    def _keys(self, requests_list: Sequence[GenerationRequest]) -> list[str]:
+        """The cache_key of each request.
+
+        Each key copies the state remembered for its key head, the SHA-256
+        state after the head and the escape of a prefix of the prompt, and
+        hashes the escape of the rest of its prompt. So a run's few-shot
+        block is hashed once per head, not once per request. A head seen for
+        the first time remembers its whole prompt; a prompt that does not
+        start with the remembered prefix replaces it by the prefix the two
+        share, which is hashed again. Two prompt families under one head
+        shrink it to their common prefix, and each key then hashes its
+        prompt past that prefix, at most what cache_key hashes."""
+        keys = []
+        # The last prefix remembered and its escape less the closing quote,
+        # and the last prompt, prefix and escaped tail keyed: a sampling
+        # batch repeats one prompt under many heads, and each is escaped once.
+        seeded = ("", b'"')
+        last = ("", None, b"")
+        for request in requests_list:
+            prompt = request.prompt
+            head = _key_head(self.backend_id, request.params, request.n_samples)
+            remembered = self._prefixes.get(head)
+            if remembered is None or not prompt.startswith(remembered[0]):
+                text = prompt
+                if remembered is not None:
+                    text = prompt[: _shared_length(remembered[0], prompt)]
+                if text != seeded[0]:
+                    seeded = (text, _escaped(text)[:-1])
+                remembered = (text, hashlib.sha256(head + seeded[1]))
+                with self._lock:
+                    if head not in self._prefixes and len(self._prefixes) >= _MAX_PREFIX_HEADS:
+                        del self._prefixes[next(iter(self._prefixes))]
+                    self._prefixes[head] = remembered
+            text, state = remembered
+            if (prompt, text) != last[:2]:
+                last = (prompt, text, _escaped(prompt[len(text):])[1:] + b"}")
+            hasher = state.copy()
+            hasher.update(last[2])
+            keys.append(hasher.hexdigest())
+        return keys

@@ -263,6 +263,18 @@ def load_run_config(path: str | Path, overrides: argparse.Namespace | None = Non
         raise ConfigError(f"{path}: dataset file {cfg.dataset_path} does not exist")
     if not cfg.prompt_set.is_dir():
         raise ConfigError(f"{path}: prompt set {cfg.prompt_set} does not exist")
+    # The run creates run_dir, and every directory above it, before its
+    # first cache append.
+    if cfg.cache is not None and (
+        cfg.cache.is_dir()
+        or not (
+            cfg.cache.parent.is_dir()
+            or cfg.run_dir.resolve().is_relative_to(cfg.cache.parent.resolve())
+        )
+    ):
+        raise ConfigError(
+            f"{path}: cache {cfg.cache} is not a file in a directory that exists or holds run_dir"
+        )
     return cfg
 
 

@@ -48,7 +48,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -159,6 +159,14 @@ class SchemeConfig:
         for name in ("recitation_params", "answer_params"):
             issues.extend(f"{name}: {issue}" for issue in validate(getattr(self, name)))
         return issues
+
+    @cached_property
+    def sample_params(self) -> tuple[SamplingParams, ...]:
+        """The params of a question's sampled requests, each with its own
+        derived seed: n_hints of them under diversified_recite, otherwise
+        n_paths. Derived once per config, not once per question."""
+        n = self.n_hints if self.scheme is Scheme.DIVERSIFIED_RECITE else self.n_paths
+        return tuple(derived_params(self.recitation_params, i) for i in range(n))
 
 
 def config_fingerprint(
@@ -318,12 +326,8 @@ def _answer(
     except PromptError as exc:
         return record([_failed_path((), exc)])
 
-    def _sample(prompt: str, n: int) -> list[GenerationResult | BackendError]:
-        requests_list = [
-            GenerationRequest(prompt, derived_params(cfg.recitation_params, i), 1)
-            for i in range(n)
-        ]
-        return dispatch(requests_list)
+    def _sample(prompt: str) -> list[GenerationResult | BackendError]:
+        return dispatch([GenerationRequest(prompt, params, 1) for params in cfg.sample_params])
 
     def _answer_paths(
         entries: Sequence[tuple[str, ...] | RecitationPath],
@@ -363,12 +367,12 @@ def _answer(
         paths = _answer_paths([()])
     elif scheme is Scheme.CHAIN_OF_THOUGHT:
         # Rationales are final: the answer follows the anchor phrase.
-        paths = [_path((), outcome, cfg) for outcome in _sample(sample_prompt, cfg.n_paths)]
+        paths = [_path((), outcome, cfg) for outcome in _sample(sample_prompt)]
     elif scheme is Scheme.DIVERSIFIED_RECITE:
         # Sample hints, dedup them, greedily expand each unique hint into a
         # passage, then answer once from all passages as a single context.
         sampled_hints = []
-        for outcome in _sample(sample_prompt, cfg.n_hints):
+        for outcome in _sample(sample_prompt):
             if isinstance(outcome, BackendError):
                 continue
             hint = first_line(outcome.texts[0])
@@ -408,7 +412,7 @@ def _answer(
             paths = [replace(paths[0], backend_meta=meta)]
     else:
         entries = []
-        for outcome in _sample(sample_prompt, cfg.n_paths):
+        for outcome in _sample(sample_prompt):
             if isinstance(outcome, BackendError):
                 entries.append(_failed_path((), outcome))
             elif scheme is Scheme.RECITE_ANSWER:

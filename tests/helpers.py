@@ -4,10 +4,13 @@ question, scoring records into views, and a time limit for threaded tests."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
+from reciteqa import backend as backend_module
 from reciteqa.backend import Backend, ScriptedBackend
 from reciteqa.core import (
     PATH_FIELDS, RECORD_FIELDS, REQUIRED, Dataset, Exemplar, QuestionRecord, RunRecord, Scheme,
@@ -92,6 +95,33 @@ def scored(records, questions, profile: NormProfile = DEFAULT_PROFILE) -> list[S
     run` and `reciteqa analyze` build them for the report and the curve."""
     by_id = {q.id: q for q in questions}
     return [ScoredRecord(record, by_id, profile) for record in records]
+
+
+def count_sha256_input(monkeypatch) -> list[int]:
+    """Route the backend module's SHA-256 through a shim; the list it
+    returns gets the length of every piece of input SHA-256 is fed."""
+    fed = []
+
+    class Counted:
+        def __init__(self, state):
+            self.state = state
+
+        def copy(self):
+            return Counted(self.state.copy())
+
+        def update(self, data):
+            fed.append(len(data))
+            self.state.update(data)
+
+        def hexdigest(self):
+            return self.state.hexdigest()
+
+    def sha256(data=b""):
+        fed.append(len(data))
+        return Counted(hashlib.sha256(data))
+
+    monkeypatch.setattr(backend_module, "hashlib", SimpleNamespace(sha256=sha256))
+    return fed
 
 
 def within(seconds, fn):

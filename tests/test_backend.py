@@ -41,7 +41,7 @@ from reciteqa.backend import (
 from reciteqa.core import SamplingParams, Strategy, canonical_json, params_to_dict
 from reciteqa.pipeline import default_recitation_params
 
-from helpers import CountingBackend, within
+from helpers import CountingBackend, count_sha256_input, within
 
 
 def greedy(max_tokens=32, stops=()) -> SamplingParams:
@@ -606,20 +606,33 @@ def test_cache_batch_escapes_a_shared_prompt_once_and_keys_each_request(
 
     monkeypatch.setattr(backend_module, "_escaped", counting_escape)
     path = tmp_path / "cache.jsonl"
+    few_shot = "Recite: \"x\"\u2028\n\n"
     inner = ScriptedBackend()
-    inner.register("Recite: \"x\"\u2028", [f"r{i}" for i in range(5)])
-    requests = [GenerationRequest("Recite: \"x\"\u2028", sampled(seed=i)) for i in range(5)]
     cached = CachingBackend(inner, path)
-    results = cached.generate_batch(requests, max_in_flight=2, executor=pool)
-    # Once for the batch's keys, as the prefix shared by its one distinct
-    # prompt, with the empty remainder; the misses do not compute their
-    # keys again.
-    assert escaped == [requests[0].prompt, ""]
-    assert [r.texts for r in results] == [(f"r{i}",) for i in range(5)]
+    asked = []
+
+    def ask(question):
+        prompt = few_shot + question
+        inner.register(prompt, [f"{question}:r{i}" for i in range(5)])
+        requests = [GenerationRequest(prompt, sampled(seed=i)) for i in range(5)]
+        escaped.clear()
+        results = cached.generate_batch(requests, max_in_flight=2, executor=pool)
+        assert [r.texts for r in results] == [(f"{question}:r{i}",) for i in range(5)]
+        asked.extend(requests)
+        return list(escaped)
+
+    # The first two questions leave each seed's key head with the prefix
+    # every prompt shares, "Q: " after the few-shot block.
+    ask("Q: one")
+    ask("Q: two")
+    # A later question's batch escapes only its one prompt's tail, once;
+    # its misses do not compute their keys again.
+    assert ask("Q: three") == ["three"]
+    assert ask("Q: four") == ["four"]
     stored = stored_keys(path)
     monkeypatch.undo()
-    assert sorted(stored) == sorted(cache_key("scripted", r) for r in requests)
-    assert len(set(stored)) == len(requests)
+    assert sorted(stored) == sorted(cache_key("scripted", r) for r in asked)
+    assert len(set(stored)) == len(asked)
 
 
 def test_cache_batch_renders_no_head_again_for_shapes_already_keyed(
@@ -683,6 +696,138 @@ def test_cache_batch_keys_equal_cache_key(backend_id, prefix, suffixes, picks):
         results = cached.generate_batch(requests, max_in_flight=2, executor=RefusingExecutor())
     assert [r.texts for r in results] == [(k,) for k in keys]
     assert all(r.cache_hit for r in results)
+
+
+# Key shapes for the batch sequences below; the last two are equal params
+# that render differently, so their keys differ.
+SEQUENCE_SHAPES = [
+    (greedy(), 1),
+    (greedy(stops=("\n",)), 1),
+    (sampled(seed=1), 1),
+    (sampled(seed=1), 3),
+    (SamplingParams(strategy=Strategy.TOP_K, k=40, temperature=1, seed=2, max_tokens=32), 1),
+    (SamplingParams(strategy=Strategy.TOP_K, k=40, temperature=1.0, seed=2, max_tokens=32), 1),
+]
+
+
+def run_batches_against_reference_keys(backend_id, sequence, threads):
+    """Run a sequence of batches through one CachingBackend whose cache
+    holds every reference key, each answering with itself, from `threads`
+    threads at once, each starting at another batch; every result must be
+    its request's cache_key, so a batch key that differs fails."""
+    inner = FlakyBackend()
+    inner.backend_id = backend_id
+    want = [[(cache_key(backend_id, r),) for r in batch] for batch in sequence]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        keys = {key for batch in want for (key,) in batch}
+        path.write_text(
+            "".join(canonical_json({"key": k, "texts": [k]}) + "\n" for k in keys),
+            encoding="utf-8",
+        )
+        cached = CachingBackend(inner, path)
+
+        def run(shift):
+            order = list(range(shift, len(sequence))) + list(range(shift))
+            return [
+                (i, cached.generate_batch(sequence[i], 2, executor=RefusingExecutor()))
+                for i in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(threads) as workers:
+                shifts = [t % len(sequence) for t in range(threads)]
+                runs = within(30, lambda: list(workers.map(run, shifts)))
+        finally:
+            sys.setswitchinterval(interval)
+            cached.close()
+    for outcomes in runs:
+        for i, results in outcomes:
+            assert [r.texts for r in results] == want[i]
+            assert all(r.cache_hit for r in results)
+    return cached
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@settings(max_examples=100, deadline=None)
+@given(
+    shared=TRICKY_TEXT,
+    families=st.lists(TRICKY_TEXT, min_size=2, max_size=2),
+    tails=st.lists(TRICKY_TEXT, min_size=1, max_size=4),
+    batches=st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 5)),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_cache_keys_of_a_sequence_of_batches_equal_cache_key(
+    threads, shared, families, tails, batches
+):
+    # Prompts share a block, then come from two families, so a head's
+    # remembered prefix holds or shrinks as the batches alternate.
+    sequence = [
+        [
+            GenerationRequest(shared + families[f] + tails[t % len(tails)], *SEQUENCE_SHAPES[s])
+            for f, t, s in batch
+        ]
+        for batch in batches
+    ]
+    run_batches_against_reference_keys("sequence-keys", sequence, threads)
+
+
+def test_cache_remembers_a_bounded_number_of_key_heads():
+    few_shot = "Q: a\nA: b\n\n"
+    sequence = [
+        [GenerationRequest(few_shot + f"Q: {q}\nA:", sampled(seed=seed)) for q in "xy"]
+        for seed in range(backend_module._MAX_PREFIX_HEADS + 10)
+    ]
+    cached = run_batches_against_reference_keys("bounded-heads", sequence + sequence[:3], 1)
+    assert len(cached._prefixes) == backend_module._MAX_PREFIX_HEADS
+
+
+def test_cache_keys_past_a_shrunk_prefix_feed_sha256_at_most_what_cache_key_does(
+    tmp_path, monkeypatch, pool
+):
+    # Two prompt families under one key head shrink its remembered prefix to
+    # the "Q" they share. A later batch of one family's prompts is then
+    # hashed from there, one prompt at a time: each key feeds SHA-256 its
+    # prompt past "Q", less than cache_key hashes, though more in all than
+    # hashing the batch's shared "Q: few-shot" block once would.
+    fed = count_sha256_input(monkeypatch)
+    cached = CachingBackend(FlakyBackend(), tmp_path / "cache.jsonl")
+    families = ["Q: few-shot\n\n", "Quite another block\n\n"]
+    for block in families + families:
+        cached.generate_batch([GenerationRequest(block + "Q: x", greedy())], 1, executor=pool)
+    fed.clear()
+    batch = [GenerationRequest(families[0] + f"Q: {q}", greedy()) for q in ("one", "two", "3")]
+    results = cached.generate_batch(batch, 2, executor=pool)
+    monkeypatch.undo()
+    assert [r.texts for r in results] == [(f"echo:{r.prompt}",) for r in batch]
+    whole = [len(_key_payload("flaky", r)) for r in batch]
+    assert fed == [len(json.dumps(r.prompt[1:]).encode()) for r in batch]
+    assert all(n < w for n, w in zip(fed, whole))
+    assert sorted(stored_keys(tmp_path / "cache.jsonl")) == sorted(
+        {cache_key("flaky", r) for r in batch}
+        | {cache_key("flaky", GenerationRequest(b + "Q: x", greedy())) for b in families}
+    )
+
+
+def _key_payload(backend_id, request):
+    """The bytes cache_key hashes."""
+    return canonical_json(
+        {
+            "backend": backend_id,
+            "n_samples": request.n_samples,
+            "params": params_to_dict(request.params),
+            "prompt": request.prompt,
+        }
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,35 @@ def test_run_invalid_config_exits_1_before_writing(workspace, capsys, overrides)
     assert not (workspace / "runs").exists()
 
 
+@pytest.mark.parametrize("cache", ["nodir/cache.jsonl", "prompts"], ids=["no-dir", "a-dir"])
+def test_run_refuses_a_cache_it_could_not_append_to(workspace, capsys, cache):
+    bad = write_config(workspace / "bad.json", workspace, cache=cache)
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {bad}: cache {workspace / cache} " in err
+    assert not (workspace / "runs").exists()
+    assert not (workspace / "nodir").exists()
+
+
+@pytest.mark.parametrize(
+    "cache, run_dir",
+    [
+        ("runs/main/cache.jsonl", None),
+        ("runs/main/cache.jsonl", "runs/main"),
+        ("runs/cache.jsonl", "runs/exp1"),
+    ],
+    ids=["in-run-dir", "in-run-dir-flag", "ancestor-of-run-dir"],
+)
+def test_run_keeps_a_cache_in_a_directory_the_run_creates(workspace, monkeypatch, cache, run_dir):
+    # The config and cache paths stay relative, while --run-dir is made
+    # absolute from the working directory.
+    monkeypatch.chdir(workspace)
+    write_config(workspace / "cached.json", workspace, cache=cache)
+    argv = ["run", "--config", "cached.json"] + (["--run-dir", run_dir] if run_dir else [])
+    assert main(argv) == EXIT_OK
+    assert len((workspace / cache).read_text().splitlines()) > 0
+
+
 @pytest.mark.parametrize(
     "base_url",
     [

@@ -749,7 +749,7 @@ def _outcome(check):
 
 
 @given(st.lists(path_items(), max_size=4))
-@settings(max_examples=400)
+@settings(max_examples=400, deadline=None)
 def test_an_array_of_paths_checks_as_each_path_on_its_own(items):
     # The array check takes a flat pass over each item; the walk of each
     # item, named by its index, is the reference for value and message.

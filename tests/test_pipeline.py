@@ -10,7 +10,10 @@ import pytest
 from reciteqa.backend import (
     Backend, CachingBackend, GenerationRequest, MalformedResponse, ScriptedBackend, prompt_key,
 )
-from reciteqa.core import Dataset, Exemplar, Scheme, deserialize, serialize, validate
+from reciteqa.core import (
+    Dataset, Exemplar, Scheme, Strategy, canonical_json, deserialize, params_to_dict, serialize,
+    validate,
+)
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
     SchemeConfig,
@@ -44,6 +47,7 @@ from helpers import (
     MULTIHOP_EXEMPLAR,
     CountingBackend,
     answer_one,
+    count_sha256_input,
     make_question,
     script_recite_run,
     within,
@@ -970,6 +974,50 @@ def test_run_dataset_sends_cache_misses_through_the_traced_methods(monkeypatch, 
     assert again == record
     assert calls == {"generate_batch": 2, "generate": 6}
     assert inner.calls == 6
+
+
+def test_later_questions_of_a_cached_run_feed_sha256_only_their_prompt_tails(
+    monkeypatch, tmp_path
+):
+    questions, cfg, scripted = dataset_fixture(6, n_paths=20)
+    path = tmp_path / "cache.jsonl"
+    run = dict(max_questions_in_flight=1, max_paths_in_flight=2, clock=ZERO_CLOCK)
+    warm = list(run_dataset(questions, cfg, EXEMPLARS, CachingBackend(scripted, path), **run))
+    fed = count_sha256_input(monkeypatch)
+    batches = []
+    keyed = CachingBackend.generate_batch
+
+    def recorded(self, requests_list, *args, **kwargs):
+        batches.append(requests_list)
+        return keyed(self, requests_list, *args, **kwargs)
+
+    monkeypatch.setattr(CachingBackend, "generate_batch", recorded)
+    cache = CachingBackend(CountingBackend(scripted), path)
+    # The first two questions leave each key head the prefix all share.
+    assert list(run_dataset(questions[:2], cfg, EXEMPLARS, cache, **run)) == warm[:2]
+    fed.clear()
+    batches.clear()
+    assert list(run_dataset(questions[2:], cfg, EXEMPLARS, cache, **run)) == warm[2:]
+    assert cache.inner.calls == 0
+    # Each of a question's K recitation requests has a key head of its own,
+    # so keying the prefix once per batch hashed every one of their
+    # payloads whole.
+    whole = sum(
+        len(
+            canonical_json(
+                {
+                    "backend": "scripted",
+                    "n_samples": r.n_samples,
+                    "params": params_to_dict(r.params),
+                    "prompt": r.prompt,
+                }
+            ).encode("utf-8")
+        )
+        for batch in batches
+        for r in batch
+        if r.params.strategy is not Strategy.GREEDY
+    )
+    assert 5 * sum(fed) <= whole
 
 
 class InFlightBackend(Backend):

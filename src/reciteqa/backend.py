@@ -15,7 +15,7 @@ import ssl
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -213,43 +213,95 @@ class Backend(ABC):
 
         The batch runs as min(max_in_flight, len(requests_list)) lanes, each
         of which takes the next unclaimed request until none is left, so a
-        batch costs one task per lane rather than one per request. The lanes
-        run on `executor`, which also bounds them by its worker count. The
-        call returns once every lane has stopped. Any other exception stops
-        the lanes from claiming further requests and is re-raised by the
-        call (the first one, if several lanes raise). CachingBackend answers its
-        hits on the calling thread and sends only its misses here."""
+        batch costs one task per helper lane rather than one per request.
+        The calling thread is the first lane and submits only the others to
+        `executor`, whose worker count also bounds them. So the call waits
+        only for requests a helper lane has claimed, never for a helper that
+        is still queued: such a helper later finds the batch emptied and
+        stops. Any other exception stops the lanes from claiming further
+        requests and is re-raised by the call (the first one, if several
+        lanes raise) once every claimed request has finished; an exception
+        that leaves the caller's own lane or its wait, such as a
+        KeyboardInterrupt, stops them too and propagates at once.
+        CachingBackend answers its hits on the calling thread and sends only
+        its misses here."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         if not requests_list:
             return []
-        lanes = min(max_in_flight, len(requests_list))
-        results: list[GenerationResult | BackendError | None] = [None] * len(requests_list)
-        errors: list[BaseException] = []
-        claim = threading.Lock()
-        claimed = 0
-
-        def lane() -> None:
-            nonlocal claimed
-            while True:
-                with claim:
-                    if errors or claimed == len(requests_list):
-                        return
-                    index = claimed
-                    claimed += 1
-                try:
-                    results[index] = self.generate(requests_list[index])
-                except BackendError as exc:
-                    results[index] = exc
-                except BaseException as exc:  # re-raised on the caller's thread
-                    with claim:
-                        errors.append(exc)
-                    return
-
-        wait([executor.submit(lane) for _ in range(lanes)])
-        if errors:
-            raise errors[0]
+        lanes = _Lanes(self.generate, requests_list)
+        try:
+            for _ in range(min(max_in_flight, len(requests_list)) - 1):
+                executor.submit(lanes.run, True)
+            lanes.run(False)
+            with lanes.lock:
+                while lanes.helping:
+                    lanes.idle.wait()
+                error, results = lanes.error, lanes.results
+        finally:
+            # An emptied batch has nothing left to claim, so this also stops
+            # the helpers when an exception leaves the caller's lane or wait.
+            with lanes.lock:
+                lanes.requests = lanes.results = None
+        if error is not None:
+            raise error
         return results
+
+
+class _Lanes:
+    """The claim state one generate_batch call shares with its helper
+    lanes. The caller empties it before it returns, so a helper still
+    queued on the executor holds no request and no result."""
+
+    __slots__ = ("generate", "requests", "results", "claimed", "helping", "error", "lock", "idle")
+
+    def __init__(self, generate: Callable, requests_list: Sequence[GenerationRequest]):
+        self.generate = generate
+        self.requests: Sequence[GenerationRequest] | None = requests_list
+        self.results: list | None = [None] * len(requests_list)
+        self.claimed = 0
+        # Helper lanes that have claimed a request and not yet stopped.
+        self.helping = 0
+        self.error: BaseException | None = None
+        self.lock = threading.Lock()
+        self.idle = threading.Condition(self.lock)
+
+    def run(self, helper: bool) -> None:
+        """Answer the next unclaimed request until none is left or a lane
+        has raised; a BackendError is stored in its request's slot."""
+        lock = self.lock
+        joined = False
+        while True:
+            with lock:
+                requests_list, results = self.requests, self.results
+                if self.error is not None or requests_list is None or (
+                    self.claimed == len(requests_list)
+                ):
+                    if joined:
+                        self._leave()
+                    return
+                index = self.claimed
+                self.claimed += 1
+                if helper and not joined:
+                    joined = True
+                    self.helping += 1
+            try:
+                results[index] = self.generate(requests_list[index])
+            except BackendError as exc:
+                results[index] = exc
+            except BaseException as exc:  # re-raised on the caller's thread
+                with lock:
+                    if self.error is None:
+                        self.error = exc
+                    if joined:
+                        self._leave()
+                return
+
+    def _leave(self) -> None:
+        # Called with the lock held, by a helper lane that is stopping.
+        self.helping -= 1
+        if not self.helping:
+            self.idle.notify()
 
 
 # A script file; its "entries" map each prompt key to a response queue.

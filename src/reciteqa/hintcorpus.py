@@ -352,7 +352,8 @@ def generate_synthetic_triples(
         )
         for i, passage in enumerate(picked)
     ]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as executor:
+    # The calling thread is the batch's first lane; the pool holds the others.
+    with ThreadPoolExecutor(max_workers=max(max_in_flight - 1, 1)) as executor:
         results = backend.generate_batch(requests_list, max_in_flight, executor=executor)
     triples: list[SyntheticTriple] = []
     dropped = 0

@@ -28,27 +28,32 @@ prompting.read_answer gives (the answer cue line plus the completion), so
 every extracted answer is re-derivable from its raw text by
 prompting.extract_answer.
 
-run_dataset is the one entry point: it alone checks the config, takes its
-fingerprint, builds the executors and binds the run's dispatcher, the one
-backend.generate_batch call _answer makes per stage, on the run's one
-request executor of max_questions_in_flight x max_paths_in_flight workers:
-the run's cap on requests in flight. A batch runs as one lane per worker
-(fewer if the batch is smaller), each taking the batch's next unsent
-request as its last one returns, so a worker freed by one question's lanes
-takes the next queued lane at once, whichever question it belongs to. A
-CachingBackend answers a batch's cache hits on the question's own thread
+run_dataset is the one entry point: it alone checks the config and the
+in-flight limits, takes its fingerprint, builds the executors and binds the
+run's dispatcher, the one backend.generate_batch call _answer makes per
+stage. With Q = max_questions_in_flight and P = max_paths_in_flight, up to
+Q questions run at a time, each on its own thread, and at most Q x P
+requests are in flight over the run. A batch runs as lanes, each taking the
+batch's next unsent request as its last one returns. The question's thread
+is its batch's first lane; the other lanes go to the run's one request
+executor of Q x (P - 1) helper workers, so a worker freed by one question's
+lanes takes the next queued lane at once, whichever question it belongs to.
+A CachingBackend answers a batch's cache hits on the question's own thread
 and runs only its misses as lanes, so a fully cached stage uses no worker.
-Up to max_questions_in_flight questions run at a time, and records.jsonl
-is appended in input order.
+Questions are submitted through a window of QUESTION_WINDOW x Q, each as the
+consumer takes an earlier record, and records.jsonl is appended in input
+order.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -102,6 +107,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE_VERSION = 1
+# Questions submitted ahead of the consumer, per question thread.
+QUESTION_WINDOW = 8
 
 
 def default_recitation_params(
@@ -506,7 +513,8 @@ def run_dataset(
     are skipped and their stored records re-emitted, unless every path of
     that record failed: such a question is answered again and its new
     record appended. Per-question failures become failed RunRecords and
-    the run continues; an invalid cfg raises ValueError before any request.
+    the run continues; an invalid cfg or an in-flight limit below 1 raises
+    ValueError before any request, and before run_dir is touched.
     The hint corpus is diagnostic only: sampled hints found in it are
     counted in the diversified path's backend_meta, but passages are always
     decoded from the model so the run stays closed-book.
@@ -514,6 +522,12 @@ def run_dataset(
     issues = cfg.validate()
     if issues:
         raise ValueError(f"invalid scheme config: {'; '.join(issues)}")
+    for name, limit_value in (
+        ("max_questions_in_flight", max_questions_in_flight),
+        ("max_paths_in_flight", max_paths_in_flight),
+    ):
+        if limit_value < 1:
+            raise ValueError(f"{name} must be >= 1, got {limit_value}")
     exemplars = tuple(exemplars)
     fingerprint = config_fingerprint(
         cfg, exemplars, dialect, tuple(tuple(t) for t in hint_exemplars)
@@ -532,17 +546,17 @@ def run_dataset(
         log = AppendLog(records_path)
         existing = load_run_records(records_path)
 
-    # One executor for every model request of the run: its worker count is
-    # the run-wide in-flight cap. Each batch runs as that many lanes, so a
-    # worker freed by one question's lanes takes the next queued lane at
-    # once, whichever question's batch it belongs to.
-    workers = max_questions_in_flight * max_paths_in_flight
-    requests = ThreadPoolExecutor(max_workers=workers)
+    # One executor for every model request of the run. The question thread
+    # that sends a batch is its first lane, so the executor holds only
+    # helper lanes: Q x (P - 1) of them, with the Q question threads making
+    # Q x P requests in flight at most. At P = 1 it never starts a thread.
+    helpers = max_questions_in_flight * (max_paths_in_flight - 1)
+    requests = ThreadPoolExecutor(max_workers=max(helpers, 1))
     answer = partial(
         _answer,
         # Bound per run, not at import: a patched Backend.generate_batch
         # still sees every batch.
-        dispatch=partial(backend.generate_batch, max_in_flight=workers, executor=requests),
+        dispatch=partial(backend.generate_batch, max_in_flight=helpers + 1, executor=requests),
         cfg=cfg,
         exemplars=exemplars,
         hint_exemplars=hint_exemplars,
@@ -563,18 +577,29 @@ def run_dataset(
             return cached, False
         return answer(question), True
 
+    # Not Executor.map, which submits every question before the first
+    # result: a question is submitted as the consumer takes an earlier
+    # record, so few records wait for the consumer.
+    pending = iter(records)
+    window = deque()
     try:
         with ThreadPoolExecutor(max_workers=max_questions_in_flight) as questions:
             try:
-                for record, fresh in questions.map(process, records):
+                for question in islice(pending, QUESTION_WINDOW * max_questions_in_flight):
+                    window.append(questions.submit(process, question))
+                while window:
+                    record, fresh = window.popleft().result()
                     if log and fresh:
                         log.append(serialize(record))
                     yield record
-            except KeyboardInterrupt:
-                # Clean drain: running questions finish, queued ones are
-                # dropped; already-written records stay on disk for resume.
-                questions.shutdown(wait=True, cancel_futures=True)
-                raise
+                    for question in islice(pending, 1):
+                        window.append(questions.submit(process, question))
+            finally:
+                # Clean drain on an interrupt or a closed run: running
+                # questions finish, queued ones are dropped; already-written
+                # records stay on disk for resume.
+                for future in window:
+                    future.cancel()
     finally:
         requests.shutdown()
         if log:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import _thread
 import gc
 import hashlib
 import json
@@ -220,11 +221,16 @@ def test_batch_on_a_given_executor_runs_on_its_workers():
         return original(request)
 
     backend.generate = generate
-    # 3 lanes fill the 3 workers; with 4, the executor's worker count is the
-    # cap and the fourth lane waits for a free worker.
+    callers = set()
+
+    def batch():
+        callers.add(threading.current_thread().name)
+        return backend.generate_batch(requests, max_in_flight=lanes, executor=executor)
+
+    # The calling thread is the first lane and the executor's workers run
+    # the others: 3 lanes leave one of the 3 workers idle, 4 fill them.
     for lanes in (3, 4):
         with CountingExecutor(max_workers=3, thread_name_prefix="shared") as executor:
-            batch = lambda: backend.generate_batch(requests, max_in_flight=lanes, executor=executor)
             first = within(30, batch)
             second = within(30, batch)
         for results in (first, second):
@@ -232,10 +238,10 @@ def test_batch_on_a_given_executor_runs_on_its_workers():
             assert [r.texts[0] for i, r in enumerate(results) if i != 3] == [
                 f"echo:p{i}" for i in range(12) if i != 3
             ]
-        # One task per lane, not one per request.
-        assert executor.submits == 2 * lanes
-        assert backend.peak <= 3
-    assert threads and all(name.startswith("shared") for name in threads)
+        # One task per helper lane, not one per request.
+        assert executor.submits == 2 * (lanes - 1)
+        assert backend.peak <= lanes
+    assert threads and all(name.startswith("shared") or name in callers for name in threads)
 
 
 class RaisingBackend(Backend):
@@ -278,6 +284,91 @@ def test_batch_reraises_an_unexpected_error_once_every_lane_has_stopped():
     assert sorted(answered) == sorted(p for p in started if p != "a0")
     assert [p for p in backend.started if p.startswith("a")] == started
     assert [r.texts[0] for r in results] == [f"echo:b{i}" for i in range(6)]
+
+
+def test_batches_sharing_an_executor_answer_each_request_once_in_its_slot():
+    # More lanes than workers and cores, four calling threads and a short
+    # switch interval: a lost claim or a helper the caller stopped waiting
+    # for would leave a slot empty or send a request twice.
+    backend = FlakyBackend()
+    calls = {}
+    lock = threading.Lock()
+    original = backend.generate
+
+    def generate(request):
+        with lock:
+            calls[request.prompt] = calls.get(request.prompt, 0) + 1
+        return original(request)
+
+    backend.generate = generate
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as executor:
+
+            def caller(c):
+                for b in range(30):
+                    requests = [GenerationRequest(f"c{c}b{b}r{i}", greedy()) for i in range(12)]
+                    results = backend.generate_batch(requests, max_in_flight=4, executor=executor)
+                    if [getattr(r, "texts", None) for r in results] != [
+                        (f"echo:{r.prompt}",) for r in requests
+                    ]:
+                        wrong.append((c, b, results))
+
+            def callers():
+                threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                return [thread.is_alive() for thread in threads]
+
+            wrong = []
+            assert not any(within(60, callers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong, wrong[0]
+    assert len(calls) == 4 * 30 * 12 and set(calls.values()) == {1}
+
+
+class SlowBackend(Backend):
+    """Holds every request for 50 ms and records when each one starts."""
+
+    backend_id = "slow"
+
+    def __init__(self):
+        self.started = []
+
+    def generate(self, request: GenerationRequest) -> GenerationResult:
+        self.started.append(time.monotonic())
+        time.sleep(0.05)
+        return GenerationResult(texts=(f"echo:{request.prompt}",))
+
+
+def test_batch_interrupted_on_the_main_thread_stops_its_other_lanes():
+    # gen-questions sends its one batch from the main thread, where Ctrl-C
+    # lands. The batch takes 1 s whole; the interrupt comes at 0.12 s.
+    assert threading.current_thread() is threading.main_thread()
+    backend = SlowBackend()
+    requests = [GenerationRequest(f"p{i}", greedy()) for i in range(40)]
+    interrupted = []
+
+    def interrupt():
+        interrupted.append(time.monotonic())
+        _thread.interrupt_main()
+
+    timer = threading.Timer(0.12, interrupt)
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                backend.generate_batch(requests, max_in_flight=2, executor=executor)
+        finally:
+            timer.join()
+    # The main thread sees the interrupt once its own request returns; by
+    # then the helper lane may have started one more, and then it stops.
+    late = [t for t in backend.started if t > interrupted[0]]
+    assert len(late) <= 1, (len(late), len(backend.started))
 
 
 def test_batch_empty(pool, tmp_path):

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import random
+import re
 import sys
+import tempfile
 import threading
 import time
+from contextlib import closing
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reciteqa.backend import (
     Backend, CachingBackend, GenerationRequest, MalformedResponse, ScriptedBackend, prompt_key,
@@ -16,6 +23,7 @@ from reciteqa.core import (
 )
 from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
+    QUESTION_WINDOW,
     SchemeConfig,
     check_exemplar_prompts,
     config_fingerprint,
@@ -1085,15 +1093,74 @@ class BarrierBackend(Backend):
 
 def test_run_dataset_lets_one_question_use_every_request_worker():
     # The run's cap is shared, not split per question: a question's batch
-    # may take every free worker, here all 2 x 3 for its 6 recitations.
+    # runs on its own thread plus every free helper worker, here
+    # 1 + 2 x (3 - 1) for its 6 recitations. The question threads are the
+    # batches' first lanes, so the helpers number 2 x (3 - 1), not 2 x 3.
     questions, cfg, scripted = dataset_fixture(1, n_paths=6)
-    backend = BarrierBackend(scripted, parties=2 * 3)
+    backend = BarrierBackend(scripted, parties=1 + 2 * (3 - 1))
     records = within(30, lambda: list(run_dataset(
         questions, cfg, EXEMPLARS, backend, max_questions_in_flight=2,
         max_paths_in_flight=3, clock=ZERO_CLOCK,
     )))
     assert [r.voted_answer for r in records] == ["gold 0"]
     assert not backend.barrier.broken
+
+
+def test_run_dataset_at_one_path_in_flight_sends_every_request_from_a_question_thread(
+    monkeypatch,
+):
+    # The case (2, 1) of the run-wide cap: with no helper lanes, the two
+    # question threads send every request themselves.
+    from reciteqa import pipeline
+
+    questions, cfg, scripted = dataset_fixture(6, n_paths=5)
+    backend = InFlightBackend(scripted)
+    question_threads = set()
+    answer = pipeline._answer
+
+    def traced(*args, **kwargs):
+        question_threads.add(threading.current_thread())
+        return answer(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_answer", traced)
+    records = within(30, lambda: list(run_dataset(
+        questions, cfg, EXEMPLARS, backend, max_questions_in_flight=2,
+        max_paths_in_flight=1, clock=ZERO_CLOCK,
+    )))
+    assert [r.voted_answer for r in records] == [f"gold {i}" for i in range(6)]
+    assert 1 <= backend.peak <= 2
+    assert backend.threads and backend.threads <= question_threads
+    assert len(question_threads) <= 2
+
+
+def test_run_dataset_answers_at_most_its_window_ahead_of_the_consumer():
+    questions, cfg, scripted = dataset_fixture(40, n_paths=2)
+    backend = CountingBackend(scripted)
+    records = run_dataset(
+        questions, cfg, EXEMPLARS, backend, max_questions_in_flight=2,
+        max_paths_in_flight=2, clock=ZERO_CLOCK,
+    )
+    with closing(records):
+        assert next(records).question_id == "q0"
+        time.sleep(0.3)  # the question threads run as far ahead as they may
+        asked = {
+            re.findall(r"question number (\d+)", request.prompt)[-1]
+            for request in list(backend.requests)
+        }
+    assert 2 <= len(asked) <= QUESTION_WINDOW * 2, sorted(asked, key=int)
+
+
+@pytest.mark.parametrize("name", ["max_questions_in_flight", "max_paths_in_flight"])
+def test_run_dataset_rejects_a_bad_in_flight_limit_before_touching_the_run_dir(tmp_path, name):
+    questions, cfg, backend = dataset_fixture(2)
+    list(run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=tmp_path, clock=ZERO_CLOCK))
+    before = (tmp_path / "records.jsonl").read_bytes()
+    assert before
+    with pytest.raises(ValueError, match=name):
+        list(run_dataset(
+            questions, cfg, EXEMPLARS, backend, run_dir=tmp_path, clock=ZERO_CLOCK, **{name: 0}
+        ))
+    assert (tmp_path / "records.jsonl").read_bytes() == before
 
 
 def test_interrupted_run_keeps_whole_records_and_resumes_byte_identical(tmp_path):
@@ -1335,18 +1402,59 @@ GOLDEN_SCHEME_RUNS = (
 )
 
 
-def golden_scheme_records(tmp_path) -> bytes:
-    """records.jsonl bytes of one scripted run per scheme, concatenated."""
-    out = b""
-    for make_run in GOLDEN_SCHEME_RUNS:
-        run_dir = tmp_path / make_run.__name__
-        list(run_dataset(**make_run(), run_dir=run_dir, clock=ZERO_CLOCK))
-        out += (run_dir / "records.jsonl").read_bytes()
-    return out
+def scheme_run_records(make_run, run_dir, wrap=lambda backend: backend, **limits) -> bytes:
+    """records.jsonl bytes of one scripted scheme run, its backend wrapped."""
+    run = make_run()
+    run["backend"] = wrap(run["backend"])
+    list(run_dataset(**run, run_dir=run_dir, clock=ZERO_CLOCK, **limits))
+    return (Path(run_dir) / "records.jsonl").read_bytes()
 
 
 def test_golden_records_every_scheme(tmp_path):
-    assert golden_scheme_records(tmp_path) == (GOLDEN_DIR / "records_schemes.jsonl").read_bytes()
+    records = b"".join(
+        scheme_run_records(make_run, tmp_path / make_run.__name__)
+        for make_run in GOLDEN_SCHEME_RUNS
+    )
+    assert records == (GOLDEN_DIR / "records_schemes.jsonl").read_bytes()
+
+
+class JitteryBackend(Backend):
+    """Passes every request to `inner` after a sleep of 0 to 4 ms, drawn from
+    `seed` and the request itself, so a schedule replays from its seed."""
+
+    def __init__(self, inner, seed):
+        self.inner = inner
+        self.backend_id = inner.backend_id
+        self.seed = seed
+
+    def generate(self, request):
+        draw = random.Random(f"{self.seed}:{request.prompt}:{request.params.seed}")
+        time.sleep(draw.uniform(0, 0.004))
+        return self.inner.generate(request)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    make_run=st.sampled_from(GOLDEN_SCHEME_RUNS),
+    questions_in_flight=st.sampled_from([1, 2, 4]),
+    paths_in_flight=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scheme_records_are_byte_identical_under_any_schedule(
+    make_run, questions_in_flight, paths_in_flight, seed
+):
+    limits = dict(max_questions_in_flight=questions_in_flight, max_paths_in_flight=paths_in_flight)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        reference = scheme_run_records(
+            make_run, tmp / "reference", max_questions_in_flight=1, max_paths_in_flight=1
+        )
+        jittery = lambda backend: JitteryBackend(backend, seed)
+        assert scheme_run_records(make_run, tmp / "plain", jittery, **limits) == reference
+        cache = tmp / "cache.jsonl"
+        for warmth in ("cold", "warm"):
+            cached = lambda backend: CachingBackend(jittery(backend), cache)
+            assert scheme_run_records(make_run, tmp / warmth, cached, **limits) == reference
 
 
 def test_fingerprint_changes_with_config_and_exemplars():

@@ -333,6 +333,25 @@ def _write_report(report: EvalReport, out_dir: Path) -> EvalReport:
     return report
 
 
+def _output_dir(path: str | Path) -> Path:
+    """Create an output directory, and those above it, before any work."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path} cannot be created: {exc.strerror}") from None
+    return Path(path)
+
+
+def _check_output_file(path: str) -> None:
+    """Check before any work that a file output, which is replaced whole,
+    is not a directory and sits in one that exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"output file {path}: {path.parent} is not an existing directory")
+
+
 def _execute_run(cfg: RunConfig) -> dict:
     questions = load_questions(cfg.dataset_path, cfg.adapter)
     prompt_set = load_prompt_set(cfg.prompt_set)
@@ -346,7 +365,7 @@ def _execute_run(cfg: RunConfig) -> dict:
     backend, deterministic = _build_backend(cfg)
     clock = (lambda: 0.0) if deterministic else time.monotonic
 
-    cfg.run_dir.mkdir(parents=True, exist_ok=True)
+    _output_dir(cfg.run_dir)
     started = time.time()
     # Each record is scored into its view as the run yields it, then dropped.
     # Every question passed load_questions, so that cannot raise; an
@@ -457,13 +476,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     profile = _profile(run_info["normalization"])
     # A relative dataset path is relative to the run directory.
     questions = load_questions(run_dir / dataset["path"], dataset["adapter"])
+    out_dir = _output_dir(args.out) if args.out else run_dir
     # Each record is scored into its view as it is read and then dropped,
     # so no recitation of the run stays in memory.
     views = list(load_run_records(records_path, _scorer(questions, profile)).values())
     if not views:
         raise DataError(f"{records_path} holds no records")
-    out_dir = Path(args.out) if args.out else run_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     report = _write_report(aggregate_report(views), out_dir)
     category_table = format_category_table(report)
@@ -502,6 +520,7 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
     dump = Path(args.dump)
     if not dump.is_file():
         raise DataError(f"dump file {dump} does not exist")
+    _output_dir(args.out)
     reader = (
         hintcorpus.read_heading_dump if args.format == "headings" else hintcorpus.read_dump
     )
@@ -514,6 +533,7 @@ def cmd_build_corpus(args: argparse.Namespace) -> int:
 def cmd_gen_questions(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
+    _check_output_file(args.out)
     cfg = load_run_config(args.config, None)
     corpus = hintcorpus.Corpus.load(args.corpus)
     prompt_set = load_prompt_set(cfg.prompt_set)
@@ -526,6 +546,7 @@ def cmd_gen_questions(args: argparse.Namespace) -> int:
             backend,
             seed=args.seed,
             max_in_flight=cfg.max_paths_in_flight,
+            dialect=cfg.dialect,
         )
     except hintcorpus.CorpusError as exc:
         raise ConfigError(str(exc)) from None
@@ -539,6 +560,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         params = retrieval.Bm25Params(k1=args.k1, b=args.b)
     except retrieval.RetrievalError as exc:
         raise ConfigError(str(exc)) from None
+    _check_output_file(args.out)
     corpus = hintcorpus.Corpus.load(args.corpus)
     passages = [(p.hint, p.text) for p in corpus]
     index = retrieval.build_index(passages, params)
@@ -584,7 +606,6 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
         "mean_f1": statistics.mean(f1s),
         "std_f1": statistics.stdev(f1s),
     }
-    base_cfg.run_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(base_cfg.run_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     print(
         f"mean EM={summary['mean_em']:.4f} (+/- {summary['std_em']:.4f}) "

@@ -23,7 +23,10 @@ from typing import Iterable, Iterator, Sequence
 from .backend import Backend, BackendError, GenerationRequest
 from .core import REQUIRED, canonical_json, derived_params, json_object, read_lines, write_atomic
 from .pipeline import default_recitation_params
-from .prompting import HintError, build_question_generation_prompt, first_line, make_hint
+from .prompting import (
+    DEFAULT_DIALECT, HintError, PromptDialect, build_question_generation_prompt, first_line,
+    make_hint,
+)
 
 __all__ = [
     "HintedPassage",
@@ -74,15 +77,15 @@ class Document:
 
 
 class Corpus:
-    """Immutable store of hinted passages with id lookup, hint lookup, and
-    seeded uniform sampling."""
+    """Immutable sequence of hinted passages with unique, well-formed hints,
+    and seeded uniform sampling."""
 
     def __init__(self, passages: Sequence[HintedPassage]):
         """A passage whose hint is not make_hint's for its components, or
         repeats an earlier one, raises HintError or CorpusError whose
         `position` is that passage's index."""
         self._passages = tuple(passages)
-        self._by_hint: dict[str, HintedPassage] = {}
+        hints: set[str] = set()
         for position, passage in enumerate(self._passages):
             try:
                 expected = make_hint(
@@ -93,12 +96,12 @@ class Corpus:
                         f"passage hint {passage.hint!r} does not match its components "
                         f"(expected {expected!r})"
                     )
-                if passage.hint in self._by_hint:
+                if passage.hint in hints:
                     raise CorpusError(f"duplicate passage hint: {passage.hint!r}")
             except (CorpusError, HintError) as exc:
                 exc.position = position
                 raise
-            self._by_hint[passage.hint] = passage
+            hints.add(passage.hint)
 
     def __len__(self) -> int:
         return len(self._passages)
@@ -108,12 +111,6 @@ class Corpus:
 
     def __getitem__(self, index: int) -> HintedPassage:
         return self._passages[index]
-
-    def lookup(self, hint: str) -> HintedPassage | None:
-        return self._by_hint.get(hint)
-
-    def __contains__(self, hint: str) -> bool:
-        return hint in self._by_hint
 
     def sample(self, n: int, seed: int) -> list[HintedPassage]:
         """Uniform sample without replacement; deterministic per seed."""
@@ -329,9 +326,10 @@ def generate_synthetic_triples(
     backend: Backend,
     seed: int,
     max_in_flight: int = 4,
+    dialect: PromptDialect = DEFAULT_DIALECT,
 ) -> tuple[list[SyntheticTriple], int]:
-    """Sample n passages, generate one question per passage, and pair each
-    question with the passage's hint and text.
+    """Sample n passages, generate one question per passage from a prompt
+    in `dialect`, and pair each question with the passage's hint and text.
 
     Returns (triples, dropped) where dropped counts passages whose
     generation failed or came back empty. Requires exactly 5 evidence ->
@@ -346,7 +344,7 @@ def generate_synthetic_triples(
     params = default_recitation_params(seed, max_tokens=64, stop_sequences=("\n\n",))
     requests_list = [
         GenerationRequest(
-            prompt=build_question_generation_prompt(passage.text, exemplars),
+            prompt=build_question_generation_prompt(passage.text, exemplars, dialect),
             params=derived_params(params, i),
             n_samples=1,
         )

@@ -295,7 +295,6 @@ def _answer(
     cfg: SchemeConfig,
     exemplars: tuple[Exemplar, ...],
     hint_exemplars: Sequence,
-    hint_corpus,
     dialect: PromptDialect,
     profile: NormProfile,
     fingerprint: str,
@@ -414,8 +413,6 @@ def _answer(
             meta["n_hints_sampled"] = str(len(sampled_hints))
             meta["n_unique_hints"] = str(len(unique_hints))
             meta["n_passages"] = str(len(passages))
-            if hint_corpus is not None:
-                meta["n_known_hints"] = str(sum(1 for h in unique_hints if h in hint_corpus))
             paths = [replace(paths[0], backend_meta=meta)]
     else:
         entries = []
@@ -493,7 +490,6 @@ def run_dataset(
     backend: Backend,
     *,
     hint_exemplars: Sequence = (),
-    hint_corpus=None,
     dialect: PromptDialect = DEFAULT_DIALECT,
     profile: NormProfile = DEFAULT_PROFILE,
     resume: bool = False,
@@ -515,9 +511,6 @@ def run_dataset(
     record appended. Per-question failures become failed RunRecords and
     the run continues; an invalid cfg or an in-flight limit below 1 raises
     ValueError before any request, and before run_dir is touched.
-    The hint corpus is diagnostic only: sampled hints found in it are
-    counted in the diversified path's backend_meta, but passages are always
-    decoded from the model so the run stays closed-book.
     """
     issues = cfg.validate()
     if issues:
@@ -560,7 +553,6 @@ def run_dataset(
         cfg=cfg,
         exemplars=exemplars,
         hint_exemplars=hint_exemplars,
-        hint_corpus=hint_corpus,
         dialect=dialect,
         profile=profile,
         fingerprint=fingerprint,

@@ -23,11 +23,11 @@ from reciteqa.core import (
 )
 from reciteqa.evalkit import NormProfile, plurality_vote
 from reciteqa.pipeline import SchemeConfig, default_answer_params, default_recitation_params
-from reciteqa.prompting import build_question_generation_prompt, sample_exemplars
+from reciteqa.prompting import UL2_DIALECT, build_question_generation_prompt, sample_exemplars
 
 from helpers import (
-    EIFFEL_EXEMPLAR, LONDON_EXEMPLAR, dump_script, make_question, mistyped_record_lines,
-    script_recite_run,
+    EIFFEL_EXEMPLAR, LONDON_EXEMPLAR, CountingBackend, dump_script, make_question,
+    mistyped_record_lines, script_recite_run,
 )
 
 POOL = (LONDON_EXEMPLAR, EIFFEL_EXEMPLAR)
@@ -1077,6 +1077,75 @@ def test_gen_questions(workspace, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 3
     assert "3 triples (0 dropped)" in capsys.readouterr().out
+
+
+def write_dump_and_corpus(workspace: Path) -> None:
+    """DUMP_ROWS as workspace/dump.jsonl and its corpus as workspace/corpus."""
+    dump, corpus = workspace / "dump.jsonl", workspace / "corpus"
+    dump.write_text("".join(json.dumps(r) + "\n" for r in DUMP_ROWS), encoding="utf-8")
+    assert main(["build-corpus", str(dump), "--out", str(corpus)]) == EXIT_OK
+
+
+def test_gen_questions_renders_its_prompts_in_the_config_dialect(workspace, monkeypatch):
+    from reciteqa import cli
+
+    monkeypatch.chdir(workspace)
+    write_dump_and_corpus(workspace)
+    prompts = [
+        build_question_generation_prompt(row["text"], QGEN_PAIRS, UL2_DIALECT)
+        for row in DUMP_ROWS if "text" in row
+    ]
+    scripted = ScriptedBackend()
+    for prompt in prompts:
+        scripted.register(prompt, [" a question?"])
+    backend = CountingBackend(scripted)
+    monkeypatch.setattr(cli, "_build_backend", lambda cfg: (backend, True))
+    write_config(workspace / "ul2.json", workspace, dialect="ul2")
+    argv = ["gen-questions", "--config", "ul2.json", "--corpus", "corpus", "--n", "3"]
+    assert main([*argv, "--out", "t.jsonl"]) == EXIT_OK
+    assert sorted(r.prompt for r in backend.requests) == sorted(prompts)
+    assert len((workspace / "t.jsonl").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([*GEN_QUESTIONS, "--n", "3", "--out", "nodir/t.jsonl"], "nodir/t.jsonl"),
+        (["index", "build", "--corpus", "corpus", "--out", "nodir/i.jsonl"], "nodir/i.jsonl"),
+        (["index", "build", "--corpus", "corpus", "--out", "corpus"], "corpus"),
+        (["build-corpus", "dump.jsonl", "--out", "dump.jsonl/x"], "dump.jsonl/x"),
+        (["analyze", "runs/main", "--out", "dump.jsonl"], "dump.jsonl"),
+        ([*RUN, "--run-dir", "dump.jsonl/run"], str(Path("dump.jsonl", "run"))),
+    ],
+    ids=[
+        "gen-questions-no-dir", "index-build-no-dir", "index-build-onto-a-dir",
+        "build-corpus-under-a-file", "analyze-onto-a-file", "run-under-a-file",
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_1_before_any_work(
+    workspace, monkeypatch, capsys, argv, named
+):
+    from reciteqa import cli
+
+    monkeypatch.chdir(workspace)
+    write_dump_and_corpus(workspace)
+    assert main(RUN) == EXIT_OK
+    before = {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()}
+    build, backends = cli._build_backend, []
+
+    def counted(cfg):
+        backend, deterministic = build(cfg)
+        backends.append(CountingBackend(backend))
+        return backends[-1], deterministic
+
+    monkeypatch.setattr(cli, "_build_backend", counted)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+    assert sum(backend.calls for backend in backends) == 0
+    assert {p: p.read_bytes() for p in workspace.rglob("*") if p.is_file()} == before
 
 
 def test_seed_sweep(workspace, capsys):

@@ -124,7 +124,8 @@ def test_build_corpus_counts_and_hints():
     assert corpus[0].hint == "Child support --- Paragraph #1"
     assert corpus[0].section_path == ()
     assert corpus[2].hint == CHILD_SUPPORT_HINT
-    assert corpus.lookup(CHILD_SUPPORT_HINT).text.startswith("Child support enforcement")
+    by_hint = {p.hint: p for p in corpus}
+    assert by_hint[CHILD_SUPPORT_HINT].text.startswith("Child support enforcement")
 
 
 def test_build_corpus_duplicate_hint_collision():
@@ -282,7 +283,7 @@ Another lead.
     hints = [p.hint for p in corpus]
     assert "Child support --- Paragraph #1" in hints
     assert CHILD_SUPPORT_HINT in hints
-    assert corpus.lookup(CHILD_SUPPORT_HINT).text == "Second enforcement paragraph."
+    assert {p.hint: p for p in corpus}[CHILD_SUPPORT_HINT].text == "Second enforcement paragraph."
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +320,11 @@ def test_generate_synthetic_triples():
     triples, dropped = generate_synthetic_triples(corpus, 10, QGEN_PAIRS, backend, seed=0)
     assert len(triples) == 10
     assert dropped == 0
+    by_hint = {p.hint: p for p in corpus}
     for triple in triples:
         parse_hint(triple.hint)  # hints all parseable
         assert triple.question.startswith("what about")
-        assert corpus.lookup(triple.hint).text == triple.passage
+        assert by_hint[triple.hint].text == triple.passage
 
 
 def test_generate_synthetic_requires_five_exemplars():

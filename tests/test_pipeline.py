@@ -1,3 +1,12 @@
+"""Tests of the answering engine: scheme records, fingerprints, resume and
+in-flight limits.
+
+tests/golden/records_schemes.jsonl holds the records of the scripted
+GOLDEN_SCHEME_RUNS, one run after another. Regenerate it with
+
+    PYTHONPATH=src:tests python tests/test_pipeline.py
+"""
+
 from __future__ import annotations
 
 import random
@@ -21,7 +30,6 @@ from reciteqa.core import (
     Dataset, Exemplar, Scheme, Strategy, canonical_json, deserialize, params_to_dict, serialize,
     validate,
 )
-from reciteqa.hintcorpus import build_corpus, Document
 from reciteqa.pipeline import (
     QUESTION_WINDOW,
     SchemeConfig,
@@ -538,27 +546,6 @@ def test_diversified_single_hint_degenerates():
     )
     assert len(record.paths[0].recitations) == 1
     assert record.voted_answer == "Paris"
-
-
-def test_diversified_counts_known_hints_against_corpus():
-    corpus = build_corpus(
-        [Document(title="France", items=((("Geography",), "France borders Spain."),))]
-    )
-    hints = [
-        "France --- Geography --- Paragraph #1",
-        "Paris --- Overview --- Paragraph #1",
-    ]
-    question, cfg, backend = diversified_fixture(hints, n_hints=2)
-    record = answer_one(
-        question,
-        cfg,
-        EXEMPLARS,
-        backend,
-        hint_exemplars=[HINT_EXEMPLAR],
-        hint_corpus=corpus,
-        clock=ZERO_CLOCK,
-    )
-    assert record.paths[0].backend_meta["n_known_hints"] == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -1368,12 +1355,9 @@ def _golden_diversified_run():
                 _qa(Scheme.DIVERSIFIED_RECITE, EXEMPLARS, question, tuple(passages.values())),
                 [" Paris"],
             )
-    corpus = build_corpus(
-        [Document(title="France", items=((("Geography",), "France borders Spain."),))]
-    )
     return dict(
         records=questions, cfg=cfg, exemplars=EXEMPLARS, backend=backend,
-        hint_exemplars=[HINT_EXEMPLAR], hint_corpus=corpus,
+        hint_exemplars=[HINT_EXEMPLAR],
     )
 
 
@@ -1465,3 +1449,14 @@ def test_fingerprint_changes_with_config_and_exemplars():
         scheme_config(Scheme.RECITE_ANSWER, n_paths=7), EXEMPLARS
     )
     assert base != config_fingerprint(cfg, (LONDON_EXEMPLAR,))
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        records = b"".join(
+            scheme_run_records(make_run, Path(tmp) / make_run.__name__)
+            for make_run in GOLDEN_SCHEME_RUNS
+        )
+    path = GOLDEN_DIR / "records_schemes.jsonl"
+    path.write_bytes(records)
+    print(f"wrote {path}")

@@ -17,7 +17,7 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -177,7 +177,11 @@ def _escaped(text: str) -> bytes:
     """text as a quoted JSON string, as json.dumps(text, ensure_ascii=False)
     writes it. Escaping goes code point by code point, so the escapes of
     two pieces of a string, less the quotes between them, join to the
-    escape of the whole."""
+    escape of the whole. For ASCII text the faster ASCII-mode escape is the
+    same except at DEL, which it writes as \\u007f, so ASCII text without
+    DEL takes it."""
+    if text.isascii() and "\x7f" not in text:
+        return encode_basestring_ascii(text).encode()
     return encode_basestring(text).encode("utf-8")
 
 
@@ -956,8 +960,13 @@ class CachingBackend(Backend):
         start with the remembered prefix replaces it by the prefix the two
         share, which is hashed again. Two prompt families under one head
         shrink it to their common prefix, and each key then hashes its
-        prompt past that prefix, at most what cache_key hashes."""
+        prompt past that prefix, at most what cache_key hashes. The head
+        of each distinct params object and sample count is looked up once
+        per batch: an answer batch shares one params object."""
         keys = []
+        # Heads by params identity, which the batch keeps alive: hashing a
+        # params object costs what the lookup saves.
+        heads: dict[tuple[int, int], bytes] = {}
         # The last prefix remembered and its escape less the closing quote,
         # and the last prompt, prefix and escaped tail keyed: a sampling
         # batch repeats one prompt under many heads, and each is escaped once.
@@ -965,7 +974,12 @@ class CachingBackend(Backend):
         last = ("", None, b"")
         for request in requests_list:
             prompt = request.prompt
-            head = _key_head(self.backend_id, request.params, request.n_samples)
+            shape = (id(request.params), request.n_samples)
+            head = heads.get(shape)
+            if head is None:
+                head = heads[shape] = _key_head(
+                    self.backend_id, request.params, request.n_samples
+                )
             remembered = self._prefixes.get(head)
             if remembered is None or not prompt.startswith(remembered[0]):
                 text = prompt

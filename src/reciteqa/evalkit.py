@@ -16,7 +16,7 @@ pass and draws no random subsets. Every normalization goes through the
 module attribute `normalize`, looked up at call time, so one replacement of
 it sees them all.
 
-Three shortcuts keep every result exact:
+Four shortcuts keep every result exact:
 - *ASCII text.* When a profile both lowercases and strips punctuation and
   the text is ASCII, `normalize` does those two steps on bytes
   (`bytes.lower` and `bytes.translate`), which for ASCII give the same
@@ -32,6 +32,8 @@ Three shortcuts keep every result exact:
   whitespace, always passes the filter.
 - *Exact match.* A key that is a gold alias scores F1 1.0 without
   counting tokens, since the F1 of a token list against itself is 1.0.
+- *Vote.* `plurality_vote` normalizes each distinct answer text once,
+  since `normalize` is a function of the text and the profile alone.
 """
 
 from __future__ import annotations
@@ -237,7 +239,9 @@ def plurality_vote(
     """
     if not answers:
         raise EvalError("plurality_vote requires at least one answer")
-    keys = [normalize(answer, profile) for answer in answers]
+    # Paths often agree, so each distinct answer text is normalized once.
+    norms = {answer: normalize(answer, profile) for answer in set(answers)}
+    keys = [norms[answer] for answer in answers]
     winner, counts = _plurality(keys)
     return answers[keys.index(winner)], counts
 

@@ -250,7 +250,7 @@ def _question_prompts(
     if scheme is Scheme.DIRECT:
         # Direct prompting renders exemplars as plain question/answer pairs.
         exemplars = tuple(replace(e, recitations=(), rationale=None) for e in exemplars)
-    fields = dict(
+    spec = PromptSpec(
         scheme=scheme,
         exemplars=tuple(exemplars),
         target_question=question,
@@ -259,9 +259,10 @@ def _question_prompts(
     )
 
     def answer_prompt(recitations: tuple[str, ...]) -> str:
-        return build_qa_prompt(PromptSpec(**fields, target_recitations=recitations))
+        # One spec for all of the question's paths: its exemplar prefix and
+        # target-question line are rendered once, not once per path.
+        return build_qa_prompt(spec, recitations)
 
-    spec = PromptSpec(**fields)
     if scheme is Scheme.CHAIN_OF_THOUGHT:
         return build_cot_prompt(spec, anchor=cfg.cot_anchor), None, None
     if scheme is Scheme.DIVERSIFIED_RECITE:
@@ -509,17 +510,18 @@ def run_dataset(
     are skipped and their stored records re-emitted, unless every path of
     that record failed: such a question is answered again and its new
     record appended. Per-question failures become failed RunRecords and
-    the run continues; an invalid cfg or an in-flight limit below 1 raises
-    ValueError before any request, and before run_dir is touched.
+    the run continues; an invalid cfg, or a limit or in-flight limit below
+    1, raises ValueError before any request, and before run_dir is touched.
     """
     issues = cfg.validate()
     if issues:
         raise ValueError(f"invalid scheme config: {'; '.join(issues)}")
     for name, limit_value in (
+        ("limit", limit),
         ("max_questions_in_flight", max_questions_in_flight),
         ("max_paths_in_flight", max_paths_in_flight),
     ):
-        if limit_value < 1:
+        if limit_value is not None and limit_value < 1:
             raise ValueError(f"{name} must be >= 1, got {limit_value}")
     exemplars = tuple(exemplars)
     fingerprint = config_fingerprint(

@@ -9,7 +9,10 @@ golden files under tests/golden/):
   joined by the intra-separator (default "\\n\\n");
 * the joined exemplar blocks are the prompt's prefix, rendered and checked
   once per builder, exemplar set and dialect (`_prefix`), so each prompt
-  renders only its target block (`_render`);
+  renders only its target block (`_render`); the answer prompts of one
+  question share a PromptSpec, which keeps its prefix and target-question
+  line (`PromptSpec._qa_head`), so each of its paths checks and renders
+  only its own recitation lines;
 * a component is a cue line "Cue: text" with the cue Question, Recitation
   (numbered "Recitation <i>" when a block holds several), Answer, Hint,
   Passage or Evidence; its text is rejected, not escaped, when it has
@@ -136,6 +139,21 @@ class PromptSpec:
                 self, "target_recitations", tuple(self.target_recitations)
             )
 
+    @functools.cached_property
+    def _qa_head(self) -> tuple[str, str, str | None]:
+        """What every answer prompt built from this spec shares, whatever
+        its recitations: the exemplar prefix, the target-question line, and
+        the PromptError message of that line or None. The message is raised
+        by each prompt after its recitation lines are checked, as it would
+        be were the line rendered there. Computed once per spec; an
+        exemplar's PromptError is raised, not kept."""
+        d = self.dialect
+        prefix = _prefix(_qa_blocks, self.exemplars, self.scheme is Scheme.DIRECT, d)
+        try:
+            return prefix, _line("Question", self.target_question, d, "target question"), None
+        except PromptError as exc:
+            return prefix, "", str(exc)
+
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -235,28 +253,31 @@ def _qa_blocks(
     return blocks
 
 
-def build_qa_prompt(spec: PromptSpec) -> str:
+def build_qa_prompt(
+    spec: PromptSpec, target_recitations: Sequence[str] | None = None
+) -> str:
     """Recitation(s)/Question/Answer exemplar blocks; the target block puts
     the target recitations before the target question and ends with the
     "Answer:" cue.
 
     With the direct scheme (no recitations anywhere) this degenerates to
-    plain Question/Answer blocks.
+    plain Question/Answer blocks. Given target_recitations, the prompt
+    conditions on them in place of spec.target_recitations, so the paths of
+    one question share one spec and its _qa_head.
     """
     _check_spec(spec, "answer")
+    if target_recitations is None:
+        target_recitations = spec.target_recitations
     direct = spec.scheme is Scheme.DIRECT
-    if not direct and not spec.target_recitations:
+    if not direct and not target_recitations:
         raise PromptError("answer prompts require target recitations")
-    if direct and spec.target_recitations:
+    if direct and target_recitations:
         raise PromptError("direct prompts must not carry target recitations")
-    d = spec.dialect
-    prefix = _prefix(_qa_blocks, spec.exemplars, direct, d)
-    target = [
-        *_recitation_lines(spec.target_recitations or (), d, "target recitation"),
-        _line("Question", spec.target_question, d, "target question"),
-        ANSWER_CUE,
-    ]
-    return _render(prefix, target, d)
+    prefix, question, question_error = spec._qa_head
+    lines = _recitation_lines(target_recitations or (), spec.dialect, "target recitation")
+    if question_error is not None:
+        raise PromptError(question_error)
+    return _render(prefix, [*lines, question, ANSWER_CUE], spec.dialect)
 
 
 def _multihop_blocks(

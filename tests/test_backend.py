@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reciteqa import backend as backend_module
@@ -759,6 +759,50 @@ def test_cache_batch_renders_no_head_again_for_shapes_already_keyed(
     )
 
 
+def test_escaped_equals_json_dumps_at_every_ascii_code_point():
+    # The ASCII-mode escape writes DEL as \u007f; json.dumps with
+    # ensure_ascii=False writes it as is.
+    for code in range(128):
+        for text in (chr(code), f"a{chr(code)}b", "Q: " + chr(code) * 3):
+            assert backend_module._escaped(text) == json.dumps(text, ensure_ascii=False).encode()
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.text(alphabet=st.characters(max_codepoint=127)),
+        st.text(alphabet=st.sampled_from("ab\"\x7f\n")),
+        TRICKY_TEXT,
+    )
+)
+@example("plain ascii")
+@example("ascii \x7f then é")
+@example("é日\U0001f600")
+def test_escaped_equals_json_dumps(text):
+    assert backend_module._escaped(text) == json.dumps(text, ensure_ascii=False).encode()
+
+
+def test_cache_batch_looks_up_each_key_head_once(tmp_path, monkeypatch):
+    looked_up = []
+    key_head = backend_module._key_head
+
+    def counting_key_head(*args):
+        looked_up.append(args)
+        return key_head(*args)
+
+    monkeypatch.setattr(backend_module, "_key_head", counting_key_head)
+    cached = CachingBackend(FlakyBackend(), tmp_path / "cache.jsonl")
+    answer = greedy()
+    # An answer batch shares one params object; a sampling batch does not.
+    requests = [GenerationRequest(f"Q: {i}\nA:", answer) for i in range(6)]
+    requests += [GenerationRequest("Q: x\nA:", sampled(seed=i)) for i in range(3)]
+    requests += [GenerationRequest("Q: y\nA:", answer, 2)]
+    keys = cached._keys(requests)
+    monkeypatch.undo()
+    assert keys == [cache_key("flaky", r) for r in requests]
+    assert len(looked_up) == 1 + 3 + 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     backend_id=st.sampled_from(["batch-keys-a", "batch-keys-b"]),
@@ -766,6 +810,11 @@ def test_cache_batch_renders_no_head_again_for_shapes_already_keyed(
     suffixes=st.lists(TRICKY_TEXT, min_size=1, max_size=4),
     picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8),
 )
+# Prompts that hold DEL, non-ASCII text or both, in the shared prefix or in
+# a tail: DEL must not take the ASCII-mode escape.
+@example("batch-keys-a", "Q: \x7f\n", ["a", "b\x7f"], [(0, 0), (1, 0), (0, 2)])
+@example("batch-keys-a", "Q: ", ["caf\x7f", "café", "plain"], [(0, 0), (1, 0), (2, 1), (0, 3)])
+@example("batch-keys-b", "Q: é", ["\x7f", "x"], [(0, 0), (1, 0)])
 def test_cache_batch_keys_equal_cache_key(backend_id, prefix, suffixes, picks):
     shapes = [(greedy(), 1), (greedy(stops=("\n",)), 1), (sampled(seed=1), 1), (sampled(seed=1), 3)]
     prompts = [prefix + suffix for suffix in suffixes]

@@ -7,6 +7,7 @@ import string
 import sys
 from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from reciteqa.core import RecitationPath, RunRecord, Scheme
 from reciteqa import evalkit
 from reciteqa.evalkit import (
+    DEFAULT_PROFILE,
     ErrorCategory,
     EvalError,
     NormProfile,
@@ -226,6 +228,34 @@ def test_vote_empty_rejected():
 def test_vote_winner_has_max_count(answers):
     winner, counts = plurality_vote(answers)
     assert counts[normalize(winner)] == max(counts.values())
+
+
+@given(
+    st.lists(
+        st.sampled_from(["Paris", "paris", "The Paris", "Rome", "rome.", "", " a  b", "Zürich"]),
+        min_size=1,
+        max_size=20,
+    ),
+    st.sampled_from([DEFAULT_PROFILE, NormProfile(lowercase=False), NormProfile(strip_articles=False)]),
+)
+@settings(max_examples=200)
+def test_vote_normalizes_each_distinct_answer_once(answers, profile):
+    normalized = []
+
+    def counted(text, profile=DEFAULT_PROFILE):
+        normalized.append(text)
+        return normalize(text, profile)
+
+    with mock.patch.object(evalkit, "normalize", counted):
+        winner, counts = plurality_vote(answers, profile)
+    # The vote as it reads with every answer normalized.
+    keys = [normalize(answer, profile) for answer in answers]
+    expected = Counter(keys)
+    top = max(expected.values())
+    assert counts == expected
+    assert list(counts) == list(dict.fromkeys(keys))
+    assert winner == answers[next(i for i, key in enumerate(keys) if expected[key] == top)]
+    assert sorted(normalized) == sorted(set(answers))
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=8), st.randoms())

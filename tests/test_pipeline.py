@@ -268,9 +268,11 @@ def count_qa_prompts(monkeypatch):
 
     rendered = []
 
-    def counted(spec):
-        rendered.append(spec.target_recitations)
-        return build_qa_prompt(spec)
+    def counted(spec, target_recitations=None):
+        if target_recitations is None:
+            target_recitations = spec.target_recitations
+        rendered.append(target_recitations)
+        return build_qa_prompt(spec, target_recitations)
 
     monkeypatch.setattr(pipeline, "build_qa_prompt", counted)
     return rendered
@@ -1147,6 +1149,22 @@ def test_run_dataset_rejects_a_bad_in_flight_limit_before_touching_the_run_dir(t
         list(run_dataset(
             questions, cfg, EXEMPLARS, backend, run_dir=tmp_path, clock=ZERO_CLOCK, **{name: 0}
         ))
+    assert (tmp_path / "records.jsonl").read_bytes() == before
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_run_dataset_rejects_a_limit_below_1_before_touching_the_run_dir(tmp_path, limit):
+    # A negative limit once sliced off the last questions, and 0 emptied
+    # records.jsonl to answer none.
+    questions, cfg, backend = dataset_fixture(3)
+    list(run_dataset(questions, cfg, EXEMPLARS, backend, run_dir=tmp_path, clock=ZERO_CLOCK))
+    before = (tmp_path / "records.jsonl").read_bytes()
+    counting = CountingBackend(backend)
+    with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
+        list(run_dataset(
+            questions, cfg, EXEMPLARS, counting, run_dir=tmp_path, limit=limit, clock=ZERO_CLOCK
+        ))
+    assert counting.calls == 0
     assert (tmp_path / "records.jsonl").read_bytes() == before
 
 

@@ -3,15 +3,18 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reciteqa import prompting
 from reciteqa.core import Exemplar, Scheme
 from reciteqa.prompting import (
     DEFAULT_DIALECT,
     UL2_DIALECT,
+    PromptDialect,
     PromptError,
     PromptSpec,
     build_cot_prompt,
@@ -316,6 +319,76 @@ def test_qa_prompt_rejects_empty_target_recitations():
     )
     with pytest.raises(PromptError):
         build_qa_prompt(spec)
+
+
+def reference_qa_prompt(spec: PromptSpec) -> str:
+    """build_qa_prompt with every prompt rendered and checked from scratch,
+    in the order the checks raise: the spec, the target recitations'
+    presence, the exemplars, the target recitation lines, then the target
+    question line."""
+    prompting._check_spec(spec, "answer")
+    direct = spec.scheme is Scheme.DIRECT
+    if not direct and not spec.target_recitations:
+        raise PromptError("answer prompts require target recitations")
+    if direct and spec.target_recitations:
+        raise PromptError("direct prompts must not carry target recitations")
+    d = spec.dialect
+    prefix = prompting._prefix(prompting._qa_blocks, spec.exemplars, direct, d)
+    target = [
+        *prompting._recitation_lines(spec.target_recitations or (), d, "target recitation"),
+        prompting._line("Question", spec.target_question, d, "target question"),
+        "Answer:",
+    ]
+    return prompting._render(prefix, target, d)
+
+
+def prompt_or_error(build, *args):
+    try:
+        return build(*args)
+    except PromptError as exc:
+        return f"PromptError: {exc}"
+
+
+QA_EXEMPLAR_SETS = [
+    (LONDON_EXEMPLAR, EIFFEL_EXEMPLAR),
+    (Exemplar(question="who wrote hamlet", answer="Shakespeare"),),
+    (LONDON_EXEMPLAR, Exemplar(question="q", answer="two\n\nlines")),
+    (),
+]
+
+
+@settings(max_examples=300)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    # Separators of their own catch a head rendered in another dialect.
+    dialect=st.sampled_from(
+        [DEFAULT_DIALECT, UL2_DIALECT, PromptDialect(intra_separator=" | ", inter_separator=" || ")]
+    ),
+    exemplars=st.sampled_from(QA_EXEMPLAR_SETS),
+    question=st.sampled_from([TARGET, " padded", "two\n\nlines", "a | b", ""]),
+    paths=st.lists(
+        st.lists(st.text(alphabet="ab \n.é|", max_size=6), max_size=3).map(tuple),
+        min_size=1,
+        max_size=6,
+    ),
+)
+# A bad recitation and a bad target question: the recitation's error wins.
+@example(Scheme.RECITE_ANSWER, DEFAULT_DIALECT, QA_EXEMPLAR_SETS[0], "two\n\nlines",
+         [("a\n\nb",), ("fine",), ("a\n\nb",)])
+def test_answer_prompts_sharing_a_spec_equal_prompts_rendered_from_scratch(
+    scheme, dialect, exemplars, question, paths
+):
+    # A question's paths all render through one spec, which keeps its
+    # exemplar prefix and target-question line; each prompt, or the
+    # PromptError message, must be what a fresh spec gives.
+    shared = PromptSpec(
+        scheme=scheme, exemplars=exemplars, target_question=question, dialect=dialect
+    )
+    for recitations in paths:
+        fresh = replace(shared, target_recitations=recitations)
+        expected = prompt_or_error(reference_qa_prompt, fresh)
+        assert prompt_or_error(build_qa_prompt, shared, recitations) == expected
+        assert prompt_or_error(build_qa_prompt, fresh) == expected
 
 
 def test_injection_rejected_not_resplit():

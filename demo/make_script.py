@@ -68,8 +68,8 @@ def main() -> None:
                         scheme=Scheme.RECITE_ANSWER,
                         exemplars=exemplars,
                         target_question=question.question,
-                        target_recitations=(recitation,),
-                    )
+                    ),
+                    (recitation,),
                 )
                 gold = question.gold_answers[0]
                 answer = gold if j < CORRECT_PATHS[question.id] else WRONG[question.id]

@@ -219,93 +219,61 @@ class Backend(ABC):
         of which takes the next unclaimed request until none is left, so a
         batch costs one task per helper lane rather than one per request.
         The calling thread is the first lane and submits only the others to
-        `executor`, whose worker count also bounds them. So the call waits
-        only for requests a helper lane has claimed, never for a helper that
-        is still queued: such a helper later finds the batch emptied and
-        stops. Any other exception stops the lanes from claiming further
-        requests and is re-raised by the call (the first one, if several
-        lanes raise) once every claimed request has finished; an exception
-        that leaves the caller's own lane or its wait, such as a
-        KeyboardInterrupt, stops them too and propagates at once.
+        `executor`, whose worker count also bounds them. Once its own lane
+        is done the call cancels each helper still queued, which then never
+        runs, and waits only for helpers already running. Any other
+        exception stops the lanes from claiming further requests and is
+        re-raised by the call once the running helpers have stopped: the
+        calling thread's own, or else the first helper's in submission
+        order. An exception that leaves a submit or the wait, such as a
+        KeyboardInterrupt, stops them too and propagates at once. The call
+        drops the requests and results its lanes share before it returns,
+        so a cancelled helper still on the executor's queue holds neither.
         CachingBackend answers its hits on the calling thread and sends only
         its misses here."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if not requests_list:
-            return []
-        lanes = _Lanes(self.generate, requests_list)
-        try:
-            for _ in range(min(max_in_flight, len(requests_list)) - 1):
-                executor.submit(lanes.run, True)
-            lanes.run(False)
-            with lanes.lock:
-                while lanes.helping:
-                    lanes.idle.wait()
-                error, results = lanes.error, lanes.results
-        finally:
-            # An emptied batch has nothing left to claim, so this also stops
-            # the helpers when an exception leaves the caller's lane or wait.
-            with lanes.lock:
-                lanes.requests = lanes.results = None
-        if error is not None:
-            raise error
-        return results
+        generate = self.generate
+        lock = threading.Lock()
+        indices = iter(range(len(requests_list)))
+        requests: Sequence[GenerationRequest] | None = requests_list
+        results: list | None = [None] * len(requests_list)
 
-
-class _Lanes:
-    """The claim state one generate_batch call shares with its helper
-    lanes. The caller empties it before it returns, so a helper still
-    queued on the executor holds no request and no result."""
-
-    __slots__ = ("generate", "requests", "results", "claimed", "helping", "error", "lock", "idle")
-
-    def __init__(self, generate: Callable, requests_list: Sequence[GenerationRequest]):
-        self.generate = generate
-        self.requests: Sequence[GenerationRequest] | None = requests_list
-        self.results: list | None = [None] * len(requests_list)
-        self.claimed = 0
-        # Helper lanes that have claimed a request and not yet stopped.
-        self.helping = 0
-        self.error: BaseException | None = None
-        self.lock = threading.Lock()
-        self.idle = threading.Condition(self.lock)
-
-    def run(self, helper: bool) -> None:
-        """Answer the next unclaimed request until none is left or a lane
-        has raised; a BackendError is stored in its request's slot."""
-        lock = self.lock
-        joined = False
-        while True:
-            with lock:
-                requests_list, results = self.requests, self.results
-                if self.error is not None or requests_list is None or (
-                    self.claimed == len(requests_list)
-                ):
-                    if joined:
-                        self._leave()
-                    return
-                index = self.claimed
-                self.claimed += 1
-                if helper and not joined:
-                    joined = True
-                    self.helping += 1
+        def lane() -> None:
+            nonlocal indices
             try:
-                results[index] = self.generate(requests_list[index])
-            except BackendError as exc:
-                results[index] = exc
-            except BaseException as exc:  # re-raised on the caller's thread
+                while True:
+                    with lock:
+                        index = next(indices, None)
+                        claimed, slots = requests, results
+                    if index is None:
+                        return
+                    try:
+                        slots[index] = generate(claimed[index])
+                    except BackendError as exc:
+                        slots[index] = exc
+            except BaseException:
                 with lock:
-                    if self.error is None:
-                        self.error = exc
-                    if joined:
-                        self._leave()
-                return
+                    indices = iter(())
+                raise
 
-    def _leave(self) -> None:
-        # Called with the lock held, by a helper lane that is stopping.
-        self.helping -= 1
-        if not self.helping:
-            self.idle.notify()
+        try:
+            helpers = [
+                executor.submit(lane) for _ in range(min(max_in_flight, len(requests_list)) - 1)
+            ]
+            try:
+                lane()
+            finally:
+                errors = [helper.exception() for helper in helpers if not helper.cancel()]
+            done = results
+        finally:
+            with lock:
+                indices = iter(())
+                requests = results = None
+        for error in errors:
+            if error is not None:
+                raise error
+        return done
 
 
 # A script file; its "entries" map each prompt key to a response queue.
@@ -923,8 +891,6 @@ class CachingBackend(Backend):
         computed."""
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if not requests_list:
-            return []
         keys = self._keys(requests_list)
         results: list[GenerationResult | BackendError | None] = [None] * len(keys)
         misses = []

@@ -44,6 +44,12 @@ def _check(record: QuestionRecord, where: str) -> QuestionRecord:
     return record
 
 
+def _row_id(row: dict, key: str, positional: str) -> str:
+    """A row's id in string form; an absent or null id is the positional one."""
+    value = row.get(key)
+    return positional if value is None else str(value)
+
+
 def read_nq(path: Path) -> list[QuestionRecord]:
     records = []
     for lineno, line in read_lines(path, DataError):
@@ -63,7 +69,7 @@ def read_nq(path: Path) -> list[QuestionRecord]:
         records.append(
             _check(
                 QuestionRecord(
-                    id=str(obj.get("id", f"nq-{lineno}")),
+                    id=_row_id(obj, "id", f"nq-{lineno}"),
                     dataset=Dataset.NQ,
                     question=row["question"].strip(),
                     gold_answers=row["answer"],
@@ -89,7 +95,7 @@ def read_triviaqa(path: Path) -> list[QuestionRecord]:
         records.append(
             _check(
                 QuestionRecord(
-                    id=str(item.get("QuestionId", f"tqa-{i}")),
+                    id=_row_id(item, "QuestionId", f"tqa-{i}"),
                     dataset=Dataset.TRIVIA_QA,
                     question=row["Question"].strip(),
                     gold_answers=tuple(aliases),
@@ -116,7 +122,7 @@ def read_hotpotqa(path: Path) -> list[QuestionRecord]:
         records.append(
             _check(
                 QuestionRecord(
-                    id=str(item.get("_id", f"hqa-{i}")),
+                    id=_row_id(item, "_id", f"hqa-{i}"),
                     dataset=Dataset.HOTPOT_QA,
                     question=row["question"].strip(),
                     gold_answers=(row["answer"],),

@@ -247,13 +247,14 @@ def plurality_vote(
 
 
 def _path_hits(
-    norm_golds: Sequence[str], path: RecitationPath, answer_key: str, profile: NormProfile
+    norm_golds: Sequence[str], path: RecitationPath, answer_key: str | None, profile: NormProfile
 ) -> tuple[bool, bool]:
     """Whether a gold alias occurs, normalized, as a substring of one of the
     path's recitations, and whether the path's normalized answer
-    `answer_key` is a gold alias. Recitations are normalized only up to the
-    first hit, and only those whose coarse form holds every token of some
-    gold alias (see the module docstring)."""
+    `answer_key` is a gold alias. A failed path has answer_key None, so it
+    is never an answer hit. Recitations are normalized only up to the first
+    hit, and only those whose coarse form holds every token of some gold
+    alias (see the module docstring)."""
     golds = [g for g in norm_golds if g]
     gold_tokens = [g.split() for g in golds]
     recit_hit = False
@@ -286,19 +287,19 @@ def classify_question(
 ) -> ErrorCategory:
     """Classify one question's outcome.
 
-    HitsAtMajority when the voted answer is correct; else HitsAt20Path when
-    any path's extracted answer is correct; else HitsAt20Recit when any gold
-    alias occurs (normalized, as a substring) in any recitation; else
-    NotRecit. Exactly one category applies.
+    HitsAtMajority when the voted answer is correct and some path did not
+    fail; else HitsAt20Path when any path that did not fail has a correct
+    extracted answer; else HitsAt20Recit when any gold alias occurs
+    (normalized, as a substring) in any recitation; else NotRecit. Exactly
+    one category applies.
     """
     if not paths:
         raise EvalError("classify_question requires at least one path")
     norm_golds = [normalize(g, profile) for g in golds]
-    hits = [
-        _path_hits(norm_golds, p, normalize(p.extracted_answer, profile), profile)
-        for p in paths
-    ]
-    return _category(normalize(voted, profile) in norm_golds, hits)
+    keys = [None if p.failed else normalize(p.extracted_answer, profile) for p in paths]
+    hits = [_path_hits(norm_golds, p, key, profile) for p, key in zip(paths, keys)]
+    voted_hit = normalize(voted, profile) in norm_golds and not all(p.failed for p in paths)
+    return _category(voted_hit, hits)
 
 
 def per_path_quadrant(
@@ -310,7 +311,7 @@ def per_path_quadrant(
     if not golds:
         raise EvalError("per_path_quadrant requires at least one gold answer")
     norm_golds = [normalize(g, profile) for g in golds]
-    answer_key = normalize(path.extracted_answer, profile)
+    answer_key = None if path.failed else normalize(path.extracted_answer, profile)
     return _QUADRANT_OF[_path_hits(norm_golds, path, answer_key, profile)]
 
 
@@ -318,10 +319,12 @@ class ScoredRecord:
     """What the report and the curve score of one run record, kept without
     the record or its recitations.
 
-    The question's gold aliases and the paths' answers are normalized under
-    the profile of the question's dataset, each distinct text once. The view
-    also holds the stored vote's EM and F1, the question's error category
-    and each path's quadrant.
+    The question's gold aliases and the answers of the paths that did not
+    fail are normalized under the profile of the question's dataset, each
+    distinct text once. The view
+    also holds the stored vote's EM and F1, which are (False, 0.0) when
+    every path failed, the question's error category and each path's
+    quadrant.
 
     `vote_score` re-votes on a subset of the paths by counting normalized
     answers; each winning key is scored once, when it first wins.
@@ -354,16 +357,16 @@ class ScoredRecord:
             return key
 
         self.norm_golds = [key_of(g) for g in question.gold_answers]
-        answer_keys = [key_of(p.extracted_answer) for p in record.paths]
         # Failed paths do not vote.
         self._vote_keys = [
-            None if path.failed else key for path, key in zip(record.paths, answer_keys)
+            None if path.failed else key_of(path.extracted_answer) for path in record.paths
         ]
         self._scores: dict[str, tuple[bool, float]] = {}
-        self.voted_score = self._score_key(key_of(record.voted_answer))
+        voted_score = self._score_key(key_of(record.voted_answer))
+        self.voted_score = (False, 0.0) if self.all_failed else voted_score
         path_hits = [
             _path_hits(self.norm_golds, path, key, profile)
-            for path, key in zip(record.paths, answer_keys)
+            for path, key in zip(record.paths, self._vote_keys)
         ]
         self.category = _category(self.voted_score[0], path_hits)
         self.quadrants = tuple(_QUADRANT_OF[hit] for hit in path_hits)

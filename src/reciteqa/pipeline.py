@@ -38,8 +38,10 @@ batch's next unsent request as its last one returns. The question's thread
 is its batch's first lane; the other lanes go to the run's one request
 executor of Q x (P - 1) helper workers, so a worker freed by one question's
 lanes takes the next queued lane at once, whichever question it belongs to.
-A CachingBackend answers a batch's cache hits on the question's own thread
-and runs only its misses as lanes, so a fully cached stage uses no worker.
+A helper lane still queued when its batch is done is cancelled and never
+runs. A CachingBackend answers a batch's cache hits on the question's own
+thread and runs only its misses as lanes, so a fully cached stage uses no
+worker.
 Questions are submitted through a window of QUESTION_WINDOW x Q, each as the
 consumer takes an earlier record, and records.jsonl is appended in input
 order.

@@ -122,22 +122,17 @@ UL2_DIALECT = PromptDialect(
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """Everything a prompt builder needs: scheme, exemplars, the target
-    question, and (for answer prompts) the recitations to condition on."""
+    """Everything a prompt builder needs but an answer prompt's
+    recitations: scheme, exemplars and the target question."""
 
     scheme: Scheme
     exemplars: tuple[Exemplar, ...]
     target_question: str
-    target_recitations: tuple[str, ...] | None = None
     recitations_per_hop: int = 1
     dialect: PromptDialect = DEFAULT_DIALECT
 
     def __post_init__(self):
         object.__setattr__(self, "exemplars", tuple(self.exemplars))
-        if self.target_recitations is not None:
-            object.__setattr__(
-                self, "target_recitations", tuple(self.target_recitations)
-            )
 
     @functools.cached_property
     def _qa_head(self) -> tuple[str, str, str | None]:
@@ -253,28 +248,23 @@ def _qa_blocks(
     return blocks
 
 
-def build_qa_prompt(
-    spec: PromptSpec, target_recitations: Sequence[str] | None = None
-) -> str:
+def build_qa_prompt(spec: PromptSpec, target_recitations: Sequence[str]) -> str:
     """Recitation(s)/Question/Answer exemplar blocks; the target block puts
     the target recitations before the target question and ends with the
     "Answer:" cue.
 
     With the direct scheme (no recitations anywhere) this degenerates to
-    plain Question/Answer blocks. Given target_recitations, the prompt
-    conditions on them in place of spec.target_recitations, so the paths of
-    one question share one spec and its _qa_head.
+    plain Question/Answer blocks and target_recitations is empty. The
+    paths of one question share one spec and its _qa_head.
     """
     _check_spec(spec, "answer")
-    if target_recitations is None:
-        target_recitations = spec.target_recitations
     direct = spec.scheme is Scheme.DIRECT
     if not direct and not target_recitations:
         raise PromptError("answer prompts require target recitations")
     if direct and target_recitations:
         raise PromptError("direct prompts must not carry target recitations")
     prefix, question, question_error = spec._qa_head
-    lines = _recitation_lines(target_recitations or (), spec.dialect, "target recitation")
+    lines = _recitation_lines(target_recitations, spec.dialect, "target recitation")
     if question_error is not None:
         raise PromptError(question_error)
     return _render(prefix, [*lines, question, ANSWER_CUE], spec.dialect)

@@ -188,9 +188,9 @@ def script_recite_run(
                 scheme=Scheme.RECITE_ANSWER,
                 exemplars=tuple(exemplars),
                 target_question=question.question,
-                target_recitations=(recitation.strip(),),
                 dialect=dialect,
-            )
+            ),
+            (recitation.strip(),),
         )
         backend.register(qa_prompt, [answer_for(recitation)])
 

@@ -280,9 +280,9 @@ def test_criterion_6_prompt_golden_files():
             scheme=Scheme.RECITE_ANSWER,
             exemplars=(LONDON_EXEMPLAR,),
             target_question="what is the tenth decimal of pi",
-            target_recitations=("The first 10 digits of pi are 3.14159 26535.",),
         )
-        assert build_qa_prompt(qa_spec) == golden("qa_default.txt")
+        recitations = ("The first 10 digits of pi are 3.14159 26535.",)
+        assert build_qa_prompt(qa_spec, recitations) == golden("qa_default.txt")
         multihop_spec = PromptSpec(
             scheme=Scheme.MULTI_HOP_RECITE,
             exemplars=(MULTIHOP_EXEMPLAR,),

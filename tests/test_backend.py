@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import Executor, ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -369,6 +370,66 @@ def test_batch_interrupted_on_the_main_thread_stops_its_other_lanes():
     # then the helper lane may have started one more, and then it stops.
     late = [t for t in backend.started if t > interrupted[0]]
     assert len(late) <= 1, (len(late), len(backend.started))
+
+
+class ShutDownAfterOneSubmit(ThreadPoolExecutor):
+    """Runs the first task submitted and refuses the rest, as an executor
+    shut down between two submits does."""
+
+    accepted = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.accepted:
+            raise RuntimeError("cannot schedule new futures after shutdown")
+        self.accepted = True
+        return super().submit(fn, *args, **kwargs)
+
+
+def test_a_refused_submit_stops_the_helpers_already_submitted():
+    backend = SlowBackend()
+    requests = [GenerationRequest(f"p{i}", greedy()) for i in range(20)]
+    with ShutDownAfterOneSubmit(max_workers=2) as executor:
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            within(30, lambda: backend.generate_batch(requests, max_in_flight=3, executor=executor))
+        time.sleep(0.3)
+        # The one helper finishes the request it had claimed and stops.
+        assert len(backend.started) <= 1
+
+
+def test_a_helper_still_queued_when_its_batch_returns_holds_no_request_or_result():
+    # The pool's one worker is busy, so the batch's helper lane is still
+    # queued when the calling thread has answered every request itself.
+    backend = FlakyBackend()
+    sent = []
+    original = backend.generate
+
+    def generate(request):
+        sent.append(request.prompt)
+        return original(request)
+
+    backend.generate = generate
+    release = threading.Event()
+    refs = []
+
+    def batch():
+        requests = [GenerationRequest(f"p{i}", greedy()) for i in range(3)]
+        refs.append(weakref.ref(requests[0]))
+        return backend.generate_batch(requests, max_in_flight=2, executor=executor)
+
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        blocker = executor.submit(release.wait, 30)
+        try:
+            results = within(30, batch)
+            assert [r.texts[0] for r in results] == ["echo:p0", "echo:p1", "echo:p2"]
+            refs.append(weakref.ref(results[0]))
+            del results
+            gc.collect()
+            assert not blocker.done()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            release.set()
+        assert blocker.result(30)
+    assert sent == ["p0", "p1", "p2"]
 
 
 def test_batch_empty(pool, tmp_path):

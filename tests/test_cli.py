@@ -1194,8 +1194,8 @@ def test_run_diversified_scheme(workspace, capsys):
                 scheme=Scheme.DIVERSIFIED_RECITE,
                 exemplars=exemplars,
                 target_question=question_text,
-                target_recitations=tuple(passages),
-            )
+            ),
+            tuple(passages),
         )
         backend.register(qa_prompt, [f" {answer}"])
     dump_script(backend, workspace / "script.json")

@@ -193,6 +193,27 @@ def test_adapters_ignore_keys_they_do_not_read_and_keep_ids_as_given(tmp_path):
     assert load_questions(hqa, "hotpotqa")[0].gold_answers == ("a",)
 
 
+@pytest.mark.parametrize(
+    "adapter, content, ids",
+    [
+        ("nq", "".join(
+            json.dumps({"id": None, "question": f"q{i}", "answer": "a"}) + "\n" for i in range(2)
+        ), ["nq-1", "nq-2"]),
+        ("triviaqa", json.dumps({"Data": [
+            {"QuestionId": None, "Question": f"q{i}", "Answer": {"Value": "a"}} for i in range(2)
+        ]}), ["tqa-0", "tqa-1"]),
+        ("hotpotqa", json.dumps([
+            {"_id": None, "question": f"q{i}", "answer": "a"} for i in range(2)
+        ]), ["hqa-0", "hqa-1"]),
+    ],
+    ids=["nq", "triviaqa", "hotpotqa"],
+)
+def test_a_null_id_is_numbered_like_an_absent_one(tmp_path, adapter, content, ids):
+    path = tmp_path / "data"
+    path.write_text(content, encoding="utf-8")
+    assert [record.id for record in load_questions(path, adapter)] == ids
+
+
 def test_native_records_adapter(tmp_path):
     record = make_question("c1", "a question", ("an answer",))
     path = tmp_path / "native.jsonl"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reciteqa.core import RecitationPath, RunRecord, Scheme
+from reciteqa.core import Dataset, RecitationPath, RunRecord, Scheme
 from reciteqa import evalkit
 from reciteqa.evalkit import (
     DEFAULT_PROFILE,
@@ -21,6 +21,7 @@ from reciteqa.evalkit import (
     EvalError,
     NormProfile,
     PathQuadrant,
+    ScoredRecord,
     aggregate_report,
     classify_question,
     exact_match,
@@ -407,6 +408,72 @@ def test_aggregate_unknown_question_id():
     _, runs = fixture_questions_and_runs()
     with pytest.raises(EvalError):
         aggregate_report(scored(runs, []))
+
+
+def test_a_question_whose_every_path_failed_scores_no_hit_against_an_empty_gold():
+    # "The The" normalizes to "", which equals a failed path's empty answer.
+    questions = [make_question("q0", "which band?", ("The The",))]
+    failed = tuple(make_path("", failed=True) for _ in range(4))
+    run = RunRecord("q0", Scheme.RECITE_ANSWER, failed, "", "f" * 16)
+    report = aggregate_report(scored([run], questions))
+    assert (report.em, report.f1, report.n_failed_questions) == (0.0, 0.0, 1)
+    assert report.category_counts[ErrorCategory.NOT_RECIT] == 1
+    assert report.quadrant_counts[PathQuadrant.RECIT_MISS_ANSWER_MISS] == 4
+    curve = path_subsample_curve(scored([run], questions), [4], trials=1)
+    assert (curve[0].mean_em, curve[0].mean_f1) == (0.0, 0.0)
+    assert classify_question(["The The"], failed, "") is ErrorCategory.NOT_RECIT
+    assert {per_path_quadrant(["The The"], p) for p in failed} == {
+        PathQuadrant.RECIT_MISS_ANSWER_MISS
+    }
+    # A path whose answer extraction found nothing did not fail: it votes "".
+    mixed = RunRecord("q0", Scheme.RECITE_ANSWER, failed[:3] + (make_path(""),), "", "f" * 16)
+    view = scored([mixed], questions)[0]
+    assert view.voted_score == (True, 1.0)
+    assert view.category is ErrorCategory.HITS_AT_MAJORITY
+    assert view.quadrants[3] is PathQuadrant.RECIT_MISS_ANSWER_HIT
+
+
+@st.composite
+def records_and_profiles(draw):
+    """A question's golds and dataset, its paths, and a profile with an
+    override for one dataset. Golds include aliases that normalize to ""."""
+    golds = tuple(draw(st.lists(
+        st.sampled_from(["Paris", "the", "The The", "New York", "rome"]), min_size=1, max_size=3
+    )))
+    recitation = st.sampled_from(
+        ["Paris is in France.", "The The is a band.", "new york, NEW YORK", "Nothing here."]
+    )
+    paths = tuple(
+        make_path(
+            draw(st.sampled_from(["paris", "Paris!", "the", "", "New-York", "Rome", "berlin"])),
+            tuple(draw(st.lists(recitation, max_size=2))),
+            failed=draw(st.booleans()),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    )
+    profile = NormProfile(
+        **draw(st.sampled_from(FLAG_SETTINGS)),
+        overrides={"triviaqa": NormProfile(**draw(st.sampled_from(FLAG_SETTINGS)))},
+    )
+    return golds, draw(st.sampled_from([Dataset.NQ, Dataset.TRIVIA_QA])), paths, profile
+
+
+@given(records_and_profiles())
+@settings(max_examples=300)
+def test_a_record_view_agrees_with_the_public_scoring_functions(case):
+    golds, dataset, paths, profile = case
+    question = make_question("q0", "q", golds, dataset=dataset)
+    under = profile.for_dataset(dataset.value)
+    live = [p.extracted_answer for p in paths if not p.failed]
+    voted = plurality_vote(live, under)[0] if live else ""
+    record = RunRecord("q0", Scheme.RECITE_ANSWER, paths, voted, "f" * 16)
+    view = ScoredRecord(record, {"q0": question}, profile)
+    assert view.category is classify_question(golds, paths, voted, under)
+    assert view.quadrants == tuple(per_path_quadrant(golds, p, under) for p in paths)
+    if live:
+        assert view.voted_score == (exact_match(voted, golds, under), token_f1(voted, golds, under))
+    else:
+        assert view.voted_score == (False, 0.0)
 
 
 def test_tables_render():

@@ -9,8 +9,10 @@ GOLDEN_SCHEME_RUNS, one run after another. Regenerate it with
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -149,7 +151,8 @@ def test_answer_direct():
             scheme=Scheme.DIRECT,
             exemplars=tuple(Exemplar(question=e.question, answer=e.answer) for e in EXEMPLARS),
             target_question=question.question,
-        )
+        ),
+        (),
     )
     backend.register(prompt, [" 1973\n\nQuestion: junk"])
     record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
@@ -211,8 +214,8 @@ def test_recite_failed_path_excluded_from_vote():
             scheme=Scheme.RECITE_ANSWER,
             exemplars=EXEMPLARS,
             target_question=question.question,
-            target_recitations=("Fact sheet number 2.",),
-        )
+        ),
+        ("Fact sheet number 2.",),
     )
     del backend._entries[prompt_key(qa_prompt)]
     record = answer_one(question, cfg, EXEMPLARS, backend, clock=ZERO_CLOCK)
@@ -268,9 +271,7 @@ def count_qa_prompts(monkeypatch):
 
     rendered = []
 
-    def counted(spec, target_recitations=None):
-        if target_recitations is None:
-            target_recitations = spec.target_recitations
+    def counted(spec, target_recitations):
         rendered.append(target_recitations)
         return build_qa_prompt(spec, target_recitations)
 
@@ -402,9 +403,9 @@ def multihop_fixture(outputs: list[str], n_paths=2):
                 scheme=Scheme.MULTI_HOP_RECITE,
                 exemplars=(MULTIHOP_EXEMPLAR,),
                 target_question=question.question,
-                target_recitations=recitations,
                 recitations_per_hop=2,
-            )
+            ),
+            recitations,
         )
         backend.register(qa_prompt, [" The Indian Hotels Company"])
     return question, cfg, backend
@@ -514,8 +515,8 @@ def diversified_fixture(hint_queue, n_hints):
             scheme=Scheme.DIVERSIFIED_RECITE,
             exemplars=EXEMPLARS,
             target_question=question.question,
-            target_recitations=tuple(passages[h] for h in unique),
-        )
+        ),
+        tuple(passages[h] for h in unique),
     )
     backend.register(qa_prompt, [" Paris"])
     return question, cfg, backend
@@ -973,6 +974,19 @@ def test_run_dataset_sends_cache_misses_through_the_traced_methods(monkeypatch, 
     assert inner.calls == 6
 
 
+def test_the_benchmark_tracer_finds_every_hook_it_wraps():
+    # The tests do not collect perfbench/, so a hook it wraps that is renamed
+    # or removed in src/ would break every traced benchmark run unnoticed.
+    root = Path(__file__).resolve().parent.parent
+    script = "import workload; workload.install_tracer()"
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_later_questions_of_a_cached_run_feed_sha256_only_their_prompt_tails(
     monkeypatch, tmp_path
 ):
@@ -1241,15 +1255,15 @@ def test_dedup_hints_idempotent_and_order_preserving():
 # golden records: every scheme's happy path and each of its failure causes
 
 
-def _qa(scheme, exemplars, question, recitations=None, recitations_per_hop=1):
+def _qa(scheme, exemplars, question, recitations=(), recitations_per_hop=1):
     return build_qa_prompt(
         PromptSpec(
             scheme=scheme,
             exemplars=exemplars,
             target_question=question.question,
-            target_recitations=recitations,
             recitations_per_hop=recitations_per_hop,
-        )
+        ),
+        recitations,
     )
 
 

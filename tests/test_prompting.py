@@ -86,9 +86,9 @@ def test_qa_prompt_golden():
         scheme=Scheme.RECITE_ANSWER,
         exemplars=(LONDON_EXEMPLAR,),
         target_question=TARGET,
-        target_recitations=("The first 10 digits of pi are 3.14159 26535.",),
     )
-    assert build_qa_prompt(spec) == golden("qa_default.txt")
+    recitations = ("The first 10 digits of pi are 3.14159 26535.",)
+    assert build_qa_prompt(spec, recitations) == golden("qa_default.txt")
 
 
 def test_qa_prompt_direct_golden():
@@ -97,7 +97,7 @@ def test_qa_prompt_direct_golden():
         exemplars=(Exemplar(question=LONDON_EXEMPLAR.question, answer=LONDON_EXEMPLAR.answer),),
         target_question=TARGET,
     )
-    assert build_qa_prompt(spec) == golden("qa_direct_default.txt")
+    assert build_qa_prompt(spec, ()) == golden("qa_direct_default.txt")
 
 
 def test_qa_prompt_diversified_golden():
@@ -105,14 +105,14 @@ def test_qa_prompt_diversified_golden():
         scheme=Scheme.DIVERSIFIED_RECITE,
         exemplars=(LONDON_EXEMPLAR,),
         target_question="what is the capital of france",
-        target_recitations=(
-            "France is a country in Western Europe.",
-            "Paris is the capital and most populous city of France.",
-            "The Seine flows through Paris.",
-            "The Louvre in Paris is the world's most-visited museum.",
-        ),
     )
-    assert build_qa_prompt(spec) == golden("qa_diversified_default.txt")
+    recitations = (
+        "France is a country in Western Europe.",
+        "Paris is the capital and most populous city of France.",
+        "The Seine flows through Paris.",
+        "The Louvre in Paris is the world's most-visited museum.",
+    )
+    assert build_qa_prompt(spec, recitations) == golden("qa_diversified_default.txt")
 
 
 def test_multihop_prompt_golden():
@@ -196,8 +196,8 @@ def test_qa_block_order_recitation_question_answer():
             scheme=Scheme.RECITE_ANSWER,
             exemplars=(LONDON_EXEMPLAR,),
             target_question=TARGET,
-            target_recitations=("r one",),
-        )
+        ),
+        ("r one",),
     )
     first_block = prompt.split("\n\n\n")[0]
     components = first_block.split("\n\n")
@@ -318,24 +318,24 @@ def test_qa_prompt_rejects_empty_target_recitations():
         target_question="t",
     )
     with pytest.raises(PromptError):
-        build_qa_prompt(spec)
+        build_qa_prompt(spec, ())
 
 
-def reference_qa_prompt(spec: PromptSpec) -> str:
+def reference_qa_prompt(spec: PromptSpec, target_recitations: tuple[str, ...]) -> str:
     """build_qa_prompt with every prompt rendered and checked from scratch,
     in the order the checks raise: the spec, the target recitations'
     presence, the exemplars, the target recitation lines, then the target
     question line."""
     prompting._check_spec(spec, "answer")
     direct = spec.scheme is Scheme.DIRECT
-    if not direct and not spec.target_recitations:
+    if not direct and not target_recitations:
         raise PromptError("answer prompts require target recitations")
-    if direct and spec.target_recitations:
+    if direct and target_recitations:
         raise PromptError("direct prompts must not carry target recitations")
     d = spec.dialect
     prefix = prompting._prefix(prompting._qa_blocks, spec.exemplars, direct, d)
     target = [
-        *prompting._recitation_lines(spec.target_recitations or (), d, "target recitation"),
+        *prompting._recitation_lines(target_recitations, d, "target recitation"),
         prompting._line("Question", spec.target_question, d, "target question"),
         "Answer:",
     ]
@@ -385,10 +385,8 @@ def test_answer_prompts_sharing_a_spec_equal_prompts_rendered_from_scratch(
         scheme=scheme, exemplars=exemplars, target_question=question, dialect=dialect
     )
     for recitations in paths:
-        fresh = replace(shared, target_recitations=recitations)
-        expected = prompt_or_error(reference_qa_prompt, fresh)
+        expected = prompt_or_error(reference_qa_prompt, replace(shared), recitations)
         assert prompt_or_error(build_qa_prompt, shared, recitations) == expected
-        assert prompt_or_error(build_qa_prompt, fresh) == expected
 
 
 def test_injection_rejected_not_resplit():
@@ -449,8 +447,8 @@ def test_extract_answer_reads_back_a_rendered_exemplar_answer(question, recitati
             scheme=Scheme.RECITE_ANSWER,
             exemplars=(exemplar,),
             target_question=TARGET,
-            target_recitations=("a recitation",),
-        )
+        ),
+        ("a recitation",),
     )
     assert extract_answer(exemplar_block(prompt), Scheme.RECITE_ANSWER) == answer
 

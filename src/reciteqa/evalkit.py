@@ -16,12 +16,12 @@ pass and draws no random subsets. Every normalization goes through the
 module attribute `normalize`, looked up at call time, so one replacement of
 it sees them all.
 
-Four shortcuts keep every result exact:
+Five shortcuts keep every result exact:
 - *ASCII text.* When a profile both lowercases and strips punctuation and
   the text is ASCII, `normalize` does those two steps on bytes
   (`bytes.lower` and `bytes.translate`), which for ASCII give the same
   characters as `str.lower` and the punctuation table.
-- *Recitation pre-filter.* `_path_hits` first normalizes a recitation
+- *Recitation pre-filter.* `_recit_hit` first normalizes a recitation
   under the profile's coarse form, with article stripping and whitespace
   collapsing off, and normalizes it in full only when every whitespace
   token of some gold alias occurs in that coarse text. Stripping an
@@ -34,6 +34,21 @@ Four shortcuts keep every result exact:
   counting tokens, since the F1 of a token list against itself is 1.0.
 - *Vote.* `plurality_vote` normalizes each distinct answer text once,
   since `normalize` is a function of the text and the profile alone.
+- *Space-bounded mention.* A gold alias `g` that passes the pre-filter
+  and occurs in the coarse text with a space or an end of the text on
+  each side, that is `f" {g} "` in `f" {coarse} "`, is a hit with no full
+  normalization. `g` is `normalize`'s output under the same profile and
+  `normalize` is idempotent, so no article matches in `g`, since a match
+  would change it; under collapsing `g` also has only single spaces and
+  no leading or trailing whitespace. An article match is a whole run of
+  word characters, so it cannot cross the spaces that bound the
+  occurrence, and one inside them would match in `g` alone as well:
+  article stripping leaves the occurrence intact. Collapsing keeps a run
+  of whole tokens joined by single spaces, so `g` also occurs in the
+  full text. Any other occurrence, such as `hague` in `the hague's`, one
+  next to a tab or `«`, or one inside a token (`rome` in `romeo`), falls
+  back to the full normalization. The padding matters: `he x` occurs in
+  the coarse `the x` but not in its full form `x`.
 """
 
 from __future__ import annotations
@@ -114,7 +129,7 @@ class NormProfile:
     @cached_property
     def _coarse(self) -> "NormProfile":
         """This profile without the two steps that only put in or merge
-        whitespace; the recitation pre-filter of _path_hits uses it."""
+        whitespace; the recitation pre-filter of _recit_hit uses it."""
         return replace(self, strip_articles=False, collapse_whitespace=False)
 
 
@@ -247,26 +262,45 @@ def plurality_vote(
 
 
 def _path_hits(
-    norm_golds: Sequence[str], path: RecitationPath, answer_key: str | None, profile: NormProfile
-) -> tuple[bool, bool]:
-    """Whether a gold alias occurs, normalized, as a substring of one of the
-    path's recitations, and whether the path's normalized answer
-    `answer_key` is a gold alias. A failed path has answer_key None, so it
-    is never an answer hit. Recitations are normalized only up to the first
-    hit, and only those whose coarse form holds every token of some gold
-    alias (see the module docstring)."""
-    golds = [g for g in norm_golds if g]
-    gold_tokens = [g.split() for g in golds]
-    recit_hit = False
-    for recitation in path.recitations:
+    norm_golds: Sequence[str],
+    paths: Sequence[RecitationPath],
+    answer_keys: Sequence[str | None],
+    profile: NormProfile,
+) -> list[tuple[bool, bool]]:
+    """For each path, whether a gold alias occurs, normalized, as a
+    substring of one of its recitations, and whether its normalized answer
+    key is a gold alias. A failed path has key None, so it is never an
+    answer hit. Recitations are normalized only up to a path's first hit,
+    and in full only when the coarse form neither rules a hit out nor
+    proves it (see the module docstring)."""
+    # Each non-empty alias, padded with a space each side and split into
+    # tokens, once per record.
+    terms = [(g, f" {g} ", g.split()) for g in norm_golds if g]
+    return [
+        (_recit_hit(terms, path.recitations, profile), key in norm_golds)
+        for path, key in zip(paths, answer_keys)
+    ]
+
+
+def _recit_hit(
+    terms: Sequence[tuple[str, str, list[str]]],
+    recitations: Sequence[str],
+    profile: NormProfile,
+) -> bool:
+    """Whether an alias of `terms` occurs in one of the recitations once
+    they are normalized under `profile`."""
+    for recitation in recitations:
         coarse = normalize(recitation, profile._coarse)
-        if not any(all(t in coarse for t in tokens) for tokens in gold_tokens):
+        found = [(g, padded) for g, padded, tokens in terms if all(t in coarse for t in tokens)]
+        if not found:
             continue
+        padded_coarse = f" {coarse} "
+        if any(padded in padded_coarse for _, padded in found):
+            return True
         norm_recitation = normalize(recitation, profile)
-        if any(g in norm_recitation for g in golds):
-            recit_hit = True
-            break
-    return recit_hit, answer_key in norm_golds
+        if any(g in norm_recitation for g, _ in found):
+            return True
+    return False
 
 
 def _category(voted_hit: bool, path_hits: Sequence[tuple[bool, bool]]) -> ErrorCategory:
@@ -293,11 +327,13 @@ def classify_question(
     (normalized, as a substring) in any recitation; else NotRecit. Exactly
     one category applies.
     """
+    if not golds:
+        raise EvalError("classify_question requires at least one gold answer")
     if not paths:
         raise EvalError("classify_question requires at least one path")
     norm_golds = [normalize(g, profile) for g in golds]
     keys = [None if p.failed else normalize(p.extracted_answer, profile) for p in paths]
-    hits = [_path_hits(norm_golds, p, key, profile) for p, key in zip(paths, keys)]
+    hits = _path_hits(norm_golds, paths, keys, profile)
     voted_hit = normalize(voted, profile) in norm_golds and not all(p.failed for p in paths)
     return _category(voted_hit, hits)
 
@@ -312,7 +348,8 @@ def per_path_quadrant(
         raise EvalError("per_path_quadrant requires at least one gold answer")
     norm_golds = [normalize(g, profile) for g in golds]
     answer_key = None if path.failed else normalize(path.extracted_answer, profile)
-    return _QUADRANT_OF[_path_hits(norm_golds, path, answer_key, profile)]
+    [hits] = _path_hits(norm_golds, [path], [answer_key], profile)
+    return _QUADRANT_OF[hits]
 
 
 class ScoredRecord:
@@ -364,10 +401,7 @@ class ScoredRecord:
         self._scores: dict[str, tuple[bool, float]] = {}
         voted_score = self._score_key(key_of(record.voted_answer))
         self.voted_score = (False, 0.0) if self.all_failed else voted_score
-        path_hits = [
-            _path_hits(self.norm_golds, path, key, profile)
-            for path, key in zip(record.paths, self._vote_keys)
-        ]
+        path_hits = _path_hits(self.norm_golds, record.paths, self._vote_keys, profile)
         self.category = _category(self.voted_score[0], path_hits)
         self.quadrants = tuple(_QUADRANT_OF[hit] for hit in path_hits)
 

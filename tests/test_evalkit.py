@@ -154,8 +154,12 @@ def test_normalize_keeps_non_ascii_punctuation():
 @given(st.text(max_size=80))
 @settings(max_examples=200)
 def test_normalize_idempotent(text):
-    once = normalize(text)
-    assert normalize(once) == once
+    # _recit_hit's proof of a space-bounded mention rests on this for every
+    # profile.
+    for flags in FLAG_SETTINGS:
+        profile = NormProfile(**flags)
+        once = normalize(text, profile)
+        assert normalize(once, profile) == once, flags
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,11 @@ def test_classify_not_recit():
     assert classify_question(["paris"], paths, "rome") is ErrorCategory.NOT_RECIT
 
 
+def test_classify_requires_a_gold_answer():
+    with pytest.raises(EvalError, match="at least one gold answer"):
+        classify_question([], [make_path("x")], "x")
+
+
 @given(
     golds=st.lists(st.sampled_from(["paris", "rome"]), min_size=1, max_size=2),
     answers=st.lists(st.sampled_from(["paris", "rome", "berlin"]), min_size=1, max_size=6),
@@ -353,13 +362,47 @@ def recitations_and_golds(draw):
 @example((["new york"], ["the new york"], NormProfile()))
 @example((["a  b"], ["  "], NormProfile(collapse_whitespace=False)))
 @example((["ab"], ["", "b"], NormProfile()))
+@example((["the x"], ["he x"], NormProfile()))  # a miss, though "he x" is in "the x"
+@example((["x\ty"], ["x y"], NormProfile()))  # a hit through the full normalization
+@example((["«Hague» is"], ["the Hague"], NormProfile()))  # likewise
+@example((["the x"], ["the x"], NormProfile(strip_articles=False)))
+@example(([" a  b "], ["a  b"], NormProfile(collapse_whitespace=False)))
 @settings(max_examples=400)
 def test_path_hits_prefilter_finds_every_hit_a_full_normalization_finds(case):
     recitations, golds, profile = case
     norm_golds = [normalize(g, profile) for g in golds]
     path = RecitationPath(tuple(recitations), "Answer: x", "x", {})
     plain = any(g and g in normalize(r, profile) for r in recitations for g in norm_golds)
-    assert evalkit._path_hits(norm_golds, path, "x", profile) == (plain, "x" in norm_golds)
+    [hits] = evalkit._path_hits(norm_golds, [path], ["x"], profile)
+    assert hits == (plain, "x" in norm_golds)
+
+
+def test_a_gold_named_as_whole_words_is_a_hit_without_a_full_normalization(monkeypatch):
+    # Each recitation holds the gold bounded by spaces in its coarse form,
+    # which proves the hit: it is normalized once, coarsely, and never in
+    # full.
+    recitations = (
+        "It was written by William Shakespeare in 1600.",
+        "William Shakespeare wrote it.",
+    )
+    questions = [make_question("q0", "who wrote hamlet", ("William Shakespeare",))]
+    paths = (make_path("Shakespeare", (recitations[0],)), make_path("Marlowe", (recitations[1],)))
+    run = RunRecord("q0", Scheme.RECITE_ANSWER, paths, "Shakespeare", "f" * 16)
+    calls = Counter()
+    real = evalkit.normalize
+
+    def counted(text, profile=evalkit.DEFAULT_PROFILE):
+        # NormProfile does not hash, so count the two profiles by identity.
+        step = {id(DEFAULT_PROFILE): "full", id(DEFAULT_PROFILE._coarse): "coarse"}[id(profile)]
+        calls[text, step] += 1
+        return real(text, profile)
+
+    monkeypatch.setattr(evalkit, "normalize", counted)
+    [view] = scored([run], questions)
+    assert view.quadrants == (PathQuadrant.RECIT_HIT_ANSWER_MISS,) * 2
+    for recitation in recitations:
+        assert calls[recitation, "coarse"] == 1
+        assert calls[recitation, "full"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,8 @@ def _curve_counts(args: argparse.Namespace) -> list[int]:
         counts = [0]
     if min(counts) < 1:
         raise ConfigError(f"--paths must list positive integers, got {args.paths!r}")
+    if len(set(counts)) < len(counts):
+        raise ConfigError(f"--paths must not repeat a path count, got {args.paths!r}")
     return counts
 
 

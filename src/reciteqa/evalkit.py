@@ -1,6 +1,6 @@
-"""Answer normalization, EM/F1 scoring, plurality voting, per-question and
-per-path error classification, report aggregation, and the path-count
-subsampling analysis.
+"""Answer normalization, plurality voting, the per-record scoring view
+`ScoredRecord` (EM/F1, error category and per-path quadrants), report
+aggregation, and the path-count subsampling analysis.
 
 `aggregate_report` and `path_subsample_curve` take one `ScoredRecord` view
 per record. A view normalizes each distinct gold alias, path answer and
@@ -75,11 +75,7 @@ __all__ = [
     "EvalError",
     "ScoredRecord",
     "normalize",
-    "exact_match",
-    "token_f1",
     "plurality_vote",
-    "classify_question",
-    "per_path_quadrant",
     "aggregate_report",
     "path_subsample_curve",
     "format_category_table",
@@ -137,7 +133,18 @@ DEFAULT_PROFILE = NormProfile()
 
 
 class ErrorCategory(Enum):
-    """Mutually exclusive per-question outcomes of the error analysis."""
+    """Mutually exclusive per-question outcomes of the error analysis.
+
+    A path's answer is a hit when the path did not fail and its normalized
+    extracted answer equals a normalized gold alias; a failed path is never
+    an answer hit. A path's recitation is a hit when a normalized gold
+    alias occurs, as a substring, in one of its normalized recitations; an
+    alias that normalizes to "" never makes a recitation hit. A question is
+    HITS_AT_MAJORITY when some path did not fail and the normalized voted
+    answer is a gold alias; else HITS_AT_20_PATH when some path's answer is
+    a hit; else HITS_AT_20_RECIT when some path's recitation is a hit; else
+    NOT_RECIT. Exactly one category applies.
+    """
 
     HITS_AT_MAJORITY = "hits_at_majority"
     HITS_AT_20_PATH = "hits_at_20_path"
@@ -194,15 +201,6 @@ def normalize(text: str, profile: NormProfile = DEFAULT_PROFILE) -> str:
     return text
 
 
-def exact_match(
-    pred: str, golds: Sequence[str], profile: NormProfile = DEFAULT_PROFILE
-) -> bool:
-    """True iff the normalized prediction equals any normalized gold alias."""
-    if not golds:
-        raise EvalError("exact_match requires at least one gold answer")
-    return normalize(pred, profile) in [normalize(g, profile) for g in golds]
-
-
 def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     if not pred_tokens and not gold_tokens:
         return 1.0
@@ -220,16 +218,6 @@ def _f1_single(pred_tokens: list[str], gold_tokens: list[str]) -> float:
 def _f1(norm_pred: str, norm_golds: Sequence[str]) -> float:
     pred_tokens = norm_pred.split()
     return max(_f1_single(pred_tokens, g.split()) for g in norm_golds)
-
-
-def token_f1(
-    pred: str, golds: Sequence[str], profile: NormProfile = DEFAULT_PROFILE
-) -> float:
-    """Token-multiset F1 between normalized prediction and each gold alias;
-    returns the max over aliases."""
-    if not golds:
-        raise EvalError("token_f1 requires at least one gold answer")
-    return _f1(normalize(pred, profile), [normalize(g, profile) for g in golds])
 
 
 def _plurality(keys: Iterable[Hashable]) -> tuple[Hashable, dict]:
@@ -311,45 +299,6 @@ def _category(voted_hit: bool, path_hits: Sequence[tuple[bool, bool]]) -> ErrorC
     if any(recit_hit for recit_hit, _ in path_hits):
         return ErrorCategory.HITS_AT_20_RECIT
     return ErrorCategory.NOT_RECIT
-
-
-def classify_question(
-    golds: Sequence[str],
-    paths: Sequence[RecitationPath],
-    voted: str,
-    profile: NormProfile = DEFAULT_PROFILE,
-) -> ErrorCategory:
-    """Classify one question's outcome.
-
-    HitsAtMajority when the voted answer is correct and some path did not
-    fail; else HitsAt20Path when any path that did not fail has a correct
-    extracted answer; else HitsAt20Recit when any gold alias occurs
-    (normalized, as a substring) in any recitation; else NotRecit. Exactly
-    one category applies.
-    """
-    if not golds:
-        raise EvalError("classify_question requires at least one gold answer")
-    if not paths:
-        raise EvalError("classify_question requires at least one path")
-    norm_golds = [normalize(g, profile) for g in golds]
-    keys = [None if p.failed else normalize(p.extracted_answer, profile) for p in paths]
-    hits = _path_hits(norm_golds, paths, keys, profile)
-    voted_hit = normalize(voted, profile) in norm_golds and not all(p.failed for p in paths)
-    return _category(voted_hit, hits)
-
-
-def per_path_quadrant(
-    golds: Sequence[str],
-    path: RecitationPath,
-    profile: NormProfile = DEFAULT_PROFILE,
-) -> PathQuadrant:
-    """Place one path in the recitation-hit x answer-correct quadrant."""
-    if not golds:
-        raise EvalError("per_path_quadrant requires at least one gold answer")
-    norm_golds = [normalize(g, profile) for g in golds]
-    answer_key = None if path.failed else normalize(path.extracted_answer, profile)
-    [hits] = _path_hits(norm_golds, [path], [answer_key], profile)
-    return _QUADRANT_OF[hits]
 
 
 class ScoredRecord:

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 from reciteqa import backend as backend_module
 from reciteqa.backend import Backend, ScriptedBackend
 from reciteqa.core import (
-    PATH_FIELDS, RECORD_FIELDS, REQUIRED, Dataset, Exemplar, QuestionRecord, RunRecord, Scheme,
+    PATH_FIELDS, RECORD_FIELDS, REQUIRED, Dataset, Exemplar, QuestionRecord, RecitationPath,
+    RunRecord, Scheme,
 )
 from reciteqa.evalkit import DEFAULT_PROFILE, NormProfile, ScoredRecord
 from reciteqa.pipeline import SchemeConfig, run_dataset
@@ -95,6 +96,28 @@ def scored(records, questions, profile: NormProfile = DEFAULT_PROFILE) -> list[S
     run` and `reciteqa analyze` build them for the report and the curve."""
     by_id = {q.id: q for q in questions}
     return [ScoredRecord(record, by_id, profile) for record in records]
+
+
+def view_of(
+    golds, paths, voted: str, profile: NormProfile = DEFAULT_PROFILE, dataset: Dataset = Dataset.NQ
+) -> ScoredRecord:
+    """The view of one run record, with these paths and voted answer, of a
+    question with these gold aliases."""
+    question = make_question("q0", "q", tuple(golds), dataset=dataset)
+    record = RunRecord("q0", Scheme.RECITE_ANSWER, tuple(paths), voted, "f" * 16)
+    return ScoredRecord(record, {"q0": question}, profile)
+
+
+def profile_flags(profile: NormProfile) -> dict[str, bool]:
+    """The four normalization steps of a profile, as the oracles take them."""
+    steps = ("lowercase", "strip_articles", "strip_punct", "collapse_whitespace")
+    return {step: getattr(profile, step) for step in steps}
+
+
+def answer_score(pred: str, golds) -> tuple[bool, float]:
+    """EM and F1 of `pred` against the gold aliases, as the view of a record
+    whose one path answers `pred` scores its vote."""
+    return view_of(golds, [RecitationPath((), f"Answer: {pred}", pred, {})], pred).voted_score
 
 
 def count_sha256_input(monkeypatch) -> list[int]:

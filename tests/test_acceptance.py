@@ -20,11 +20,8 @@ from reciteqa.core import RecitationPath, RunRecord, Scheme
 from reciteqa.evalkit import (
     ErrorCategory,
     aggregate_report,
-    classify_question,
-    exact_match,
     path_subsample_curve,
     plurality_vote,
-    token_f1,
 )
 from reciteqa.pipeline import (
     SchemeConfig,
@@ -51,10 +48,12 @@ from helpers import (
     HINT_EXEMPLAR,
     LONDON_EXEMPLAR,
     MULTIHOP_EXEMPLAR,
+    answer_score,
     golden,
     make_question,
     scored,
     script_recite_run,
+    view_of,
 )
 
 EXEMPLARS = (LONDON_EXEMPLAR, EIFFEL_EXEMPLAR)
@@ -154,14 +153,14 @@ def test_criterion_1_error_category_partition():
         golds = ["paris"]
         majority = [synthetic_path("paris", "x"), synthetic_path("paris", "x"),
                     synthetic_path("rome", "x")]
-        assert classify_question(golds, majority, "paris") is ErrorCategory.HITS_AT_MAJORITY
+        assert view_of(golds, majority, "paris").category is ErrorCategory.HITS_AT_MAJORITY
         at_path = [synthetic_path("rome", "x"), synthetic_path("rome", "x"),
                    synthetic_path("paris", "x")]
-        assert classify_question(golds, at_path, "rome") is ErrorCategory.HITS_AT_20_PATH
+        assert view_of(golds, at_path, "rome").category is ErrorCategory.HITS_AT_20_PATH
         at_recit = [synthetic_path("rome", "Paris is the capital of France.")]
-        assert classify_question(golds, at_recit, "rome") is ErrorCategory.HITS_AT_20_RECIT
+        assert view_of(golds, at_recit, "rome").category is ErrorCategory.HITS_AT_20_RECIT
         nothing = [synthetic_path("rome", "Rome is in Italy.")]
-        assert classify_question(golds, nothing, "rome") is ErrorCategory.NOT_RECIT
+        assert view_of(golds, nothing, "rome").category is ErrorCategory.NOT_RECIT
 
 
 def test_criterion_2_quadrant_partition():
@@ -179,9 +178,10 @@ def test_criterion_3_em_f1_oracle():
         cases = json.loads((DATA_DIR / "em_f1_cases.json").read_text(encoding="utf-8"))
         assert len(cases) == 50
         for case in cases:
-            assert exact_match(case["pred"], case["golds"]) == case["em"], case
-            assert abs(token_f1(case["pred"], case["golds"]) - case["f1"]) < 1e-12, case
-        assert abs(token_f1("open heart surgery", ["heart surgery"]) - 0.8) < 1e-12
+            em, f1 = answer_score(case["pred"], case["golds"])
+            assert em == case["em"], case
+            assert abs(f1 - case["f1"]) < 1e-12, case
+        assert abs(answer_score("open heart surgery", ["heart surgery"])[1] - 0.8) < 1e-12
 
 
 def test_criterion_4_bm25_oracle_equivalence():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 from reciteqa.core import Dataset, RecitationPath, RunRecord, Scheme
 from reciteqa.evalkit import (
@@ -23,7 +24,8 @@ from reciteqa.evalkit import (
     report_to_dict,
 )
 
-from helpers import GOLDEN_DIR, make_question, scored
+from helpers import GOLDEN_DIR, make_question, profile_flags, scored
+from oracles.category_oracle import oracle_analysis
 
 GOLDEN_PATH = GOLDEN_DIR / "analyze_report.json"
 N_QUESTIONS = 200
@@ -161,6 +163,28 @@ def test_golden_run_covers_the_edge_cases():
     assert report["n_failed_questions"] > 0
     assert any(p.failed for r in records for p in r.paths if not all(q.failed for q in r.paths))
     assert {q.dataset for q in questions} == set(DATASETS)
+
+
+def test_the_category_oracle_gives_the_golden_counts():
+    # The golden counts, derived again from the definitions alone and not
+    # from the code that wrote the golden file.
+    want = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["report"]
+    questions, records = build_run()
+    categories, quadrants = Counter(), Counter()
+    em_hits, f1_total = 0, 0.0
+    for question, record in zip(questions, records):
+        flags = profile_flags(PROFILE.for_dataset(question.dataset.value))
+        category, path_quadrants, (em, f1) = oracle_analysis(
+            list(question.gold_answers), record.paths, record.voted_answer, flags
+        )
+        categories[category] += 1
+        quadrants.update(path_quadrants)
+        em_hits += em
+        f1_total += f1
+    assert dict(categories) == want["category_counts"]
+    assert dict(quadrants) == want["quadrant_counts"]
+    assert em_hits / N_QUESTIONS == want["em"]
+    assert abs(f1_total / N_QUESTIONS - want["f1"]) < 1e-12
 
 
 if __name__ == "__main__":

@@ -540,8 +540,12 @@ def test_analyze_empty_dir_exits_3(tmp_path):
         ["--paths", "a,b"],
         ["--paths", "1,,2"],
         ["--paths", "0,2"],
+        ["--paths", "4,4"],
     ],
-    ids=["zero-trials", "negative-trials", "non-integer-paths", "empty-path-count", "zero-paths"],
+    ids=[
+        "zero-trials", "negative-trials", "non-integer-paths", "empty-path-count", "zero-paths",
+        "repeated-paths",
+    ],
 )
 def test_analyze_bad_arguments_exit_1_before_writing(workspace, capsys, flags):
     assert main(["run", "--config", str(workspace / "config.json")]) == EXIT_OK
@@ -1247,7 +1251,8 @@ def test_demo_run_reproduces_committed_outputs(tmp_path, capsys):
     run_info = json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
     assert run_info["config_fingerprint"] == "13369aded4b0cd26"
     assert main(["analyze", str(run_dir), "--paths", "1,2,4"]) == EXIT_OK
-    for name in ("category_table.txt", "quadrant_table.txt", "curve.csv"):
+    # analyze rewrites report.json from the records: the same bytes as run's.
+    for name in ("report.json", "category_table.txt", "quadrant_table.txt", "curve.csv"):
         assert (run_dir / name).read_bytes() == (expected / name).read_bytes(), name
 
 

@@ -21,20 +21,17 @@ from reciteqa.evalkit import (
     EvalError,
     NormProfile,
     PathQuadrant,
-    ScoredRecord,
     aggregate_report,
-    classify_question,
-    exact_match,
     format_category_table,
     format_quadrant_table,
     normalize,
     path_subsample_curve,
-    per_path_quadrant,
     plurality_vote,
-    token_f1,
 )
 
-from helpers import DATA_DIR, make_question, scored
+from helpers import DATA_DIR, answer_score, make_question, profile_flags, scored, view_of
+from oracles.category_oracle import oracle_analysis
+from oracles.curve_oracle import oracle_curve
 from oracles.normalize_oracle import oracle_normalize
 
 
@@ -163,7 +160,7 @@ def test_normalize_idempotent(text):
 
 
 # ---------------------------------------------------------------------------
-# EM / F1 against the frozen brute-force oracle
+# EM / F1 against the frozen brute-force oracle, scored by a one-record view
 
 
 def load_oracle_cases():
@@ -174,32 +171,26 @@ def test_em_f1_agree_with_frozen_oracle():
     cases = load_oracle_cases()
     assert len(cases) == 50
     for case in cases:
-        assert exact_match(case["pred"], case["golds"]) == case["em"], case
-        assert abs(token_f1(case["pred"], case["golds"]) - case["f1"]) < 1e-12, case
+        em, f1 = answer_score(case["pred"], case["golds"])
+        assert em == case["em"], case
+        assert abs(f1 - case["f1"]) < 1e-12, case
 
 
 def test_f1_derived_case():
-    assert abs(token_f1("open heart surgery", ["heart surgery"]) - 0.8) < 1e-12
+    assert abs(answer_score("open heart surgery", ["heart surgery"])[1] - 0.8) < 1e-12
 
 
 def test_em_examples():
-    assert exact_match("17 March 1973", ["17 march 1973"])
-    assert not exact_match("march 1973", ["17 march 1973"])
-    assert exact_match("x", ["zzz", "X"])
+    assert answer_score("17 March 1973", ["17 march 1973"])[0]
+    assert not answer_score("march 1973", ["17 march 1973"])[0]
+    assert answer_score("x", ["zzz", "X"])[0]
 
 
 def test_f1_boundaries():
-    assert token_f1("same words", ["same words"]) == 1.0
-    assert token_f1("alpha beta", ["gamma delta"]) == 0.0
-    assert token_f1("the", [""]) == 1.0
-    assert token_f1("word", [""]) == 0.0
-
-
-def test_em_requires_golds():
-    with pytest.raises(EvalError):
-        exact_match("x", [])
-    with pytest.raises(EvalError):
-        token_f1("x", [])
+    assert answer_score("same words", ["same words"])[1] == 1.0
+    assert answer_score("alpha beta", ["gamma delta"])[1] == 0.0
+    assert answer_score("the", [""])[1] == 1.0
+    assert answer_score("word", [""])[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +274,12 @@ def test_vote_order_robust_without_ties(answers, rng):
 
 def test_classify_hits_at_majority():
     paths = [make_path("paris"), make_path("paris"), make_path("rome")]
-    assert (
-        classify_question(["paris"], paths, "paris") is ErrorCategory.HITS_AT_MAJORITY
-    )
+    assert view_of(["paris"], paths, "paris").category is ErrorCategory.HITS_AT_MAJORITY
 
 
 def test_classify_hits_at_path():
     paths = [make_path("rome"), make_path("rome"), make_path("paris")]
-    assert classify_question(["paris"], paths, "rome") is ErrorCategory.HITS_AT_20_PATH
+    assert view_of(["paris"], paths, "rome").category is ErrorCategory.HITS_AT_20_PATH
 
 
 def test_classify_hits_at_recit():
@@ -298,17 +287,17 @@ def test_classify_hits_at_recit():
         make_path("rome", recitations=("Paris is the capital of France.",)),
         make_path("rome"),
     ]
-    assert classify_question(["paris"], paths, "rome") is ErrorCategory.HITS_AT_20_RECIT
+    assert view_of(["paris"], paths, "rome").category is ErrorCategory.HITS_AT_20_RECIT
 
 
 def test_classify_not_recit():
     paths = [make_path("rome", recitations=("Rome is in Italy.",))]
-    assert classify_question(["paris"], paths, "rome") is ErrorCategory.NOT_RECIT
+    assert view_of(["paris"], paths, "rome").category is ErrorCategory.NOT_RECIT
 
 
 def test_classify_requires_a_gold_answer():
-    with pytest.raises(EvalError, match="at least one gold answer"):
-        classify_question([], [make_path("x")], "x")
+    with pytest.raises(EvalError, match="no gold answer"):
+        view_of([], [make_path("x")], "x")
 
 
 @given(
@@ -321,7 +310,7 @@ def test_classify_returns_exactly_one_category(golds, answers, recitation):
     recitations = (recitation,) if recitation else ()
     paths = [make_path(a, recitations) for a in answers]
     voted, _ = plurality_vote(answers)
-    category = classify_question(golds, paths, voted)
+    category = view_of(golds, paths, voted).category
     assert category in ErrorCategory
 
 
@@ -335,10 +324,13 @@ def test_quadrants():
     hit_miss = make_path("rome", recitations=("Paris is the capital of France.",))
     miss_hit = make_path("Paris", recitations=("France is in Europe.",))
     miss_miss = make_path("rome", recitations=("France is in Europe.",))
-    assert per_path_quadrant(gold, hit_hit) is PathQuadrant.RECIT_HIT_ANSWER_HIT
-    assert per_path_quadrant(gold, hit_miss) is PathQuadrant.RECIT_HIT_ANSWER_MISS
-    assert per_path_quadrant(gold, miss_hit) is PathQuadrant.RECIT_MISS_ANSWER_HIT
-    assert per_path_quadrant(gold, miss_miss) is PathQuadrant.RECIT_MISS_ANSWER_MISS
+    view = view_of(gold, [hit_hit, hit_miss, miss_hit, miss_miss], "rome")
+    assert view.quadrants == (
+        PathQuadrant.RECIT_HIT_ANSWER_HIT,
+        PathQuadrant.RECIT_HIT_ANSWER_MISS,
+        PathQuadrant.RECIT_MISS_ANSWER_HIT,
+        PathQuadrant.RECIT_MISS_ANSWER_MISS,
+    )
 
 
 @st.composite
@@ -464,10 +456,9 @@ def test_a_question_whose_every_path_failed_scores_no_hit_against_an_empty_gold(
     assert report.quadrant_counts[PathQuadrant.RECIT_MISS_ANSWER_MISS] == 4
     curve = path_subsample_curve(scored([run], questions), [4], trials=1)
     assert (curve[0].mean_em, curve[0].mean_f1) == (0.0, 0.0)
-    assert classify_question(["The The"], failed, "") is ErrorCategory.NOT_RECIT
-    assert {per_path_quadrant(["The The"], p) for p in failed} == {
-        PathQuadrant.RECIT_MISS_ANSWER_MISS
-    }
+    view = view_of(["The The"], failed, "")
+    assert view.category is ErrorCategory.NOT_RECIT
+    assert view.quadrants == (PathQuadrant.RECIT_MISS_ANSWER_MISS,) * 4
     # A path whose answer extraction found nothing did not fail: it votes "".
     mixed = RunRecord("q0", Scheme.RECITE_ANSWER, failed[:3] + (make_path(""),), "", "f" * 16)
     view = scored([mixed], questions)[0]
@@ -483,9 +474,10 @@ def records_and_profiles(draw):
     golds = tuple(draw(st.lists(
         st.sampled_from(["Paris", "the", "The The", "New York", "rome"]), min_size=1, max_size=3
     )))
-    recitation = st.sampled_from(
-        ["Paris is in France.", "The The is a band.", "new york, NEW YORK", "Nothing here."]
-    )
+    recitation = st.sampled_from([
+        "Paris is in France.", "The The is a band.", "new york, NEW YORK", "Nothing here.",
+        "Romeo met «Paris»", "new\tyork",
+    ])
     paths = tuple(
         make_path(
             draw(st.sampled_from(["paris", "Paris!", "the", "", "New-York", "Rome", "berlin"])),
@@ -502,21 +494,21 @@ def records_and_profiles(draw):
 
 
 @given(records_and_profiles())
+# "he x" occurs in the coarse "the x" but not in its full normalization "x".
+@example((("he x",), Dataset.NQ, (make_path("x", ("the x",)),), DEFAULT_PROFILE))
+# A failed path's empty answer is no hit on a gold that normalizes to "".
+@example((("The The",), Dataset.NQ, (make_path("", failed=True), make_path("rome")), DEFAULT_PROFILE))
 @settings(max_examples=300)
-def test_a_record_view_agrees_with_the_public_scoring_functions(case):
+def test_a_record_view_agrees_with_the_category_oracle(case):
     golds, dataset, paths, profile = case
-    question = make_question("q0", "q", golds, dataset=dataset)
     under = profile.for_dataset(dataset.value)
     live = [p.extracted_answer for p in paths if not p.failed]
     voted = plurality_vote(live, under)[0] if live else ""
-    record = RunRecord("q0", Scheme.RECITE_ANSWER, paths, voted, "f" * 16)
-    view = ScoredRecord(record, {"q0": question}, profile)
-    assert view.category is classify_question(golds, paths, voted, under)
-    assert view.quadrants == tuple(per_path_quadrant(golds, p, under) for p in paths)
-    if live:
-        assert view.voted_score == (exact_match(voted, golds, under), token_f1(voted, golds, under))
-    else:
-        assert view.voted_score == (False, 0.0)
+    view = view_of(golds, paths, voted, profile, dataset)
+    category, quadrants, score = oracle_analysis(list(golds), paths, voted, profile_flags(under))
+    assert view.category is ErrorCategory(category)
+    assert view.quadrants == tuple(map(PathQuadrant, quadrants))
+    assert view.voted_score == score
 
 
 def test_tables_render():
@@ -683,6 +675,45 @@ def test_report_and_curve_normalize_through_the_module_attribute(monkeypatch):
     assert point.mean_em == point.mean_f1 == 1.0
     # Building the views normalized every text, under the patch.
     assert seen == {"paris", "rome", "oslo", "Nothing relevant."}
+
+
+def curve_fixture(n_records=60, k=6, seed=4):
+    """(questions, runs, oracle records) with failed paths, one wrong answer
+    that scores a partial F1, and gold answers that lean early in path
+    order, so that tie-breaks matter."""
+    rng = random.Random(seed)
+    questions, runs, plain = [], [], []
+    for i in range(n_records):
+        gold = f"Gold {i}"
+        answers = []
+        for j in range(k):
+            roll = rng.random()
+            if roll < 0.15:
+                answers.append(None)
+            elif roll < 0.6 - 0.08 * j:
+                answers.append(rng.choice((gold, gold.lower(), f"the {gold}.")))
+            else:
+                answers.append(rng.choice(("gold", "wrong one", "Wrong Two")))
+        paths = tuple(make_path("", failed=True) if a is None else make_path(a) for a in answers)
+        live = [a for a in answers if a is not None]
+        voted = plurality_vote(live)[0] if live else ""
+        questions.append(make_question(f"q{i}", "q", (gold,)))
+        runs.append(RunRecord(f"q{i}", Scheme.RECITE_ANSWER, paths, voted, "f" * 16))
+        plain.append(([gold], answers))
+    return questions, runs, plain
+
+
+def test_subsample_curve_agrees_with_the_enumeration_oracle():
+    # Each point is a mean over independent trials, so it lies within a few
+    # standard errors of the exact expectation over all k-subsets.
+    questions, runs, plain = curve_fixture()
+    counts, trials = [1, 2, 3, 4, 5, 6], 400
+    points = path_subsample_curve(scored(runs, questions), counts, trials=trials, seed=1)
+    expected = oracle_curve(plain, counts)
+    for point in points:
+        em, f1, em_sd, f1_sd = expected[point.path_count]
+        assert abs(point.mean_em - em) <= 4 * em_sd / trials**0.5 + 1e-12, point
+        assert abs(point.mean_f1 - f1) <= 4 * f1_sd / trials**0.5 + 1e-12, point
 
 
 def test_subsample_rejects_excessive_count():
